@@ -5,23 +5,35 @@ successful draw, then animates the stress simulation with a timed screen
 refresh. Headless mode loads or builds a scenario, runs at full speed with
 no rendering, and emits the per-step statistics CSV.
 
-Exit codes: 0 on success, 1 for usage or I/O errors, 2 when the step limit
-was exhausted before reaching the quake target.
+Exit codes: 0 on success, 1 for usage or I/O errors (a closed stdout
+included), 2 when the step limit was exhausted before reaching the quake
+target.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import IO
+from typing import IO, Iterator
 
-from .engine import SimConfig, SimSummary, SplitMix64, StepReport, run, step
+# step is not called here but stays importable from this module, where
+# bench/traced.py wraps it by name
+from .engine import SimConfig, StepReport, iter_steps, run, step  # noqa: F401
 from .grid import MAX_DIM, FaultMap, GridDims, StressMap
 from .raster import OutOfRangeError, draw_circle, draw_horizontal, draw_segment, draw_vertical
 from .render import RenderStyle, StressBands, render_fault_map, render_stress_map
-from .scenario import Scenario, ScenarioError, format_stats, load_scenario, save_scenario
+from .scenario import (
+    Scenario,
+    ScenarioError,
+    format_stats,
+    format_stats_row,
+    load_scenario,
+    save_scenario,
+)
 
 CLEAR_SCREEN = "\x1b[2J\x1b[H"
 
@@ -152,12 +164,55 @@ def _stress_bands(threshold: int) -> StressBands:
     return StressBands(low_max=low, med_max=max(low + 1, (2 * threshold) // 3))
 
 
-def _summary_text(summary: SimSummary, seed: int) -> str:
-    if summary.hit_step_limit:
-        return (f"Step limit reached after {summary.total_steps} steps with "
-                f"{summary.total_quakes} earthquakes (seed {seed}).\n")
-    return (f"Done: {summary.total_quakes} earthquakes in {summary.total_steps} steps "
-            f"(seed {seed}).\n")
+def _summary_text(last: StepReport, cfg: SimConfig) -> str:
+    if last.cumulative_quakes < cfg.target_quakes:
+        return (f"Step limit reached after {last.step_index} steps with "
+                f"{last.cumulative_quakes} earthquakes (seed {cfg.seed}).\n")
+    return (f"Done: {last.cumulative_quakes} earthquakes in {last.step_index} steps "
+            f"(seed {cfg.seed}).\n")
+
+
+@contextmanager
+def _stats_sink(path: str | None) -> Iterator[IO[str]]:
+    """Where the CSV goes: stdout, or a file that only ever appears complete.
+
+    A regular file is written under a temporary name beside its target and
+    renamed over it when the block succeeds; on any failure the temporary
+    file is removed and the target is left as it was. Targets that are not
+    regular files (/dev/null, a FIFO) are written directly. Opening happens
+    on entry, so a bad path fails before the first step.
+    """
+    if path is None:
+        out = sys.stdout
+        yield out
+        out.flush()
+        return
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(path, "w", newline="") as fp:
+            yield fp
+        return
+    directory, name = os.path.split(target)
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    try:
+        # 0o666 less the umask: the mode open(path, "w") would give the target
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with os.fdopen(fd, "w", newline="") as fp:
+            yield fp
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _discard_stdout() -> None:
+    """Point fd 1 at /dev/null so the interpreter's exit flush of a dead pipe is silent."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
 
 
 def run_headless(opts: CliOptions) -> int:
@@ -167,17 +222,18 @@ def run_headless(opts: CliOptions) -> int:
         sys.stderr.write(f"faultsim: {exc}\n")
         return 1
 
-    summary = run(faults, cfg)
-    csv_text = format_stats(summary.reports)
-    if opts.out_path is not None:
-        try:
-            with open(opts.out_path, "w", newline="") as fp:
-                fp.write(csv_text)
-        except OSError as exc:
+    try:
+        with _stats_sink(opts.out_path) as out:
+            out.write(format_stats(()))  # the header: the CSV of a run with no steps
+            summary = run(faults, cfg, observer=lambda report: out.write(format_stats_row(report)))
+    except OSError as exc:
+        if opts.out_path is None and isinstance(exc, BrokenPipeError):
+            # the reader went away (`| head`); the run stopped at that write
+            _discard_stdout()
+            sys.stderr.write("faultsim: stdout closed, run stopped\n")
+        else:
             sys.stderr.write(f"faultsim: {exc}\n")
-            return 1
-    else:
-        sys.stdout.write(csv_text)
+        return 1
     sys.stderr.write(f"steps={summary.total_steps} quakes={summary.total_quakes} seed={cfg.seed}\n")
     return 2 if summary.hit_step_limit else 0
 
@@ -205,44 +261,24 @@ def _read_line(stdin: IO[str], stdout: IO[str], prompt: str) -> str | None:
     return line.strip()
 
 
-def _run_simulation(
-    faults: FaultMap, cfg: SimConfig, style: RenderStyle, stdout: IO[str]
-) -> SimSummary:
-    """Animated counterpart of engine.run: same stepping, plus frames and delay."""
+def _animate(faults: FaultMap, cfg: SimConfig, style: RenderStyle, stdout: IO[str]) -> StepReport:
+    """Draw the fault map and the empty stress map, then one frame per step; returns the last report."""
     bands = _stress_bands(cfg.quake_threshold)
     stdout.write(render_fault_map(faults, style))
     stress = StressMap.zeros(cfg.dims)
     stdout.write(render_stress_map(stress, bands, cfg.quake_threshold, style))
     stdout.flush()
 
-    rng = SplitMix64(cfg.seed)
-    reports: list[StepReport] = []
-    cumulative = 0
-    hit_limit = False
-    for index in range(1, cfg.max_steps + 1):
-        report = step(stress, faults, cfg, rng, cumulative, step_index=index)
-        cumulative = report.cumulative_quakes
-        reports.append(report)
+    for report in iter_steps(stress, faults, cfg):
         if style.color_enabled:
             stdout.write(CLEAR_SCREEN)
         stdout.write(render_stress_map(stress, bands, cfg.quake_threshold, style))
         for x, y in report.quaked_cells:
             stdout.write(f"EARTHQUAKE at ({x}, {y})!\n")
         stdout.flush()
-        if cumulative >= cfg.target_quakes:
-            break
-        if cfg.delay_ms > 0:
+        if cfg.delay_ms > 0 and report.cumulative_quakes < cfg.target_quakes:
             time.sleep(cfg.delay_ms / 1000)
-    else:
-        hit_limit = True
-
-    return SimSummary(
-        total_steps=len(reports),
-        total_quakes=cumulative,
-        final_stress=stress,
-        reports=reports,
-        hit_step_limit=hit_limit,
-    )
+    return report
 
 
 def run_interactive(opts: CliOptions, stdin: IO[str], stdout: IO[str]) -> int:
@@ -286,10 +322,10 @@ def run_interactive(opts: CliOptions, stdin: IO[str], stdout: IO[str]) -> int:
                     return 0
                 draw_segment(faults, *params)
             elif choice == 5:
-                summary = _run_simulation(faults, cfg, style, stdout)
-                stdout.write(_summary_text(summary, cfg.seed))
+                last = _animate(faults, cfg, style, stdout)
+                stdout.write(_summary_text(last, cfg))
                 stdout.flush()
-                return 2 if summary.hit_step_limit else 0
+                return 2 if last.cumulative_quakes < cfg.target_quakes else 0
             elif choice == 6:
                 path = _read_line(stdin, stdout, "path: ")
                 if path is None:

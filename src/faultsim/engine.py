@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterator
 
 from .grid import Cell, FaultMap, GridDims, StressMap
 
@@ -150,6 +150,22 @@ def step(
     )
 
 
+def iter_steps(stress: StressMap, faults: FaultMap, cfg: SimConfig) -> Iterator[StepReport]:
+    """Step the stress map in place, yielding each step's report as it completes.
+
+    The only run loop: it stops after the step that reaches target_quakes,
+    or after max_steps. A consumer that stops iterating stops the run.
+    """
+    rng = SplitMix64(cfg.seed)
+    cumulative = 0
+    for index in range(1, cfg.max_steps + 1):
+        report = step(stress, faults, cfg, rng, cumulative, step_index=index)
+        yield report
+        cumulative = report.cumulative_quakes
+        if cumulative >= cfg.target_quakes:
+            return
+
+
 def run(
     faults: FaultMap,
     cfg: SimConfig,
@@ -160,25 +176,17 @@ def run(
         raise ValueError("faults and config must share one grid")
 
     stress = StressMap.zeros(cfg.dims)
-    rng = SplitMix64(cfg.seed)
     reports: list[StepReport] = []
-    cumulative = 0
-    hit_limit = False
-    for index in range(1, cfg.max_steps + 1):
-        report = step(stress, faults, cfg, rng, cumulative, step_index=index)
-        cumulative = report.cumulative_quakes
+    for report in iter_steps(stress, faults, cfg):
         reports.append(report)
         if observer is not None:
             observer(report)
-        if cumulative >= cfg.target_quakes:
-            break
-    else:
-        hit_limit = True
 
+    total = reports[-1].cumulative_quakes
     return SimSummary(
         total_steps=len(reports),
-        total_quakes=cumulative,
+        total_quakes=total,
         final_stress=stress,
         reports=reports,
-        hit_step_limit=hit_limit,
+        hit_step_limit=total < cfg.target_quakes,
     )

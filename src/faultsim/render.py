@@ -95,9 +95,13 @@ def render_stress_map(
             return text
         return f"{_BAND_COLOR[classify_stress(value, bands, threshold)]}{text}{RESET}"
 
+    # quaked cells reset to 0, so between steps every value up to the display
+    # cap is in the table
+    table = [glyph(v) for v in range(min(threshold, _STRESS_DISPLAY_CAP) + 1)]
+    top = len(table)
     width = stress.dims.width
     lines = []
     for row_start in range(0, stress.dims.area, width):
         row = stress.cells[row_start : row_start + width]
-        lines.append(" ".join(glyph(v) for v in row))
+        lines.append(" ".join([table[v] if 0 <= v < top else glyph(v) for v in row]))
     return "".join(line + "\n" for line in lines)

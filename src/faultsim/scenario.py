@@ -212,14 +212,15 @@ def _format_mean(mean: Fraction) -> str:
     return f"{sign}{cents // 100}.{cents % 100:02d}"
 
 
+def format_stats_row(r: StepReport) -> str:
+    """One step's CSV row, newline included, ready to write as the step completes."""
+    return (f"{r.step_index},{r.quakes_this_step},{r.cumulative_quakes},"
+            f"{r.max_stress},{_format_mean(r.mean_stress)}\n")
+
+
 def format_stats(reports: Iterable[StepReport]) -> str:
-    lines = [STATS_HEADER]
-    lines.extend(
-        f"{r.step_index},{r.quakes_this_step},{r.cumulative_quakes},"
-        f"{r.max_stress},{_format_mean(r.mean_stress)}"
-        for r in reports
-    )
-    return "".join(line + "\n" for line in lines)
+    """The whole CSV; with no reports, just the header line."""
+    return STATS_HEADER + "\n" + "".join(map(format_stats_row, reports))
 
 
 def write_stats(reports: Iterable[StepReport], fp: IO[str]) -> None:
