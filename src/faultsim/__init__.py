@@ -1,69 +1,9 @@
 """Deterministic fault-line stress simulator on a 2D integer grid."""
 
-from .engine import SimConfig, SimSummary, SplitMix64, StepReport, run, step
-from .grid import Cell, FaultMap, GridDims, StressMap
-from .raster import (
-    OutOfRangeError,
-    circle_cells,
-    draw_circle,
-    draw_horizontal,
-    draw_segment,
-    draw_vertical,
-    segment_cells,
-)
-from .render import (
-    Band,
-    RenderStyle,
-    StressBands,
-    classify_stress,
-    render_fault_map,
-    render_stress_map,
-    strip_ansi,
-)
-from .scenario import (
-    Scenario,
-    ScenarioError,
-    format_scenario,
-    format_stats,
-    load_scenario,
-    parse_scenario,
-    save_scenario,
-    write_stats,
-)
+from .engine import SimConfig, SplitMix64
+from .grid import FaultMap, GridDims
+from .raster import draw_circle, draw_segment, draw_vertical
+from .render import RenderStyle, StressBands, render_stress_map
+from .scenario import Scenario, load_scenario, save_scenario
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Band",
-    "Cell",
-    "FaultMap",
-    "GridDims",
-    "OutOfRangeError",
-    "RenderStyle",
-    "Scenario",
-    "ScenarioError",
-    "SimConfig",
-    "SimSummary",
-    "SplitMix64",
-    "StepReport",
-    "StressBands",
-    "StressMap",
-    "circle_cells",
-    "classify_stress",
-    "draw_circle",
-    "draw_horizontal",
-    "draw_segment",
-    "draw_vertical",
-    "format_scenario",
-    "format_stats",
-    "load_scenario",
-    "parse_scenario",
-    "render_fault_map",
-    "render_stress_map",
-    "run",
-    "save_scenario",
-    "segment_cells",
-    "step",
-    "strip_ansi",
-    "write_stats",
-]

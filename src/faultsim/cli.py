@@ -7,7 +7,7 @@ no rendering, and emits the per-step statistics CSV.
 
 Exit codes: 0 on success, 1 for usage or I/O errors (a closed stdout
 included), 2 when the step limit was exhausted before reaching the quake
-target.
+target, 130 when interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import IO, Iterator
 
 # step is not called here but stays importable from this module, where
 # bench/traced.py wraps it by name
-from .engine import SimConfig, StepReport, iter_steps, run, step  # noqa: F401
+from .engine import _MASK64, SimConfig, StepReport, iter_steps, run, step  # noqa: F401
 from .grid import MAX_DIM, FaultMap, GridDims, StressMap
 from .raster import OutOfRangeError, draw_circle, draw_horizontal, draw_segment, draw_vertical
 from .render import RenderStyle, StressBands, render_fault_map, render_stress_map
@@ -46,8 +46,6 @@ MENU = (
     "6) save scenario\n"
     "7) quit\n"
 )
-
-_MASK64 = (1 << 64) - 1
 
 
 @dataclass
@@ -222,10 +220,18 @@ def run_headless(opts: CliOptions) -> int:
         sys.stderr.write(f"faultsim: {exc}\n")
         return 1
 
+    last: StepReport | None = None
+
+    def write_row(report: StepReport) -> None:
+        nonlocal last
+        row = format_stats_row(report)
+        last = report  # before the write: an interrupt raised just after it counts this row
+        out.write(row)
+
     try:
         with _stats_sink(opts.out_path) as out:
             out.write(format_stats(()))  # the header: the CSV of a run with no steps
-            summary = run(faults, cfg, observer=lambda report: out.write(format_stats_row(report)))
+            summary = run(faults, cfg, observer=write_row)
     except OSError as exc:
         if opts.out_path is None and isinstance(exc, BrokenPipeError):
             # the reader went away (`| head`); the run stopped at that write
@@ -234,6 +240,12 @@ def run_headless(opts: CliOptions) -> int:
         else:
             sys.stderr.write(f"faultsim: {exc}\n")
         return 1
+    except KeyboardInterrupt:
+        # the rows written so far stay; the summary counts the steps they cover
+        sys.stdout.flush()
+        steps, quakes = (last.step_index, last.cumulative_quakes) if last else (0, 0)
+        sys.stderr.write(f"steps={steps} quakes={quakes} seed={cfg.seed}\n")
+        raise
     sys.stderr.write(f"steps={summary.total_steps} quakes={summary.total_quakes} seed={cfg.seed}\n")
     return 2 if summary.hit_step_limit else 0
 
@@ -350,9 +362,12 @@ def run_interactive(opts: CliOptions, stdin: IO[str], stdout: IO[str]) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     opts = parse_args(sys.argv[1:] if argv is None else argv)
-    if opts.headless:
-        return run_headless(opts)
-    return run_interactive(opts, sys.stdin, sys.stdout)
+    try:
+        if opts.headless:
+            return run_headless(opts)
+        return run_interactive(opts, sys.stdin, sys.stdout)
+    except KeyboardInterrupt:
+        return 130
 
 
 if __name__ == "__main__":

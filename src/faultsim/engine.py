@@ -10,7 +10,7 @@ is what makes scenario files and recorded statistics trustworthy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
 
@@ -85,7 +85,6 @@ class StepReport:
 
     step_index: int
     quaked_cells: tuple[Cell, ...]
-    quakes_this_step: int
     cumulative_quakes: int
     max_stress: int
     mean_stress: Fraction
@@ -96,7 +95,6 @@ class SimSummary:
     total_steps: int
     total_quakes: int
     final_stress: StressMap
-    reports: list[StepReport] = field(default_factory=list)
     hit_step_limit: bool = False
 
 
@@ -143,7 +141,6 @@ def step(
     return StepReport(
         step_index=step_index,
         quaked_cells=tuple(quaked),
-        quakes_this_step=len(quaked),
         cumulative_quakes=cumulative_quakes + len(quaked),
         max_stress=max_stress,
         mean_stress=Fraction(sum(cells), len(cells)),
@@ -171,22 +168,22 @@ def run(
     cfg: SimConfig,
     observer: Callable[[StepReport], None] | None = None,
 ) -> SimSummary:
-    """Run from an all-zero stress map until target_quakes or max_steps."""
+    """Run from an all-zero stress map until target_quakes or max_steps.
+
+    Only the last report is kept, so memory does not grow with the step count.
+    """
     if faults.dims != cfg.dims:
         raise ValueError("faults and config must share one grid")
 
     stress = StressMap.zeros(cfg.dims)
-    reports: list[StepReport] = []
-    for report in iter_steps(stress, faults, cfg):
-        reports.append(report)
+    for last in iter_steps(stress, faults, cfg):
         if observer is not None:
-            observer(report)
+            observer(last)
 
-    total = reports[-1].cumulative_quakes
+    total = last.cumulative_quakes
     return SimSummary(
-        total_steps=len(reports),
+        total_steps=last.step_index,
         total_quakes=total,
         final_stress=stress,
-        reports=reports,
         hit_step_limit=total < cfg.target_quakes,
     )

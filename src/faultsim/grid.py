@@ -37,20 +37,27 @@ class GridDims:
 
 
 @dataclass
-class FaultMap:
-    """Boolean occupancy grid; True marks a fault cell."""
+class _Grid:
+    """Row-major cells of one grid, addressed by bounds-checked (x, y)."""
 
     dims: GridDims
-    cells: list[bool]
-
-    @classmethod
-    def empty(cls, dims: GridDims) -> FaultMap:
-        return cls(dims, [False] * dims.area)
+    cells: list
 
     def _index(self, x: int, y: int) -> int:
         if not self.dims.contains(x, y):
             raise IndexError(f"({x}, {y}) outside {self.dims.width}x{self.dims.height} grid")
         return y * self.dims.width + x
+
+    def copy(self):
+        return type(self)(self.dims, list(self.cells))
+
+
+class FaultMap(_Grid):
+    """Boolean occupancy grid; True marks a fault cell."""
+
+    @classmethod
+    def empty(cls, dims: GridDims) -> FaultMap:
+        return cls(dims, [False] * dims.area)
 
     def is_fault(self, x: int, y: int) -> bool:
         return self.cells[self._index(x, y)]
@@ -71,25 +78,13 @@ class FaultMap:
     def fault_count(self) -> int:
         return sum(self.cells)
 
-    def copy(self) -> FaultMap:
-        return FaultMap(self.dims, list(self.cells))
 
-
-@dataclass
-class StressMap:
+class StressMap(_Grid):
     """Per-cell accumulated stress; values are non-negative integers."""
-
-    dims: GridDims
-    cells: list[int]
 
     @classmethod
     def zeros(cls, dims: GridDims) -> StressMap:
         return cls(dims, [0] * dims.area)
-
-    def _index(self, x: int, y: int) -> int:
-        if not self.dims.contains(x, y):
-            raise IndexError(f"({x}, {y}) outside {self.dims.width}x{self.dims.height} grid")
-        return y * self.dims.width + x
 
     def get(self, x: int, y: int) -> int:
         return self.cells[self._index(x, y)]
@@ -98,6 +93,3 @@ class StressMap:
         if value < 0:
             raise ValueError(f"stress must be non-negative, got {value}")
         self.cells[self._index(x, y)] = value
-
-    def copy(self) -> StressMap:
-        return StressMap(self.dims, list(self.cells))

@@ -86,19 +86,7 @@ class Scenario:
 
 def format_scenario(scenario: Scenario) -> str:
     cfg = scenario.cfg
-    values = {
-        "width": cfg.dims.width,
-        "height": cfg.dims.height,
-        "seed": cfg.seed,
-        "quake_threshold": cfg.quake_threshold,
-        "target_quakes": cfg.target_quakes,
-        "nonfault_delta_min": cfg.nonfault_delta_min,
-        "nonfault_delta_max": cfg.nonfault_delta_max,
-        "fault_delta_min": cfg.fault_delta_min,
-        "fault_delta_max": cfg.fault_delta_max,
-        "delay_ms": cfg.delay_ms,
-        "max_steps": cfg.max_steps,
-    }
+    values = vars(cfg.dims) | vars(cfg)  # width and height from dims, the rest from SimConfig
     lines = [MAGIC]
     lines.extend(f"{key} {values[key]}" for key in _CONFIG_KEYS)
     lines.append("map")
@@ -157,19 +145,8 @@ def parse_scenario(data: str | bytes) -> Scenario:
         values[key] = int(token)
 
     try:
-        dims = GridDims(values["width"], values["height"])
-        cfg = SimConfig(
-            dims=dims,
-            seed=values["seed"],
-            quake_threshold=values["quake_threshold"],
-            target_quakes=values["target_quakes"],
-            nonfault_delta_min=values["nonfault_delta_min"],
-            nonfault_delta_max=values["nonfault_delta_max"],
-            fault_delta_min=values["fault_delta_min"],
-            fault_delta_max=values["fault_delta_max"],
-            delay_ms=values["delay_ms"],
-            max_steps=values["max_steps"],
-        )
+        dims = GridDims(values.pop("width"), values.pop("height"))
+        cfg = SimConfig(dims=dims, **values)
     except ValueError as exc:
         raise MalformedValueError(str(exc)) from None
 
@@ -214,7 +191,7 @@ def _format_mean(mean: Fraction) -> str:
 
 def format_stats_row(r: StepReport) -> str:
     """One step's CSV row, newline included, ready to write as the step completes."""
-    return (f"{r.step_index},{r.quakes_this_step},{r.cumulative_quakes},"
+    return (f"{r.step_index},{len(r.quaked_cells)},{r.cumulative_quakes},"
             f"{r.max_stress},{_format_mean(r.mean_stress)}\n")
 
 
@@ -222,6 +199,3 @@ def format_stats(reports: Iterable[StepReport]) -> str:
     """The whole CSV; with no reports, just the header line."""
     return STATS_HEADER + "\n" + "".join(map(format_stats_row, reports))
 
-
-def write_stats(reports: Iterable[StepReport], fp: IO[str]) -> None:
-    fp.write(format_stats(reports))

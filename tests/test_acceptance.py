@@ -12,7 +12,7 @@ import time
 from pathlib import Path
 
 from faultsim.cli import parse_args, run_headless, run_interactive
-from faultsim.engine import SimConfig, SplitMix64, run, step
+from faultsim.engine import SimConfig, SplitMix64, iter_steps, run, step
 from faultsim.grid import FaultMap, GridDims, StressMap
 from faultsim.raster import circle_cells, draw_circle, draw_segment, segment_cells
 from faultsim.render import (
@@ -150,7 +150,7 @@ def test_criterion_5_deterministic_replay(tmp_path, capsys):
         outs.append(out.read_bytes())
     capsys.readouterr()
     assert outs[0] == outs[1]
-    assert outs[0].decode() == format_stats(run(faults, cfg).reports)
+    assert outs[0].decode() == format_stats(iter_steps(StressMap.zeros(cfg.dims), faults, cfg))
     _pass(5, "seed-0 generator vector and byte-identical repeated headless runs")
 
 
@@ -163,14 +163,15 @@ def test_criterion_6_default_config_pacing():
         for y in range(20):
             faults.mark(10, y)
         t0 = time.perf_counter()
-        summary = run(faults, cfg)
+        seen = []
+        summary = run(faults, cfg, observer=seen.append)
         elapsed = time.perf_counter() - t0
         assert elapsed < 1.0, f"seed {seed} took {elapsed:.2f}s"
         assert not summary.hit_step_limit
         assert summary.total_steps < cfg.max_steps
         assert summary.total_quakes >= cfg.target_quakes
         steps_to_first.append(
-            next(r.step_index for r in summary.reports if r.quakes_this_step)
+            next(r.step_index for r in seen if r.quaked_cells)
         )
     median = statistics.median(steps_to_first)
     assert 15 <= median <= 30, f"median steps to first quake: {median}"

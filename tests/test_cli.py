@@ -14,7 +14,7 @@ from faultsim.cli import (
     run_interactive,
     _stress_bands,
 )
-from faultsim.engine import SimConfig, SplitMix64, run, step
+from faultsim.engine import SimConfig, SplitMix64, iter_steps, run, step
 from faultsim.grid import FaultMap, GridDims, StressMap
 from faultsim.render import RenderStyle, render_stress_map, strip_ansi
 from faultsim.scenario import Scenario, format_scenario, format_stats, parse_scenario
@@ -215,7 +215,7 @@ class TestHeadless:
             faults.mark(x, 1)
         from dataclasses import replace
 
-        want = format_stats(run(faults, replace(cfg, seed=7)).reports)
+        want = format_stats(iter_steps(StressMap.zeros(cfg.dims), faults, replace(cfg, seed=7)))
         assert captured.out == want
 
     def test_flag_overrides_apply(self, tmp_path, capsys):
@@ -240,8 +240,9 @@ class TestHeadless:
         cfg = SimConfig(
             dims=GridDims(3, 2), seed=5, target_quakes=1, max_steps=40
         )
-        summary = run(FaultMap.empty(cfg.dims), cfg)
-        assert captured.out == format_stats(summary.reports)
+        seen = []
+        summary = run(FaultMap.empty(cfg.dims), cfg, observer=seen.append)
+        assert captured.out == format_stats(seen)
         assert rc == (2 if summary.hit_step_limit else 0)
 
     def test_csv_never_contains_escapes(self, tmp_path, capsys):

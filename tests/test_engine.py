@@ -1,10 +1,11 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from faultsim.engine import SimConfig, SplitMix64, run, step
+from faultsim.engine import SimConfig, SplitMix64, iter_steps, run, step
 from faultsim.grid import FaultMap, GridDims, StressMap
 
 # First outputs of the reference stream for seed 0, from the published
@@ -110,7 +111,7 @@ class TestStep:
         rng = SplitMix64(cfg.seed)
 
         first = step(stress, faults, cfg, rng, 0, step_index=1)
-        assert first.quakes_this_step == 0
+        assert first.quaked_cells == ()
         assert first.max_stress == 5
         assert first.mean_stress == Fraction(5)
         assert stress.get(0, 0) == 5
@@ -147,7 +148,7 @@ class TestStep:
         rng = SplitMix64(0)
         for i in (1, 2):
             report = step(stress, faults, cfg, rng, 0, step_index=i)
-            assert report.quakes_this_step == 0
+            assert report.quaked_cells == ()
         report = step(stress, faults, cfg, rng, 0, step_index=3)
         assert report.quaked_cells == ((0, 0),)
         assert report.max_stress == 9
@@ -240,12 +241,13 @@ class TestRun:
         cfg = _cfg()
         faults = FaultMap.empty(cfg.dims)
         faults.mark(0, 0)
-        summary = run(faults, cfg)
+        seen = []
+        summary = run(faults, cfg, observer=seen.append)
         assert summary.total_steps == 2
         assert summary.total_quakes == 1
         assert not summary.hit_step_limit
         assert summary.final_stress.get(0, 0) == 0
-        assert [r.step_index for r in summary.reports] == [1, 2]
+        assert [r.step_index for r in seen] == [1, 2]
 
     def test_stops_at_or_above_target(self):
         cfg = _cfg(
@@ -275,8 +277,10 @@ class TestRun:
         faults = FaultMap.empty(cfg.dims)
         for x in range(6):
             faults.mark(x, 2)
-        a, b = run(faults, cfg), run(faults.copy(), cfg)
-        assert a.reports == b.reports
+        seen_a, seen_b = [], []
+        a = run(faults, cfg, observer=seen_a.append)
+        b = run(faults.copy(), cfg, observer=seen_b.append)
+        assert seen_a == seen_b
         assert a.total_steps == b.total_steps
         cells_a = [a.final_stress.get(x, y) for y in range(6) for x in range(6)]
         cells_b = [b.final_stress.get(x, y) for y in range(6) for x in range(6)]
@@ -288,13 +292,28 @@ class TestRun:
         draw_all = [faults.mark(x, 3) for x in range(6)]
         assert all(draw_all)
         other = SimConfig(dims=GridDims(6, 6), seed=2, target_quakes=1, delay_ms=0)
-        assert run(faults, cfg).reports != run(faults, other).reports
+        assert list(iter_steps(StressMap.zeros(cfg.dims), faults, cfg)) != list(
+            iter_steps(StressMap.zeros(other.dims), faults, other)
+        )
 
     def test_observer_sees_every_report_in_order(self):
         cfg = _cfg(max_steps=7)
         seen = []
-        summary = run(FaultMap.empty(cfg.dims), cfg, observer=seen.append)
-        assert seen == summary.reports
+        run(FaultMap.empty(cfg.dims), cfg, observer=seen.append)
+        assert seen == list(iter_steps(StressMap.zeros(cfg.dims), FaultMap.empty(cfg.dims), cfg))
+
+    def test_memory_does_not_grow_with_step_count(self):
+        # 20,000 steps that never quake: nothing per step may be kept
+        cfg = _cfg(max_steps=20_000)
+        faults = FaultMap.empty(cfg.dims)
+        tracemalloc.start()
+        try:
+            summary = run(faults, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert summary.total_steps == 20_000
+        assert peak < 256 * 1024, f"peak {peak} B"
 
     def test_dims_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -313,9 +332,10 @@ class TestRun:
         faults = FaultMap.empty(cfg.dims)
         for x in range(4):
             faults.mark(x, 1)
-        summary = run(faults, cfg)
+        seen = []
+        summary = run(faults, cfg, observer=seen.append)
         total = 0
-        for report in summary.reports:
-            total += report.quakes_this_step
+        for report in seen:
+            total += len(report.quaked_cells)
             assert report.cumulative_quakes == total
         assert total == summary.total_quakes >= 5

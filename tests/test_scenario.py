@@ -1,4 +1,3 @@
-import io
 from fractions import Fraction
 
 import pytest
@@ -22,7 +21,6 @@ from faultsim.scenario import (
     load_scenario,
     parse_scenario,
     save_scenario,
-    write_stats,
 )
 
 GOLDEN = """\
@@ -232,8 +230,7 @@ class TestParseNeverCrashes:
 def report(step_index, quakes, cum, max_stress, mean) -> StepReport:
     return StepReport(
         step_index=step_index,
-        quaked_cells=(),
-        quakes_this_step=quakes,
+        quaked_cells=tuple((x, 0) for x in range(quakes)),
         cumulative_quakes=cum,
         max_stress=max_stress,
         mean_stress=mean,
@@ -269,10 +266,3 @@ class TestStats:
     def test_mean_rounding(self, mean, text):
         line = format_stats([report(1, 0, 0, 0, mean)]).splitlines()[1]
         assert line == f"1,0,0,0,{text}"
-
-    def test_write_stats(self):
-        buf = io.StringIO()
-        write_stats([report(1, 0, 0, 2, Fraction(1, 2))], buf)
-        assert buf.getvalue() == format_stats(
-            [report(1, 0, 0, 2, Fraction(1, 2))]
-        )

@@ -12,6 +12,7 @@ import errno
 import io
 import itertools
 import os
+import signal
 import stat
 import subprocess
 import sys
@@ -66,8 +67,9 @@ class TestIterSteps:
         cfg = _cfg()
         stress = StressMap.zeros(cfg.dims)
         reports = list(iter_steps(stress, _faults(cfg), cfg))
-        summary = run(_faults(cfg), cfg)
-        assert reports == summary.reports
+        seen = []
+        summary = run(_faults(cfg), cfg, observer=seen.append)
+        assert reports == seen
         assert stress == summary.final_stress
         assert reports[-1].cumulative_quakes >= cfg.target_quakes > reports[-2].cumulative_quakes
 
@@ -91,7 +93,7 @@ class TestIterSteps:
 
 
 def test_format_stats_is_header_plus_rows():
-    reports = run(_faults(_cfg()), _cfg()).reports
+    reports = list(iter_steps(StressMap.zeros(_cfg().dims), _faults(_cfg()), _cfg()))
     assert format_stats(()) == STATS_HEADER + "\n"
     assert format_stats(reports) == format_stats(()) + "".join(map(format_stats_row, reports))
 
@@ -133,6 +135,61 @@ class TestHeadlessStreaming:
         assert rc == 1
         assert err == b"faultsim: stdout closed, run stopped\n"
         assert elapsed < 3.0
+
+
+def _spawn(*args, **kwargs) -> subprocess.Popen:
+    """The CLI in a child with SIGINT at its default, so Python turns it into KeyboardInterrupt."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC_DIR, env.get("PYTHONPATH")]))
+    return subprocess.Popen(
+        [sys.executable, "-m", "faultsim", *args],
+        env=env, preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL), **kwargs,
+    )
+
+
+class TestInterrupt:
+    def test_headless_keeps_rows_and_reports_the_steps_done(self):
+        with _spawn(*LONG_RUN, "--max-steps", "10000000",
+                    stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            head = [proc.stdout.readline() for _ in range(3)]  # the header and two rows
+            proc.send_signal(signal.SIGINT)
+            out = proc.stdout.read()  # not communicate(): it skips what readline buffered
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 130
+        assert b"Traceback" not in err
+        lines = (b"".join(head) + out).decode().split("\n")
+        assert lines[0] == STATS_HEADER and lines[-1] == ""  # every row complete
+        rows = [row.split(",") for row in lines[1:-1]]
+        assert [int(row[0]) for row in rows] == list(range(1, len(rows) + 1))
+        step_index, _, cumulative, _, _ = rows[-1]
+        assert err.decode() == f"steps={step_index} quakes={cumulative} seed=1\n"
+
+    def test_headless_out_file_keeps_previous_contents(self, tmp_path):
+        target = tmp_path / "stats.csv"
+        target.write_text("previous\n")
+        proc = _spawn(*LONG_RUN, "--max-steps", "10000000", "--out", str(target),
+                      stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+        deadline = time.monotonic() + 60
+        while not any(p.name.endswith(".tmp") and p.stat().st_size for p in tmp_path.iterdir()):
+            assert time.monotonic() < deadline and proc.poll() is None
+            time.sleep(0.01)
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 130
+        assert err.startswith(b"steps=") and b"Traceback" not in err
+        assert target.read_text() == "previous\n"
+        assert list(tmp_path.iterdir()) == [target]
+
+    def test_interactive_exits_130_without_traceback(self):
+        proc = _spawn("--no-color", stdin=subprocess.PIPE,
+                      stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdin.write(b"5\n")  # start the animation: one frame a second until 3 quakes
+        proc.stdin.flush()
+        assert proc.stdout.readline() == b"1) vertical line\n"
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 130
+        assert err == b""
 
 
 class TestOutFile:
