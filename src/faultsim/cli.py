@@ -13,12 +13,13 @@ target, 130 when interrupted (Ctrl-C).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
-from typing import IO, Iterator
+from dataclasses import fields, replace
+from typing import IO, Callable, Iterator
 
 # step is not called here but stays importable from this module, where
 # bench/traced.py wraps it by name
@@ -48,21 +49,6 @@ MENU = (
 )
 
 
-@dataclass
-class CliOptions:
-    headless: bool = False
-    scenario_path: str | None = None
-    out_path: str | None = None
-    seed: int | None = None
-    width: int | None = None
-    height: int | None = None
-    quakes: int | None = None
-    threshold: int | None = None
-    delay_ms: int | None = None
-    max_steps: int | None = None
-    no_color: bool = False
-
-
 class _Parser(argparse.ArgumentParser):
     # usage errors exit 1; code 2 is reserved for exhausted step limits
     def error(self, message: str) -> None:
@@ -71,63 +57,53 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def dimension(text: str) -> int:
-    value = int(text)
-    if not 1 <= value <= MAX_DIM:
-        raise argparse.ArgumentTypeError(f"must be in [1, {MAX_DIM}]")
-    return value
+def _int_range(name: str, error: str, lo: int, hi: float = math.inf) -> Callable[[str], int]:
+    """An argparse type for integers in [lo, hi]; argparse calls it `name` in its errors."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(error)
+        return value
 
-
-def seed64(text: str) -> int:
-    value = int(text)
-    if not 0 <= value <= _MASK64:
-        raise argparse.ArgumentTypeError("must be an unsigned 64-bit integer")
-    return value
-
-
-def positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return value
-
-
-def nonneg_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
-    return value
+    parse.__name__ = name
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
+    dimension = _int_range("dimension", f"must be in [1, {MAX_DIM}]", 1, MAX_DIM)
+    positive = _int_range("positive_int", "must be >= 1", 1)
     p = _Parser(prog="faultsim", description="Fault-line stress simulator on a 2D grid")
     p.add_argument("--headless", action="store_true", help="run without menu or rendering")
     p.add_argument("--scenario", metavar="PATH", dest="scenario_path", help="scenario file to load")
     p.add_argument("--out", metavar="PATH", dest="out_path", help="stats CSV path (default stdout)")
-    p.add_argument("--seed", type=seed64, help="64-bit RNG seed (default: scenario, else clock)")
+    p.add_argument("--seed", type=_int_range("seed64", "must be an unsigned 64-bit integer", 0, _MASK64),
+                   help="64-bit RNG seed (default: scenario, else clock)")
     p.add_argument("--width", type=dimension, help="grid width in cells")
     p.add_argument("--height", type=dimension, help="grid height in cells")
-    p.add_argument("--quakes", type=positive_int, help="stop after this many earthquakes")
-    p.add_argument("--threshold", type=positive_int, help="stress level that triggers a quake")
-    p.add_argument("--delay-ms", type=nonneg_int, dest="delay_ms", help="pause between frames")
-    p.add_argument("--max-steps", type=positive_int, dest="max_steps", help="step safety cap")
+    # dests named after the SimConfig fields they override (see _resolve_state)
+    p.add_argument("--quakes", type=positive, dest="target_quakes", metavar="QUAKES",
+                   help="stop after this many earthquakes")
+    p.add_argument("--threshold", type=positive, dest="quake_threshold", metavar="THRESHOLD",
+                   help="stress level that triggers a quake")
+    p.add_argument("--delay-ms", type=_int_range("nonneg_int", "must be >= 0", 0), help="pause between frames")
+    p.add_argument("--max-steps", type=positive, help="step safety cap")
     p.add_argument("--no-color", action="store_true", help="plain ASCII output, no escapes")
     return p
 
 
-def parse_args(argv: list[str]) -> CliOptions:
+def parse_args(argv: list[str]) -> argparse.Namespace:
     parser = build_parser()
-    ns = parser.parse_args(argv)
-    if ns.headless and ns.scenario_path is None and (ns.width is None or ns.height is None):
+    opts = parser.parse_args(argv)
+    if opts.headless and opts.scenario_path is None and (opts.width is None or opts.height is None):
         parser.error("headless mode needs --scenario or both --width and --height")
-    return CliOptions(**vars(ns))
+    return opts
 
 
 def _wall_clock_seed() -> int:
     return time.time_ns() & _MASK64
 
 
-def _resolve_state(opts: CliOptions) -> tuple[SimConfig, FaultMap]:
+def _resolve_state(opts: argparse.Namespace) -> tuple[SimConfig, FaultMap]:
     """Scenario file (if any) overlaid with explicit flags; seed always pinned."""
     if opts.scenario_path is not None:
         with open(opts.scenario_path, "rb") as fp:
@@ -137,22 +113,12 @@ def _resolve_state(opts: CliOptions) -> tuple[SimConfig, FaultMap]:
             if value is not None and value != getattr(cfg.dims, name):
                 raise ValueError(f"--{name} {value} conflicts with scenario grid "
                                  f"{cfg.dims.width}x{cfg.dims.height}")
-        seed = opts.seed if opts.seed is not None else cfg.seed
     else:
         dims = GridDims(opts.width or 20, opts.height or 20)
-        cfg = SimConfig(dims=dims)
+        cfg = SimConfig(dims=dims, seed=_wall_clock_seed())
         faults = FaultMap.empty(dims)
-        seed = opts.seed if opts.seed is not None else _wall_clock_seed()
-
-    overrides: dict[str, int] = {"seed": seed}
-    for field, value in (
-        ("target_quakes", opts.quakes),
-        ("quake_threshold", opts.threshold),
-        ("delay_ms", opts.delay_ms),
-        ("max_steps", opts.max_steps),
-    ):
-        if value is not None:
-            overrides[field] = value
+    overrides = {f.name: getattr(opts, f.name) for f in fields(SimConfig)
+                 if getattr(opts, f.name, None) is not None}
     return replace(cfg, **overrides), faults
 
 
@@ -182,6 +148,8 @@ def _stats_sink(path: str | None) -> Iterator[IO[str]]:
     """
     if path is None:
         out = sys.stdout
+        if hasattr(out, "reconfigure"):  # a pipe gets each row as its step completes
+            out.reconfigure(line_buffering=True)
         yield out
         out.flush()
         return
@@ -213,7 +181,7 @@ def _discard_stdout() -> None:
     os.close(devnull)
 
 
-def run_headless(opts: CliOptions) -> int:
+def run_headless(opts: argparse.Namespace) -> int:
     try:
         cfg, faults = _resolve_state(opts)
     except (ScenarioError, OSError, ValueError) as exc:
@@ -250,20 +218,6 @@ def run_headless(opts: CliOptions) -> int:
     return 2 if summary.hit_step_limit else 0
 
 
-def _read_int(stdin: IO[str], stdout: IO[str], prompt: str) -> int | None:
-    """Prompt until an integer arrives; None means the input stream ended."""
-    while True:
-        stdout.write(prompt)
-        stdout.flush()
-        line = stdin.readline()
-        if line == "":
-            return None
-        try:
-            return int(line.strip())
-        except ValueError:
-            stdout.write("Please enter an integer.\n")
-
-
 def _read_line(stdin: IO[str], stdout: IO[str], prompt: str) -> str | None:
     stdout.write(prompt)
     stdout.flush()
@@ -271,6 +225,31 @@ def _read_line(stdin: IO[str], stdout: IO[str], prompt: str) -> str | None:
     if line == "":
         return None
     return line.strip()
+
+
+def _read_int(stdin: IO[str], stdout: IO[str], prompt: str) -> int | None:
+    """Prompt until an integer arrives; None means the input stream ended."""
+    while (line := _read_line(stdin, stdout, prompt)) is not None:
+        try:
+            return int(line)
+        except ValueError:
+            stdout.write("Please enter an integer.\n")
+    return None
+
+
+def _draw_circle(faults: FaultMap, cx: int, cy: int, r: int) -> int:
+    if r < 0:  # reported ahead of an off-grid center, which draw_circle checks first
+        raise OutOfRangeError("radius must be non-negative.")
+    return draw_circle(faults, cx, cy, r)
+
+
+# menu choice -> the prompts for its integers and the draw they are passed to
+_SHAPES = {
+    1: (("x: ",), draw_vertical),
+    2: (("y: ",), draw_horizontal),
+    3: (("center x: ", "center y: ", "radius: "), _draw_circle),
+    4: (("x0: ", "y0: ", "x1: ", "y1: "), draw_segment),
+}
 
 
 def _animate(faults: FaultMap, cfg: SimConfig, style: RenderStyle, stdout: IO[str]) -> StepReport:
@@ -281,19 +260,27 @@ def _animate(faults: FaultMap, cfg: SimConfig, style: RenderStyle, stdout: IO[st
     stdout.write(render_stress_map(stress, bands, cfg.quake_threshold, style))
     stdout.flush()
 
-    for report in iter_steps(stress, faults, cfg):
-        if style.color_enabled:
-            stdout.write(CLEAR_SCREEN)
-        stdout.write(render_stress_map(stress, bands, cfg.quake_threshold, style))
-        for x, y in report.quaked_cells:
-            stdout.write(f"EARTHQUAKE at ({x}, {y})!\n")
+    shown = (0, 0)  # steps and quakes of the last complete frame
+    try:
+        for report in iter_steps(stress, faults, cfg):
+            if style.color_enabled:
+                stdout.write(CLEAR_SCREEN)
+            stdout.write(render_stress_map(stress, bands, cfg.quake_threshold, style))
+            for x, y in report.quaked_cells:
+                stdout.write(f"EARTHQUAKE at ({x}, {y})!\n")
+            stdout.flush()
+            shown = (report.step_index, report.cumulative_quakes)
+            if cfg.delay_ms > 0 and report.cumulative_quakes < cfg.target_quakes:
+                time.sleep(cfg.delay_ms / 1000)
+    except KeyboardInterrupt:
+        steps, quakes = shown
+        stdout.write(f"Interrupted after {steps} steps with {quakes} earthquakes (seed {cfg.seed}).\n")
         stdout.flush()
-        if cfg.delay_ms > 0 and report.cumulative_quakes < cfg.target_quakes:
-            time.sleep(cfg.delay_ms / 1000)
+        raise
     return report
 
 
-def run_interactive(opts: CliOptions, stdin: IO[str], stdout: IO[str]) -> int:
+def run_interactive(opts: argparse.Namespace, stdin: IO[str], stdout: IO[str]) -> int:
     try:
         cfg, faults = _resolve_state(opts)
     except (ScenarioError, OSError, ValueError) as exc:
@@ -309,30 +296,13 @@ def run_interactive(opts: CliOptions, stdin: IO[str], stdout: IO[str]) -> int:
             return 0
 
         try:
-            if choice == 1:
-                x = _read_int(stdin, stdout, "x: ")
-                if x is None:
-                    return 0
-                draw_vertical(faults, x)
-            elif choice == 2:
-                y = _read_int(stdin, stdout, "y: ")
-                if y is None:
-                    return 0
-                draw_horizontal(faults, y)
-            elif choice == 3:
-                params = [_read_int(stdin, stdout, p) for p in ("center x: ", "center y: ", "radius: ")]
+            if choice in _SHAPES:
+                prompts, draw = _SHAPES[choice]
+                # every prompt is shown even after the input ends, then nothing is drawn
+                params = [_read_int(stdin, stdout, p) for p in prompts]
                 if None in params:
                     return 0
-                cx, cy, r = params
-                if r < 0:
-                    stdout.write("Error: radius must be non-negative.\n")
-                    continue
-                draw_circle(faults, cx, cy, r)
-            elif choice == 4:
-                params = [_read_int(stdin, stdout, p) for p in ("x0: ", "y0: ", "x1: ", "y1: ")]
-                if None in params:
-                    return 0
-                draw_segment(faults, *params)
+                draw(faults, *params)
             elif choice == 5:
                 last = _animate(faults, cfg, style, stdout)
                 stdout.write(_summary_text(last, cfg))
@@ -349,10 +319,7 @@ def run_interactive(opts: CliOptions, stdin: IO[str], stdout: IO[str]) -> int:
             else:
                 stdout.write("Unknown option.\n")
                 continue
-        except OutOfRangeError as exc:
-            stdout.write(f"Error: {exc}\n")
-            continue
-        except OSError as exc:
+        except (OutOfRangeError, OSError) as exc:
             stdout.write(f"Error: {exc}\n")
             continue
 

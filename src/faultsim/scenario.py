@@ -24,6 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import IO, Iterable
 
 from .engine import SimConfig, StepReport
@@ -98,26 +99,6 @@ def format_scenario(scenario: Scenario) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-class _LineReader:
-    """Yields only newline-terminated lines; anything else counts as absent."""
-
-    def __init__(self, text: str) -> None:
-        parts = text.split("\n")
-        self._lines = parts[:-1]
-        self.unterminated_tail = parts[-1]  # "" when the text ends cleanly
-        self._pos = 0
-
-    def take(self) -> str | None:
-        if self._pos >= len(self._lines):
-            return None
-        line = self._lines[self._pos]
-        self._pos += 1
-        return line
-
-    def exhausted(self) -> bool:
-        return self._pos >= len(self._lines) and not self.unterminated_tail
-
-
 def parse_scenario(data: str | bytes) -> Scenario:
     """Parse canonical scenario text; raises a ScenarioError subclass otherwise."""
     if isinstance(data, bytes):
@@ -128,15 +109,17 @@ def parse_scenario(data: str | bytes) -> Scenario:
     else:
         text = data
 
-    reader = _LineReader(text)
+    # only newline-terminated lines count; tail is "" when the text ends cleanly
+    *lines, tail = text.split("\n")
+    take = partial(next, iter(lines), None)
 
-    magic = reader.take()
+    magic = take()
     if magic != MAGIC:
         raise BadMagicError(f"expected {MAGIC!r} header, got {magic!r}")
 
     values: dict[str, int] = {}
     for key in _CONFIG_KEYS:
-        line = reader.take()
+        line = take()
         if line is None or not line.startswith(key + " "):
             raise MissingKeyError(f"expected '{key} <value>' line, got {line!r}")
         token = line[len(key) + 1 :]
@@ -150,24 +133,24 @@ def parse_scenario(data: str | bytes) -> Scenario:
     except ValueError as exc:
         raise MalformedValueError(str(exc)) from None
 
-    line = reader.take()
+    line = take()
     if line != "map":
         raise MissingKeyError(f"expected 'map' line, got {line!r}")
 
     cells: list[bool] = []
     for row_index in range(dims.height):
-        row = reader.take()
+        row = take()
         if row is None:
             raise MapShapeMismatchError(f"map ended after {row_index} of {dims.height} rows")
         if len(row) != dims.width or set(row) - {"0", "1"}:
             raise MapShapeMismatchError(f"map row {row_index}: {row!r}")
         cells.extend(c == "1" for c in row)
 
-    line = reader.take()
+    line = take()
     if line != "end":
         raise MapShapeMismatchError(f"expected 'end' after {dims.height} map rows, got {line!r}")
 
-    if not reader.exhausted():
+    if take() is not None or tail:
         raise TrailingGarbageError("content after 'end'")
 
     return Scenario(cfg=cfg, faults=FaultMap(dims, cells))

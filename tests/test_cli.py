@@ -4,10 +4,10 @@ import sys
 
 import pytest
 
+import faultsim.cli as cli
 from faultsim.cli import (
     CLEAR_SCREEN,
     MENU,
-    CliOptions,
     main,
     parse_args,
     run_headless,
@@ -55,7 +55,11 @@ def run_script(script: str, argv: list[str]) -> tuple[int, str]:
 class TestParseArgs:
     def test_defaults(self):
         opts = parse_args([])
-        assert opts == CliOptions()
+        assert vars(opts) == dict(
+            headless=False, scenario_path=None, out_path=None, seed=None,
+            width=None, height=None, target_quakes=None, quake_threshold=None,
+            delay_ms=None, max_steps=None, no_color=False,
+        )
 
     def test_all_flags(self):
         opts = parse_args(
@@ -66,9 +70,9 @@ class TestParseArgs:
                 "--max-steps", "500", "--no-color",
             ]
         )
-        assert opts == CliOptions(
+        assert vars(opts) == dict(
             headless=True, scenario_path="s.txt", out_path="o.csv", seed=7,
-            width=12, height=9, quakes=4, threshold=50, delay_ms=0,
+            width=12, height=9, target_quakes=4, quake_threshold=50, delay_ms=0,
             max_steps=500, no_color=True,
         )
 
@@ -167,6 +171,15 @@ class TestHeadless:
         assert rc == 2
         assert len(captured.out.splitlines()) == 6  # header + 5 steps
         assert captured.err == "steps=5 quakes=0 seed=0\n"
+
+    def test_max_steps_flag_overrides_scenario(self, tmp_path, capsys):
+        cfg = one_cell_cfg(nonfault_delta_min=0, nonfault_delta_max=0, max_steps=5)
+        path = write_scenario(tmp_path, cfg)  # no fault cells, zero deltas: runs to the cap
+        rc = run_headless(parse_args(["--headless", "--scenario", path, "--max-steps", "3"]))
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert len(captured.out.splitlines()) == 4  # header + 3 steps
+        assert captured.err == "steps=3 quakes=0 seed=0\n"
 
     def test_missing_scenario_file(self, capsys):
         rc = run_headless(
@@ -312,6 +325,31 @@ class TestInteractiveMenu:
         assert rc == 0
         assert "1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n" in out
 
+    @pytest.mark.parametrize(
+        "script, prompts",
+        [
+            ("1\n", "x: "),
+            ("2\n", "y: "),
+            ("3\n1\n1\n", "center x: center y: radius: "),
+            ("4\n0\n0\n3\n", "x0: y0: x1: y1: "),
+        ],
+    )
+    def test_eof_partway_through_prompts(self, script, prompts, monkeypatch):
+        states = []
+        real_resolve = cli._resolve_state
+
+        def resolve(opts):
+            states.append(real_resolve(opts))
+            return states[-1]
+
+        monkeypatch.setattr(cli, "_resolve_state", resolve)
+        rc, out = run_script(script, ["--width", "4", "--height", "4", "--seed", "1", "--no-color"])
+        assert rc == 0
+        # the remaining prompts are still shown; nothing is drawn or printed after them
+        assert out == MENU + "choice: " + prompts
+        [(_, faults)] = states
+        assert faults.fault_cells() == set()
+
     def test_prompts_accept_padded_integers(self):
         argv = ["--width", "4", "--height", "3", "--seed", "1", "--no-color"]
         rc, out = run_script("1\n  2  \n7\n", argv)
@@ -361,6 +399,14 @@ class TestInteractiveSimulation:
         assert out.endswith(
             "Step limit reached after 3 steps with 0 earthquakes (seed 0).\n"
         )
+
+    def test_delay_flag_overrides_scenario(self, tmp_path, monkeypatch):
+        slept = []
+        monkeypatch.setattr(cli.time, "sleep", slept.append)
+        path = write_scenario(tmp_path, one_cell_cfg(delay_ms=1000), [(0, 0)])
+        rc, out = run_script("5\n", ["--scenario", path, "--no-color", "--delay-ms", "7"])
+        assert rc == 0
+        assert slept == [0.007]  # after step 1; none after the quake that ends the run
 
     def test_color_clears_screen_each_frame(self, tmp_path):
         path = write_scenario(tmp_path, one_cell_cfg(), [(0, 0)])

@@ -12,6 +12,7 @@ import errno
 import io
 import itertools
 import os
+import select
 import signal
 import stat
 import subprocess
@@ -122,19 +123,46 @@ class TestHeadlessStreaming:
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC_DIR, env.get("PYTHONPATH")]))
         t0 = time.perf_counter()
-        proc = subprocess.Popen(
+        with subprocess.Popen(
             [sys.executable, "-m", "faultsim", *LONG_RUN, "--max-steps", "20000"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-        )
-        assert proc.stdout.readline() == (STATS_HEADER + "\n").encode()
-        assert proc.stdout.readline().startswith(b"1,")
-        proc.stdout.close()
-        err = proc.stderr.read()
-        rc = proc.wait(timeout=120)
+        ) as proc:
+            assert proc.stdout.readline() == (STATS_HEADER + "\n").encode()
+            assert proc.stdout.readline().startswith(b"1,")
+            proc.stdout.close()
+            err = proc.stderr.read()
+            rc = proc.wait(timeout=120)
         elapsed = time.perf_counter() - t0
         assert rc == 1
         assert err == b"faultsim: stdout closed, run stopped\n"
         assert elapsed < 3.0
+
+
+    def test_rows_reach_a_pipe_without_pythonunbuffered(self):
+        # a 300x300 step takes a tenth of a second or more: a block-buffered
+        # stdout would hold the first rows back for minutes
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC_DIR, env.get("PYTHONPATH")]))
+        argv = ["--headless", "--width", "300", "--height", "300", "--seed", "1",
+                "--quakes", "1000000000", "--max-steps", "1000000000"]
+        with subprocess.Popen([sys.executable, "-m", "faultsim", *argv], env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.DEVNULL) as proc:
+            try:
+                got = b""
+                deadline = time.monotonic() + 10
+                while got.count(b"\n") < 2:
+                    left = deadline - time.monotonic()
+                    assert left > 0 and select.select([proc.stdout], [], [], left)[0], got
+                    chunk = os.read(proc.stdout.fileno(), 4096)
+                    assert chunk, got
+                    got += chunk
+                assert proc.poll() is None
+            finally:
+                proc.kill()
+                proc.wait()
+        header, row1 = got.split(b"\n")[:2]
+        assert header == STATS_HEADER.encode()
+        assert row1.startswith(b"1,0,0,")
 
 
 def _spawn(*args, **kwargs) -> subprocess.Popen:
@@ -190,6 +218,28 @@ class TestInterrupt:
         _, err = proc.communicate(timeout=60)
         assert proc.returncode == 130
         assert err == b""
+
+    def test_interactive_reports_the_steps_shown(self):
+        # 1x1 no-colour frames are one line each; a quake every few steps
+        with _spawn("--no-color", "--width", "1", "--height", "1", "--seed", "1",
+                    "--threshold", "3", "--quakes", "1000000", "--delay-ms", "200",
+                    stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            proc.stdin.write(b"5\n")
+            proc.stdin.close()
+            head = [proc.stdout.readline() for _ in range(12)]  # the menu and a few frames
+            time.sleep(0.05)  # into the pause after a frame
+            proc.send_signal(signal.SIGINT)
+            out = proc.stdout.read()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 130
+        assert err == b""
+        lines = (b"".join(head) + out).decode().split("\n")
+        assert lines[7] == "choice: 0" and lines[-1] == ""  # the fault map, then frames
+        *frames, summary = lines[8:-1]
+        quakes = frames.count("EARTHQUAKE at (0, 0)!")
+        steps = len(frames) - quakes - 1  # the first frame is the empty stress map
+        assert steps >= 2
+        assert summary == f"Interrupted after {steps} steps with {quakes} earthquakes (seed 1)."
 
 
 class TestOutFile:
