@@ -128,14 +128,6 @@ def _stress_bands(threshold: int) -> StressBands:
     return StressBands(low_max=low, med_max=max(low + 1, (2 * threshold) // 3))
 
 
-def _summary_text(last: StepReport, cfg: SimConfig) -> str:
-    if last.cumulative_quakes < cfg.target_quakes:
-        return (f"Step limit reached after {last.step_index} steps with "
-                f"{last.cumulative_quakes} earthquakes (seed {cfg.seed}).\n")
-    return (f"Done: {last.cumulative_quakes} earthquakes in {last.step_index} steps "
-            f"(seed {cfg.seed}).\n")
-
-
 @contextmanager
 def _stats_sink(path: str | None) -> Iterator[IO[str]]:
     """Where the CSV goes: stdout, or a file that only ever appears complete.
@@ -159,7 +151,8 @@ def _stats_sink(path: str | None) -> Iterator[IO[str]]:
             yield fp
         return
     directory, name = os.path.split(target)
-    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    # the random part: a killed run leaves its file behind, and pids repeat
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
     try:
         # 0o666 less the umask: the mode open(path, "w") would give the target
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
@@ -252,32 +245,41 @@ _SHAPES = {
 }
 
 
-def _animate(faults: FaultMap, cfg: SimConfig, style: RenderStyle, stdout: IO[str]) -> StepReport:
-    """Draw the fault map and the empty stress map, then one frame per step; returns the last report."""
-    bands = _stress_bands(cfg.quake_threshold)
-    stdout.write(render_fault_map(faults, style))
-    stress = StressMap.zeros(cfg.dims)
-    stdout.write(render_stress_map(stress, bands, cfg.quake_threshold, style))
-    stdout.flush()
+def _animate(faults: FaultMap, cfg: SimConfig, style: RenderStyle, stdout: IO[str]) -> int:
+    """Draw the fault map, the empty stress map and one frame per step, then the outcome.
 
-    shown = (0, 0)  # steps and quakes of the last complete frame
+    Returns the exit code: 0 when the quake target was reached, 2 at the step cap.
+    """
+    bands = _stress_bands(cfg.quake_threshold)
+    stress = StressMap.zeros(cfg.dims)
+    steps = quakes = 0  # of the last complete frame
     try:
+        stdout.write(render_fault_map(faults, style))
+        stdout.write(render_stress_map(stress, bands, cfg.quake_threshold, style))
+        stdout.flush()
         for report in iter_steps(stress, faults, cfg):
+            if steps and cfg.delay_ms > 0:  # between step frames; none before step 1's
+                time.sleep(cfg.delay_ms / 1000)
             if style.color_enabled:
                 stdout.write(CLEAR_SCREEN)
             stdout.write(render_stress_map(stress, bands, cfg.quake_threshold, style))
             for x, y in report.quaked_cells:
                 stdout.write(f"EARTHQUAKE at ({x}, {y})!\n")
             stdout.flush()
-            shown = (report.step_index, report.cumulative_quakes)
-            if cfg.delay_ms > 0 and report.cumulative_quakes < cfg.target_quakes:
-                time.sleep(cfg.delay_ms / 1000)
+            steps, quakes = report.step_index, report.cumulative_quakes
     except KeyboardInterrupt:
-        steps, quakes = shown
         stdout.write(f"Interrupted after {steps} steps with {quakes} earthquakes (seed {cfg.seed}).\n")
         stdout.flush()
         raise
-    return report
+    if quakes < cfg.target_quakes:
+        stdout.write(f"Step limit reached after {steps} steps with {quakes} earthquakes "
+                     f"(seed {cfg.seed}).\n")
+        code = 2
+    else:
+        stdout.write(f"Done: {quakes} earthquakes in {steps} steps (seed {cfg.seed}).\n")
+        code = 0
+    stdout.flush()
+    return code
 
 
 def run_interactive(opts: argparse.Namespace, stdin: IO[str], stdout: IO[str]) -> int:
@@ -304,10 +306,7 @@ def run_interactive(opts: argparse.Namespace, stdin: IO[str], stdout: IO[str]) -
                     return 0
                 draw(faults, *params)
             elif choice == 5:
-                last = _animate(faults, cfg, style, stdout)
-                stdout.write(_summary_text(last, cfg))
-                stdout.flush()
-                return 2 if last.cumulative_quakes < cfg.target_quakes else 0
+                return _animate(faults, cfg, style, stdout)
             elif choice == 6:
                 path = _read_line(stdin, stdout, "path: ")
                 if path is None:
@@ -329,6 +328,9 @@ def run_interactive(opts: argparse.Namespace, stdin: IO[str], stdout: IO[str]) -
 
 def main(argv: list[str] | None = None) -> int:
     opts = parse_args(sys.argv[1:] if argv is None else argv)
+    if sys.stdout is None and not (opts.headless and opts.out_path is not None):
+        sys.stderr.write("faultsim: stdout closed\n")  # fd 1 was closed at start-up (`>&-`)
+        return 1
     try:
         if opts.headless:
             return run_headless(opts)

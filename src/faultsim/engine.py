@@ -172,9 +172,6 @@ def run(
 
     Only the last report is kept, so memory does not grow with the step count.
     """
-    if faults.dims != cfg.dims:
-        raise ValueError("faults and config must share one grid")
-
     stress = StressMap.zeros(cfg.dims)
     for last in iter_steps(stress, faults, cfg):
         if observer is not None:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from enum import Enum
 
 from .grid import FaultMap, StressMap
 
@@ -24,16 +23,6 @@ _ANSI_RE = re.compile(r"\x1b\[[0-9;]*[A-Za-z]")
 # stress cells print as right-aligned 3-char decimals, clamped for display
 STRESS_CELL_WIDTH = 3
 _STRESS_DISPLAY_CAP = 999
-
-
-class Band(Enum):
-    LOW = "low"
-    MEDIUM = "medium"
-    HIGH = "high"
-    QUAKE = "quake"
-
-
-_BAND_COLOR = {Band.LOW: GREEN, Band.MEDIUM: YELLOW, Band.HIGH: RED, Band.QUAKE: BLUE}
 
 
 @dataclass(frozen=True)
@@ -53,15 +42,15 @@ class RenderStyle:
     color_enabled: bool = True
 
 
-def classify_stress(value: int, bands: StressBands, threshold: int) -> Band:
-    """Band of a stress value; total over all non-negative integers."""
+def stress_color(value: int, bands: StressBands, threshold: int) -> str:
+    """Color of a stress value's band, BLUE once it quakes; total over non-negative integers."""
     if value >= threshold:
-        return Band.QUAKE
+        return BLUE
     if value <= bands.low_max:
-        return Band.LOW
+        return GREEN
     if value <= bands.med_max:
-        return Band.MEDIUM
-    return Band.HIGH
+        return YELLOW
+    return RED
 
 
 def strip_ansi(text: str) -> str:
@@ -93,7 +82,7 @@ def render_stress_map(
         text = f"{min(value, _STRESS_DISPLAY_CAP):>{STRESS_CELL_WIDTH}d}"
         if not style.color_enabled:
             return text
-        return f"{_BAND_COLOR[classify_stress(value, bands, threshold)]}{text}{RESET}"
+        return f"{stress_color(value, bands, threshold)}{text}{RESET}"
 
     # quaked cells reset to 0, so between steps every value up to the display
     # cap is in the table

@@ -52,27 +52,7 @@ _INT_RE = re.compile(r"-?(0|[1-9][0-9]*)$")
 
 
 class ScenarioError(ValueError):
-    """Base for all scenario parse failures."""
-
-
-class BadMagicError(ScenarioError):
-    pass
-
-
-class MissingKeyError(ScenarioError):
-    pass
-
-
-class MalformedValueError(ScenarioError):
-    pass
-
-
-class MapShapeMismatchError(ScenarioError):
-    pass
-
-
-class TrailingGarbageError(ScenarioError):
-    pass
+    """A scenario parse failure; the message names the check that failed."""
 
 
 @dataclass
@@ -100,12 +80,12 @@ def format_scenario(scenario: Scenario) -> str:
 
 
 def parse_scenario(data: str | bytes) -> Scenario:
-    """Parse canonical scenario text; raises a ScenarioError subclass otherwise."""
+    """Parse canonical scenario text; raises ScenarioError otherwise."""
     if isinstance(data, bytes):
         try:
             text = data.decode("ascii")
         except UnicodeDecodeError as exc:
-            raise MalformedValueError(f"scenario is not ASCII: {exc}") from None
+            raise ScenarioError(f"scenario is not ASCII: {exc}") from None
     else:
         text = data
 
@@ -115,43 +95,43 @@ def parse_scenario(data: str | bytes) -> Scenario:
 
     magic = take()
     if magic != MAGIC:
-        raise BadMagicError(f"expected {MAGIC!r} header, got {magic!r}")
+        raise ScenarioError(f"expected {MAGIC!r} header, got {magic!r}")
 
     values: dict[str, int] = {}
     for key in _CONFIG_KEYS:
         line = take()
         if line is None or not line.startswith(key + " "):
-            raise MissingKeyError(f"expected '{key} <value>' line, got {line!r}")
+            raise ScenarioError(f"expected '{key} <value>' line, got {line!r}")
         token = line[len(key) + 1 :]
         if not _INT_RE.fullmatch(token):
-            raise MalformedValueError(f"{key}: not a canonical integer: {token!r}")
+            raise ScenarioError(f"{key}: not a canonical integer: {token!r}")
         values[key] = int(token)
 
     try:
         dims = GridDims(values.pop("width"), values.pop("height"))
         cfg = SimConfig(dims=dims, **values)
     except ValueError as exc:
-        raise MalformedValueError(str(exc)) from None
+        raise ScenarioError(str(exc)) from None
 
     line = take()
     if line != "map":
-        raise MissingKeyError(f"expected 'map' line, got {line!r}")
+        raise ScenarioError(f"expected 'map' line, got {line!r}")
 
     cells: list[bool] = []
     for row_index in range(dims.height):
         row = take()
         if row is None:
-            raise MapShapeMismatchError(f"map ended after {row_index} of {dims.height} rows")
+            raise ScenarioError(f"map ended after {row_index} of {dims.height} rows")
         if len(row) != dims.width or set(row) - {"0", "1"}:
-            raise MapShapeMismatchError(f"map row {row_index}: {row!r}")
+            raise ScenarioError(f"map row {row_index}: {row!r}")
         cells.extend(c == "1" for c in row)
 
     line = take()
     if line != "end":
-        raise MapShapeMismatchError(f"expected 'end' after {dims.height} map rows, got {line!r}")
+        raise ScenarioError(f"expected 'end' after {dims.height} map rows, got {line!r}")
 
     if take() is not None or tail:
-        raise TrailingGarbageError("content after 'end'")
+        raise ScenarioError("content after 'end'")
 
     return Scenario(cfg=cfg, faults=FaultMap(dims, cells))
 

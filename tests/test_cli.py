@@ -406,7 +406,28 @@ class TestInteractiveSimulation:
         path = write_scenario(tmp_path, one_cell_cfg(delay_ms=1000), [(0, 0)])
         rc, out = run_script("5\n", ["--scenario", path, "--no-color", "--delay-ms", "7"])
         assert rc == 0
-        assert slept == [0.007]  # after step 1; none after the quake that ends the run
+        assert slept == [0.007]  # between the frames of steps 1 and 2, where the run ends
+
+    def test_delay_pauses_between_frames_only(self, tmp_path, monkeypatch):
+        slept = []
+        monkeypatch.setattr(cli.time, "sleep", slept.append)
+        path = write_scenario(tmp_path, one_cell_cfg(fault_delta_min=0, fault_delta_max=0))
+        rc, out = run_script("5\n", ["--scenario", path, "--no-color", "--max-steps", "2",
+                                     "--delay-ms", "7"])
+        assert rc == 2
+        assert out.endswith("Step limit reached after 2 steps with 0 earthquakes (seed 0).\n")
+        assert slept == [0.007]  # between the frames of steps 1 and 2; none after the last
+
+    def test_interrupt_before_first_frame(self, tmp_path, monkeypatch):
+        def interrupt(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "render_stress_map", interrupt)
+        path = write_scenario(tmp_path, one_cell_cfg(seed=5), [(0, 0)])
+        out = io.StringIO()
+        with pytest.raises(KeyboardInterrupt):
+            run_interactive(parse_args(["--scenario", path, "--no-color"]), io.StringIO("5\n"), out)
+        assert out.getvalue().splitlines()[-1] == "Interrupted after 0 steps with 0 earthquakes (seed 5)."
 
     def test_color_clears_screen_each_frame(self, tmp_path):
         path = write_scenario(tmp_path, one_cell_cfg(), [(0, 0)])

@@ -249,6 +249,12 @@ class TestRun:
         assert summary.final_stress.get(0, 0) == 0
         assert [r.step_index for r in seen] == [1, 2]
 
+    def test_dims_mismatch_rejected_before_first_report(self):
+        seen = []
+        with pytest.raises(ValueError, match="must share one grid"):
+            run(FaultMap.empty(GridDims(2, 2)), _cfg(), observer=seen.append)
+        assert seen == []
+
     def test_stops_at_or_above_target(self):
         cfg = _cfg(
             dims=GridDims(3, 1),

@@ -9,12 +9,11 @@ from faultsim.render import (
     RED,
     RESET,
     YELLOW,
-    Band,
     RenderStyle,
     StressBands,
-    classify_stress,
     render_fault_map,
     render_stress_map,
+    stress_color,
     strip_ansi,
 )
 
@@ -24,32 +23,33 @@ BANDS = StressBands()
 
 
 class TestClassifyStress:
+    # the ids name each value's band: low [0, 33], medium (33, 66], high (66, 100), quake
     @pytest.mark.parametrize(
-        "value,band",
+        "value,color",
         [
-            (0, Band.LOW),
-            (33, Band.LOW),
-            (34, Band.MEDIUM),
-            (66, Band.MEDIUM),
-            (67, Band.HIGH),
-            (99, Band.HIGH),
-            (100, Band.QUAKE),
-            (5000, Band.QUAKE),
+            pytest.param(0, GREEN, id="0-Band.LOW"),
+            pytest.param(33, GREEN, id="33-Band.LOW"),
+            pytest.param(34, YELLOW, id="34-Band.MEDIUM"),
+            pytest.param(66, YELLOW, id="66-Band.MEDIUM"),
+            pytest.param(67, RED, id="67-Band.HIGH"),
+            pytest.param(99, RED, id="99-Band.HIGH"),
+            pytest.param(100, BLUE, id="100-Band.QUAKE"),
+            pytest.param(5000, BLUE, id="5000-Band.QUAKE"),
         ],
     )
-    def test_default_band_edges(self, value, band):
-        assert classify_stress(value, BANDS, 100) == band
+    def test_default_band_edges(self, value, color):
+        assert stress_color(value, BANDS, 100) == color
 
     def test_threshold_beats_bands(self):
-        # A value inside the "low" band still classifies as quake when the
+        # A value inside the "low" band is still colored as a quake when the
         # threshold is lower than the band edge.
-        assert classify_stress(20, BANDS, 20) == Band.QUAKE
+        assert stress_color(20, BANDS, 20) == BLUE
 
     @given(st.integers(0, 500))
     def test_total_and_monotone(self, value):
-        order = [Band.LOW, Band.MEDIUM, Band.HIGH, Band.QUAKE]
-        a = classify_stress(value, BANDS, 100)
-        b = classify_stress(value + 1, BANDS, 100)
+        order = [GREEN, YELLOW, RED, BLUE]
+        a = stress_color(value, BANDS, 100)
+        b = stress_color(value + 1, BANDS, 100)
         assert order.index(b) >= order.index(a)
 
     @pytest.mark.parametrize("low,med", [(-1, 10), (10, 10), (10, 5)])

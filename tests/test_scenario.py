@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,13 +10,8 @@ from faultsim.grid import FaultMap, GridDims
 from faultsim.scenario import (
     MAGIC,
     STATS_HEADER,
-    BadMagicError,
-    MalformedValueError,
-    MapShapeMismatchError,
-    MissingKeyError,
     Scenario,
     ScenarioError,
-    TrailingGarbageError,
     format_scenario,
     format_stats,
     load_scenario,
@@ -115,84 +111,88 @@ class TestParse:
         assert format_scenario(parse_scenario(text)) == text
 
 
+def rejects(text, message):
+    """parse_scenario raises ScenarioError with exactly this message."""
+    with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+        parse_scenario(text)
+
+
+def edit(old, new, message):
+    """A GOLDEN edit (first occurrence of old replaced by new) and the error it must raise."""
+    return pytest.param(old, new, message, id=f"{old}-{new}")
+
+
 class TestParseErrors:
     def test_bad_magic(self):
-        with pytest.raises(BadMagicError):
-            parse_scenario(GOLDEN.replace("FAULTSIM 1", "FAULTSIM 2"))
-        with pytest.raises(BadMagicError):
-            parse_scenario("")
-        with pytest.raises(BadMagicError):
-            parse_scenario(MAGIC)  # header line must end in a newline
+        rejects(GOLDEN.replace("FAULTSIM 1", "FAULTSIM 2"),
+                "expected 'FAULTSIM 1' header, got 'FAULTSIM 2'")
+        rejects("", "expected 'FAULTSIM 1' header, got None")
+        rejects(MAGIC, "expected 'FAULTSIM 1' header, got None")  # header line must end in a newline
 
     def test_missing_key(self):
-        with pytest.raises(MissingKeyError):
-            parse_scenario(GOLDEN.replace("width 2\n", ""))
+        rejects(GOLDEN.replace("width 2\n", ""), "expected 'width <value>' line, got 'height 2'")
 
     def test_keys_must_be_in_order(self):
         swapped = GOLDEN.replace(
             "width 2\nheight 2\n", "height 2\nwidth 2\n"
         )
-        with pytest.raises(MissingKeyError):
-            parse_scenario(swapped)
+        rejects(swapped, "expected 'width <value>' line, got 'height 2'")
 
     def test_missing_map_marker(self):
-        with pytest.raises(MissingKeyError):
-            parse_scenario(GOLDEN.replace("map\n", ""))
+        rejects(GOLDEN.replace("map\n", ""), "expected 'map' line, got '01'")
 
     @pytest.mark.parametrize(
         "bad",
         ["width 0x2", "width +2", "width 02", "width 2 ", "width  2", "width two"],
     )
     def test_malformed_integer(self, bad):
-        with pytest.raises(MalformedValueError):
-            parse_scenario(GOLDEN.replace("width 2", bad))
+        token = bad[len("width "):]
+        rejects(GOLDEN.replace("width 2", bad), f"width: not a canonical integer: {token!r}")
 
     @pytest.mark.parametrize(
-        "old,new",
+        "old,new,message",
         [
-            ("width 2", "width 0"),  # dims out of bounds
-            ("width 2", "width 1025"),
-            ("seed 42", "seed -1"),  # seed must fit in 64 bits
-            ("quake_threshold 100", "quake_threshold 0"),
-            ("nonfault_delta_min -5", "nonfault_delta_min 6"),  # empty range
+            edit("width 2", "width 0", "width must be in [1, 1024], got 0"),  # dims out of bounds
+            edit("width 2", "width 1025", "width must be in [1, 1024], got 1025"),
+            edit("seed 42", "seed -1", "seed must fit in 64 bits, got -1"),
+            edit("quake_threshold 100", "quake_threshold 0", "quake_threshold must be >= 1"),
+            edit("nonfault_delta_min -5", "nonfault_delta_min 6",
+                 "nonfault delta range is empty"),  # empty range
         ],
     )
-    def test_out_of_range_values(self, old, new):
-        with pytest.raises(MalformedValueError):
-            parse_scenario(GOLDEN.replace(old, new))
+    def test_out_of_range_values(self, old, new, message):
+        rejects(GOLDEN.replace(old, new), message)
 
     def test_non_ascii_bytes(self):
-        with pytest.raises(MalformedValueError):
+        with pytest.raises(ScenarioError, match="^scenario is not ASCII: "):
             parse_scenario(GOLDEN.encode().replace(b"01", b"0\xff"))
 
     @pytest.mark.parametrize(
-        "old,new",
+        "old,new,message",
         [
-            ("01\n", "02\n"),  # bad glyph
-            ("01\n", "011\n"),  # wrong row length
-            ("01\n", "0 1\n"),
-            ("01\n00\n", "01\n"),  # too few rows
-            ("01\n00\n", "01\n00\n10\n"),  # extra row displaces 'end'
-            ("end\n", ""),  # missing end marker
+            edit("01\n", "02\n", "map row 0: '02'"),  # bad glyph
+            edit("01\n", "011\n", "map row 0: '011'"),  # wrong row length
+            edit("01\n", "0 1\n", "map row 0: '0 1'"),
+            edit("01\n00\n", "01\n", "map row 1: 'end'"),  # too few rows
+            edit("01\n00\nend\n", "01\n", "map ended after 1 of 2 rows"),  # the file ends in the map
+            edit("01\n00\n", "01\n00\n10\n",
+                 "expected 'end' after 2 map rows, got '10'"),  # extra row displaces 'end'
+            edit("end\n", "", "expected 'end' after 2 map rows, got None"),  # missing end marker
         ],
     )
-    def test_map_shape_mismatch(self, old, new):
-        with pytest.raises(MapShapeMismatchError):
-            parse_scenario(GOLDEN.replace(old, new, 1))
+    def test_map_shape_mismatch(self, old, new, message):
+        rejects(GOLDEN.replace(old, new, 1), message)
 
     def test_unterminated_final_line(self):
-        with pytest.raises(MapShapeMismatchError):
-            parse_scenario(GOLDEN[:-1])  # 'end' without a newline
+        # 'end' without a newline
+        rejects(GOLDEN[:-1], "expected 'end' after 2 map rows, got None")
 
     def test_trailing_garbage(self):
-        with pytest.raises(TrailingGarbageError):
-            parse_scenario(GOLDEN + "extra\n")
-        with pytest.raises(TrailingGarbageError):
-            parse_scenario(GOLDEN + "x")  # even unterminated trailing bytes
+        rejects(GOLDEN + "extra\n", "content after 'end'")
+        rejects(GOLDEN + "x", "content after 'end'")  # even unterminated trailing bytes
 
     def test_blank_line_rejected(self):
-        with pytest.raises(ScenarioError):
-            parse_scenario(GOLDEN.replace("map\n", "map\n\n"))
+        rejects(GOLDEN.replace("map\n", "map\n\n"), "map row 0: ''")
 
 
 class TestParseNeverCrashes:

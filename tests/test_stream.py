@@ -21,6 +21,7 @@ import threading
 import time
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,18 +31,7 @@ import faultsim.engine as engine
 from faultsim.cli import parse_args, run_headless
 from faultsim.engine import SimConfig, SplitMix64, iter_steps, run, step
 from faultsim.grid import FaultMap, GridDims, StressMap
-from faultsim.render import (
-    BLUE,
-    GREEN,
-    RED,
-    RESET,
-    YELLOW,
-    Band,
-    RenderStyle,
-    StressBands,
-    classify_stress,
-    render_stress_map,
-)
+from faultsim.render import RESET, RenderStyle, StressBands, render_stress_map, stress_color
 from faultsim.scenario import STATS_HEADER, format_stats, format_stats_row
 
 SRC_DIR = str(Path(faultsim.__file__).resolve().parents[1])
@@ -138,6 +128,24 @@ class TestHeadlessStreaming:
         assert elapsed < 3.0
 
 
+    @pytest.mark.parametrize("argv", [LONG_RUN, ["--no-color"]], ids=["headless", "interactive"])
+    def test_stdout_closed_at_start_fails_before_first_step(self, argv):
+        with _spawn(*argv, "--max-steps", "10000000", preexec_fn=lambda: os.close(1),
+                    stdin=subprocess.DEVNULL, stderr=subprocess.PIPE) as proc:
+            _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 1
+        assert err == b"faultsim: stdout closed\n"
+
+    def test_out_file_runs_with_stdout_closed_at_start(self, tmp_path):
+        target = tmp_path / "stats.csv"
+        with _spawn(*LONG_RUN, "--max-steps", "4", "--out", str(target),
+                    preexec_fn=lambda: os.close(1), stderr=subprocess.PIPE) as proc:
+            _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 2
+        assert err == b"steps=4 quakes=0 seed=1\n"
+        lines = target.read_text().splitlines()
+        assert lines[0] == STATS_HEADER and [row.split(",")[0] for row in lines[1:]] == ["1", "2", "3", "4"]
+
     def test_rows_reach_a_pipe_without_pythonunbuffered(self):
         # a 300x300 step takes a tenth of a second or more: a block-buffered
         # stdout would hold the first rows back for minutes
@@ -165,14 +173,17 @@ class TestHeadlessStreaming:
         assert row1.startswith(b"1,0,0,")
 
 
-def _spawn(*args, **kwargs) -> subprocess.Popen:
+def _spawn(*args, preexec_fn=None, **kwargs) -> subprocess.Popen:
     """The CLI in a child with SIGINT at its default, so Python turns it into KeyboardInterrupt."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC_DIR, env.get("PYTHONPATH")]))
-    return subprocess.Popen(
-        [sys.executable, "-m", "faultsim", *args],
-        env=env, preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL), **kwargs,
-    )
+
+    def setup() -> None:
+        signal.signal(signal.SIGINT, signal.SIG_DFL)
+        if preexec_fn is not None:
+            preexec_fn()
+
+    return subprocess.Popen([sys.executable, "-m", "faultsim", *args], env=env, preexec_fn=setup, **kwargs)
 
 
 class TestInterrupt:
@@ -302,6 +313,18 @@ class TestOutFile:
         assert stat.S_IMODE(out.stat().st_mode) == 0o640
         assert list(tmp_path.iterdir()) == [out]
 
+    def test_stale_temporary_file_is_left_alone(self, tmp_path, capsys):
+        # what a run killed by SIGKILL leaves behind, under this process's pid
+        out = tmp_path / "stats.csv"
+        stale = tmp_path / f".stats.csv.{os.getpid()}.tmp"
+        stale.write_text("killed run\n")
+        rc = run_headless(parse_args(LONG_RUN + ["--max-steps", "4", "--out", str(out)]))
+        capsys.readouterr()
+        assert rc == 2
+        assert len(out.read_text().splitlines()) == 5
+        assert stale.read_text() == "killed run\n"
+        assert sorted(tmp_path.iterdir()) == [stale, out]
+
     def test_fifo_is_written_in_place(self, tmp_path, capsys):
         fifo = tmp_path / "pipe"
         os.mkfifo(fifo)
@@ -316,9 +339,6 @@ class TestOutFile:
         assert len(got) == 1 and got[0].count("\n") == 5
 
 
-_BAND_COLOR = {Band.LOW: GREEN, Band.MEDIUM: YELLOW, Band.HIGH: RED, Band.QUAKE: BLUE}
-
-
 @given(
     values=st.lists(st.integers(0, 1500), min_size=6, max_size=6),
     threshold=st.integers(1, 1200),
@@ -331,7 +351,7 @@ def test_stress_render_matches_per_cell_reference(values, threshold, color):
 
     def cell(v):
         text = f"{min(v, 999):>3d}"
-        return f"{_BAND_COLOR[classify_stress(v, bands, threshold)]}{text}{RESET}" if color else text
+        return f"{stress_color(v, bands, threshold)}{text}{RESET}" if color else text
 
     want = "".join(" ".join(cell(v) for v in values[r:r + 3]) + "\n" for r in (0, 3))
     assert render_stress_map(smap, bands, threshold, RenderStyle(color_enabled=color)) == want
