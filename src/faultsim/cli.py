@@ -5,9 +5,11 @@ successful draw, then animates the stress simulation with a timed screen
 refresh. Headless mode loads or builds a scenario, runs at full speed with
 no rendering, and emits the per-step statistics CSV.
 
-Exit codes: 0 on success, 1 for usage or I/O errors (a closed stdout
-included), 2 when the step limit was exhausted before reaching the quake
-target, 130 when interrupted (Ctrl-C).
+`main` owns the exit codes of both modes: it resolves the run once and
+turns every failure into one line on stderr. Exit codes: 0 on success, 1 for
+usage or I/O errors (a closed or full stdout included), 2 when the step
+limit was exhausted before reaching the quake target, 130 when interrupted
+(Ctrl-C).
 """
 
 from __future__ import annotations
@@ -27,14 +29,7 @@ from .engine import _MASK64, SimConfig, StepReport, iter_steps, run, step  # noq
 from .grid import MAX_DIM, FaultMap, GridDims, StressMap
 from .raster import OutOfRangeError, draw_circle, draw_horizontal, draw_segment, draw_vertical
 from .render import RenderStyle, StressBands, render_fault_map, render_stress_map
-from .scenario import (
-    Scenario,
-    ScenarioError,
-    format_stats,
-    format_stats_row,
-    load_scenario,
-    save_scenario,
-)
+from .scenario import Scenario, format_stats, format_stats_row, load_scenario, save_scenario
 
 CLEAR_SCREEN = "\x1b[2J\x1b[H"
 
@@ -174,13 +169,7 @@ def _discard_stdout() -> None:
     os.close(devnull)
 
 
-def run_headless(opts: argparse.Namespace) -> int:
-    try:
-        cfg, faults = _resolve_state(opts)
-    except (ScenarioError, OSError, ValueError) as exc:
-        sys.stderr.write(f"faultsim: {exc}\n")
-        return 1
-
+def run_headless(cfg: SimConfig, faults: FaultMap, out_path: str | None) -> int:
     last: StepReport | None = None
 
     def write_row(report: StepReport) -> None:
@@ -190,20 +179,13 @@ def run_headless(opts: argparse.Namespace) -> int:
         out.write(row)
 
     try:
-        with _stats_sink(opts.out_path) as out:
+        with _stats_sink(out_path) as out:
             out.write(format_stats(()))  # the header: the CSV of a run with no steps
             summary = run(faults, cfg, observer=write_row)
-    except OSError as exc:
-        if opts.out_path is None and isinstance(exc, BrokenPipeError):
-            # the reader went away (`| head`); the run stopped at that write
-            _discard_stdout()
-            sys.stderr.write("faultsim: stdout closed, run stopped\n")
-        else:
-            sys.stderr.write(f"faultsim: {exc}\n")
-        return 1
     except KeyboardInterrupt:
         # the rows written so far stay; the summary counts the steps they cover
-        sys.stdout.flush()
+        if out_path is None:  # with --out, stdout may have been closed at start-up
+            sys.stdout.flush()
         steps, quakes = (last.step_index, last.cumulative_quakes) if last else (0, 0)
         sys.stderr.write(f"steps={steps} quakes={quakes} seed={cfg.seed}\n")
         raise
@@ -230,17 +212,11 @@ def _read_int(stdin: IO[str], stdout: IO[str], prompt: str) -> int | None:
     return None
 
 
-def _draw_circle(faults: FaultMap, cx: int, cy: int, r: int) -> int:
-    if r < 0:  # reported ahead of an off-grid center, which draw_circle checks first
-        raise OutOfRangeError("radius must be non-negative.")
-    return draw_circle(faults, cx, cy, r)
-
-
 # menu choice -> the prompts for its integers and the draw they are passed to
 _SHAPES = {
     1: (("x: ",), draw_vertical),
     2: (("y: ",), draw_horizontal),
-    3: (("center x: ", "center y: ", "radius: "), _draw_circle),
+    3: (("center x: ", "center y: ", "radius: "), draw_circle),
     4: (("x0: ", "y0: ", "x1: ", "y1: "), draw_segment),
 }
 
@@ -282,61 +258,72 @@ def _animate(faults: FaultMap, cfg: SimConfig, style: RenderStyle, stdout: IO[st
     return code
 
 
-def run_interactive(opts: argparse.Namespace, stdin: IO[str], stdout: IO[str]) -> int:
-    try:
-        cfg, faults = _resolve_state(opts)
-    except (ScenarioError, OSError, ValueError) as exc:
-        sys.stderr.write(f"faultsim: {exc}\n")
-        return 1
-
-    style = RenderStyle(color_enabled=not opts.no_color)
-
+def run_interactive(cfg: SimConfig, faults: FaultMap, style: RenderStyle,
+                    stdin: IO[str], stdout: IO[str]) -> int:
     while True:
         stdout.write(MENU)
         choice = _read_int(stdin, stdout, "choice: ")
         if choice is None or choice == 7:
             return 0
-
-        try:
-            if choice in _SHAPES:
-                prompts, draw = _SHAPES[choice]
-                # every prompt is shown even after the input ends, then nothing is drawn
-                params = [_read_int(stdin, stdout, p) for p in prompts]
-                if None in params:
-                    return 0
+        if choice in _SHAPES:
+            prompts, draw = _SHAPES[choice]
+            # every prompt is shown even after the input ends, then nothing is drawn
+            params = [_read_int(stdin, stdout, p) for p in prompts]
+            if None in params:
+                return 0
+            # the Error: lines cover the draw and the save only; a failed write
+            # to stdout is main's to report
+            try:
                 draw(faults, *params)
-            elif choice == 5:
-                return _animate(faults, cfg, style, stdout)
-            elif choice == 6:
-                path = _read_line(stdin, stdout, "path: ")
-                if path is None:
-                    return 0
+            except OutOfRangeError as exc:
+                stdout.write(f"Error: {exc}\n")
+                continue
+            stdout.write(render_fault_map(faults, style))
+            stdout.flush()
+        elif choice == 5:
+            return _animate(faults, cfg, style, stdout)
+        elif choice == 6:
+            path = _read_line(stdin, stdout, "path: ")
+            if path is None:
+                return 0
+            try:
                 with open(path, "w", newline="") as fp:
                     save_scenario(Scenario(cfg=cfg, faults=faults), fp)
-                stdout.write(f"Saved {path}\n")
+            except OSError as exc:
+                stdout.write(f"Error: {exc}\n")
                 continue
-            else:
-                stdout.write("Unknown option.\n")
-                continue
-        except (OutOfRangeError, OSError) as exc:
-            stdout.write(f"Error: {exc}\n")
-            continue
-
-        stdout.write(render_fault_map(faults, style))
-        stdout.flush()
+            stdout.write(f"Saved {path}\n")
+        else:
+            stdout.write("Unknown option.\n")
 
 
 def main(argv: list[str] | None = None) -> int:
     opts = parse_args(sys.argv[1:] if argv is None else argv)
-    if sys.stdout is None and not (opts.headless and opts.out_path is not None):
+    # stdout carries the output of every run but a headless one with --out
+    output_on_stdout = not (opts.headless and opts.out_path is not None)
+    if output_on_stdout and sys.stdout is None:
         sys.stderr.write("faultsim: stdout closed\n")  # fd 1 was closed at start-up (`>&-`)
         return 1
     try:
+        try:
+            cfg, faults = _resolve_state(opts)
+        except (OSError, ValueError) as exc:  # ScenarioError is a ValueError
+            sys.stderr.write(f"faultsim: {exc}\n")
+            return 1
         if opts.headless:
-            return run_headless(opts)
-        return run_interactive(opts, sys.stdin, sys.stdout)
+            return run_headless(cfg, faults, opts.out_path)
+        style = RenderStyle(color_enabled=not opts.no_color)
+        return run_interactive(cfg, faults, style, sys.stdin, sys.stdout)
     except KeyboardInterrupt:
         return 130
+    except OSError as exc:
+        if output_on_stdout and isinstance(exc, BrokenPipeError):
+            # the reader went away (`| head`); the run stopped at that write
+            _discard_stdout()
+            sys.stderr.write("faultsim: stdout closed, run stopped\n")
+        else:
+            sys.stderr.write(f"faultsim: {exc}\n")
+        return 1
 
 
 if __name__ == "__main__":

@@ -7,6 +7,7 @@ top-left, x grows rightward (column index), y grows downward (row index).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 MAX_DIM = 1024
 
@@ -47,6 +48,11 @@ class _Grid:
         if not self.dims.contains(x, y):
             raise IndexError(f"({x}, {y}) outside {self.dims.width}x{self.dims.height} grid")
         return y * self.dims.width + x
+
+    def rows(self) -> Iterator[list]:
+        """The cells one grid row at a time, top row first."""
+        width = self.dims.width
+        return (self.cells[start : start + width] for start in range(0, self.dims.area, width))
 
     def copy(self):
         return type(self)(self.dims, list(self.cells))

@@ -5,8 +5,9 @@ midpoint circle algorithm with 8-octant mirroring. All coordinate math is
 exact integer arithmetic, so the drawn cell sets are reproducible anywhere.
 
 Anchor validation mirrors what each shape checks: vertical/horizontal lines
-and segment endpoints must lie on the grid, circle centers must lie on the
-grid but the circle itself may crop at the edges (discarded, never wrapped).
+and segment endpoints must lie on the grid, a circle needs a non-negative
+radius and a center on the grid, but the circle itself may crop at the edges
+(discarded, never wrapped).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from .grid import Cell, FaultMap
 
 
 class OutOfRangeError(ValueError):
-    """A user-supplied anchor coordinate lies outside the grid."""
+    """A user-supplied shape parameter lies outside the range its shape accepts."""
 
 
 def segment_cells(x0: int, y0: int, x1: int, y1: int) -> list[Cell]:
@@ -139,6 +140,8 @@ def draw_circle(fault_map: FaultMap, cx: int, cy: int, r: int) -> int:
     Candidate cells falling outside the grid are silently discarded; the
     circle never wraps. Returns the number of newly set cells.
     """
+    if r < 0:  # reported ahead of an off-grid center
+        raise OutOfRangeError("radius must be non-negative.")
     dims = fault_map.dims
     if not dims.contains(cx, cy):
         raise OutOfRangeError(f"center ({cx}, {cy}) outside {dims.width}x{dims.height} grid")

@@ -65,11 +65,7 @@ def render_fault_map(fault_map: FaultMap, style: RenderStyle) -> str:
     terminal theme.
     """
     one = f"{RED}1{RESET}" if style.color_enabled else "1"
-    width = fault_map.dims.width
-    lines = []
-    for row_start in range(0, fault_map.dims.area, width):
-        row = fault_map.cells[row_start : row_start + width]
-        lines.append(" ".join(one if v else "0" for v in row))
+    lines = [" ".join(one if v else "0" for v in row) for row in fault_map.rows()]
     return "".join(line + "\n" for line in lines)
 
 
@@ -88,9 +84,5 @@ def render_stress_map(
     # cap is in the table
     table = [glyph(v) for v in range(min(threshold, _STRESS_DISPLAY_CAP) + 1)]
     top = len(table)
-    width = stress.dims.width
-    lines = []
-    for row_start in range(0, stress.dims.area, width):
-        row = stress.cells[row_start : row_start + width]
-        lines.append(" ".join([table[v] if 0 <= v < top else glyph(v) for v in row]))
+    lines = [" ".join([table[v] if 0 <= v < top else glyph(v) for v in row]) for row in stress.rows()]
     return "".join(line + "\n" for line in lines)

@@ -71,10 +71,7 @@ def format_scenario(scenario: Scenario) -> str:
     lines = [MAGIC]
     lines.extend(f"{key} {values[key]}" for key in _CONFIG_KEYS)
     lines.append("map")
-    width = cfg.dims.width
-    cells = scenario.faults.cells
-    for row_start in range(0, cfg.dims.area, width):
-        lines.append("".join("1" if v else "0" for v in cells[row_start : row_start + width]))
+    lines.extend("".join("1" if v else "0" for v in row) for row in scenario.faults.rows())
     lines.append("end")
     return "".join(line + "\n" for line in lines)
 

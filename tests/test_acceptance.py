@@ -8,10 +8,13 @@ every run checks the exact same inputs.
 
 import io
 import statistics
+import sys
 import time
+from contextlib import redirect_stdout
 from pathlib import Path
+from unittest import mock
 
-from faultsim.cli import parse_args, run_headless, run_interactive
+from faultsim.cli import main
 from faultsim.engine import SimConfig, SplitMix64, iter_steps, run, step
 from faultsim.grid import FaultMap, GridDims, StressMap
 from faultsim.raster import circle_cells, draw_circle, draw_segment, segment_cells
@@ -141,11 +144,7 @@ def test_criterion_5_deterministic_replay(tmp_path, capsys):
     outs = []
     for name in ("a.csv", "b.csv"):
         out = tmp_path / name
-        rc = run_headless(
-            parse_args(
-                ["--headless", "--scenario", str(scenario_path), "--out", str(out)]
-            )
-        )
+        rc = main(["--headless", "--scenario", str(scenario_path), "--out", str(out)])
         assert rc == 0
         outs.append(out.read_bytes())
     capsys.readouterr()
@@ -267,7 +266,8 @@ def test_criterion_9_interactive_golden_transcript():
         "--quakes", "1", "--delay-ms", "0", "--no-color",
     ]
     out = io.StringIO()
-    rc = run_interactive(parse_args(argv), io.StringIO(script), out)
+    with mock.patch.object(sys, "stdin", io.StringIO(script)), redirect_stdout(out):
+        rc = main(argv)
     transcript = out.getvalue()
 
     assert rc == 0

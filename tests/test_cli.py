@@ -1,6 +1,8 @@
 import io
 import subprocess
 import sys
+from contextlib import redirect_stdout
+from unittest import mock
 
 import pytest
 
@@ -10,8 +12,6 @@ from faultsim.cli import (
     MENU,
     main,
     parse_args,
-    run_headless,
-    run_interactive,
     _stress_bands,
 )
 from faultsim.engine import SimConfig, SplitMix64, iter_steps, run, step
@@ -46,9 +46,9 @@ def one_cell_cfg(**kwargs) -> SimConfig:
 
 
 def run_script(script: str, argv: list[str]) -> tuple[int, str]:
-    opts = parse_args(argv)
     out = io.StringIO()
-    rc = run_interactive(opts, io.StringIO(script), out)
+    with mock.patch.object(sys, "stdin", io.StringIO(script)), redirect_stdout(out):
+        rc = main(argv)
     return rc, out.getvalue()
 
 
@@ -128,7 +128,7 @@ class TestStressBands:
 class TestHeadless:
     def test_one_cell_run_csv(self, tmp_path, capsys):
         path = write_scenario(tmp_path, one_cell_cfg(), [(0, 0)])
-        rc = run_headless(parse_args(["--headless", "--scenario", path]))
+        rc = main(["--headless", "--scenario", path])
         captured = capsys.readouterr()
         assert rc == 0
         assert captured.out == (
@@ -140,12 +140,10 @@ class TestHeadless:
 
     def test_out_file_matches_stdout(self, tmp_path, capsys):
         path = write_scenario(tmp_path, one_cell_cfg(), [(0, 0)])
-        rc = run_headless(parse_args(["--headless", "--scenario", path]))
+        rc = main(["--headless", "--scenario", path])
         stdout_csv = capsys.readouterr().out
         out = tmp_path / "stats.csv"
-        rc2 = run_headless(
-            parse_args(["--headless", "--scenario", path, "--out", str(out)])
-        )
+        rc2 = main(["--headless", "--scenario", path, "--out", str(out)])
         captured = capsys.readouterr()
         assert (rc, rc2) == (0, 0)
         assert out.read_text() == stdout_csv
@@ -155,9 +153,9 @@ class TestHeadless:
         cfg = SimConfig(dims=GridDims(8, 8), seed=99, target_quakes=2, delay_ms=0)
         path = write_scenario(tmp_path, cfg, [(x, 4) for x in range(8)])
         argv = ["--headless", "--scenario", path]
-        rc1 = run_headless(parse_args(argv))
+        rc1 = main(argv)
         first = capsys.readouterr()
-        rc2 = run_headless(parse_args(argv))
+        rc2 = main(argv)
         second = capsys.readouterr()
         assert rc1 == rc2 == 0
         assert first.out == second.out
@@ -166,7 +164,7 @@ class TestHeadless:
     def test_step_limit_exits_2(self, tmp_path, capsys):
         cfg = one_cell_cfg(nonfault_delta_min=0, nonfault_delta_max=0, max_steps=5)
         path = write_scenario(tmp_path, cfg)  # no fault cells, zero deltas
-        rc = run_headless(parse_args(["--headless", "--scenario", path]))
+        rc = main(["--headless", "--scenario", path])
         captured = capsys.readouterr()
         assert rc == 2
         assert len(captured.out.splitlines()) == 6  # header + 5 steps
@@ -175,16 +173,14 @@ class TestHeadless:
     def test_max_steps_flag_overrides_scenario(self, tmp_path, capsys):
         cfg = one_cell_cfg(nonfault_delta_min=0, nonfault_delta_max=0, max_steps=5)
         path = write_scenario(tmp_path, cfg)  # no fault cells, zero deltas: runs to the cap
-        rc = run_headless(parse_args(["--headless", "--scenario", path, "--max-steps", "3"]))
+        rc = main(["--headless", "--scenario", path, "--max-steps", "3"])
         captured = capsys.readouterr()
         assert rc == 2
         assert len(captured.out.splitlines()) == 4  # header + 3 steps
         assert captured.err == "steps=3 quakes=0 seed=0\n"
 
     def test_missing_scenario_file(self, capsys):
-        rc = run_headless(
-            parse_args(["--headless", "--scenario", "/nonexistent/s.txt"])
-        )
+        rc = main(["--headless", "--scenario", "/nonexistent/s.txt"])
         captured = capsys.readouterr()
         assert rc == 1
         assert captured.err.startswith("faultsim: ")
@@ -193,33 +189,27 @@ class TestHeadless:
     def test_corrupt_scenario_file(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"
         path.write_text("FAULTSIM 9\n")
-        rc = run_headless(parse_args(["--headless", "--scenario", str(path)]))
+        rc = main(["--headless", "--scenario", str(path)])
         assert rc == 1
         assert capsys.readouterr().err.startswith("faultsim: ")
 
     def test_dims_conflict_with_scenario(self, tmp_path, capsys):
         path = write_scenario(tmp_path, one_cell_cfg())
-        rc = run_headless(
-            parse_args(["--headless", "--scenario", path, "--width", "3"])
-        )
+        rc = main(["--headless", "--scenario", path, "--width", "3"])
         captured = capsys.readouterr()
         assert rc == 1
         assert "conflicts" in captured.err
 
     def test_matching_dims_accepted(self, tmp_path, capsys):
         path = write_scenario(tmp_path, one_cell_cfg(), [(0, 0)])
-        rc = run_headless(
-            parse_args(
-                ["--headless", "--scenario", path, "--width", "1", "--height", "1"]
-            )
-        )
+        rc = main(["--headless", "--scenario", path, "--width", "1", "--height", "1"])
         capsys.readouterr()
         assert rc == 0
 
     def test_seed_flag_overrides_scenario(self, tmp_path, capsys):
         cfg = SimConfig(dims=GridDims(4, 4), seed=42, target_quakes=1, delay_ms=0)
         path = write_scenario(tmp_path, cfg, [(x, 1) for x in range(4)])
-        run_headless(parse_args(["--headless", "--scenario", path, "--seed", "7"]))
+        main(["--headless", "--scenario", path, "--seed", "7"])
         captured = capsys.readouterr()
         assert captured.err.endswith("seed=7\n")
         # and the run really is the seed-7 run, not the seed-42 one
@@ -233,11 +223,7 @@ class TestHeadless:
 
     def test_flag_overrides_apply(self, tmp_path, capsys):
         path = write_scenario(tmp_path, one_cell_cfg(), [(0, 0)])
-        rc = run_headless(
-            parse_args(
-                ["--headless", "--scenario", path, "--threshold", "20", "--quakes", "1"]
-            )
-        )
+        rc = main(["--headless", "--scenario", path, "--threshold", "20", "--quakes", "1"])
         captured = capsys.readouterr()
         assert rc == 0
         # threshold 20 with +5/step: quake lands on step 4, not step 2
@@ -248,7 +234,7 @@ class TestHeadless:
             "--headless", "--width", "3", "--height", "2",
             "--seed", "5", "--quakes", "1", "--max-steps", "40",
         ]
-        rc = run_headless(parse_args(argv))
+        rc = main(argv)
         captured = capsys.readouterr()
         cfg = SimConfig(
             dims=GridDims(3, 2), seed=5, target_quakes=1, max_steps=40
@@ -260,7 +246,7 @@ class TestHeadless:
 
     def test_csv_never_contains_escapes(self, tmp_path, capsys):
         path = write_scenario(tmp_path, one_cell_cfg(), [(0, 0)])
-        run_headless(parse_args(["--headless", "--scenario", path]))
+        main(["--headless", "--scenario", path])
         captured = capsys.readouterr()
         assert "\x1b" not in captured.out
         assert "\x1b" not in captured.err
@@ -424,10 +410,9 @@ class TestInteractiveSimulation:
 
         monkeypatch.setattr(cli, "render_stress_map", interrupt)
         path = write_scenario(tmp_path, one_cell_cfg(seed=5), [(0, 0)])
-        out = io.StringIO()
-        with pytest.raises(KeyboardInterrupt):
-            run_interactive(parse_args(["--scenario", path, "--no-color"]), io.StringIO("5\n"), out)
-        assert out.getvalue().splitlines()[-1] == "Interrupted after 0 steps with 0 earthquakes (seed 5)."
+        rc, out = run_script("5\n", ["--scenario", path, "--no-color"])
+        assert rc == 130
+        assert out.splitlines()[-1] == "Interrupted after 0 steps with 0 earthquakes (seed 5)."
 
     def test_color_clears_screen_each_frame(self, tmp_path):
         path = write_scenario(tmp_path, one_cell_cfg(), [(0, 0)])
@@ -508,6 +493,16 @@ class TestMain:
         path = write_scenario(tmp_path, one_cell_cfg(), [(0, 0)])
         assert main(["--headless", "--scenario", path]) == 0
         assert "1,0,0,5,5.00" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [["--no-color"], ["--headless", "--width", "2", "--height", "2"]],
+                             ids=["interactive", "headless"])
+    def test_interrupt_while_resolving_exits_130(self, argv, monkeypatch, capsys):
+        def interrupt(opts):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "_resolve_state", interrupt)  # a large scenario still loading
+        assert main(argv) == 130
+        assert capsys.readouterr() == ("", "")
 
     def test_module_entry_point(self, tmp_path):
         path = write_scenario(tmp_path, one_cell_cfg(), [(0, 0)])

@@ -192,6 +192,11 @@ class TestDrawCircle:
             draw_circle(grid10, 5, -1, 2)
         assert grid10.fault_count == 0
 
+    def test_negative_radius_reported_before_center(self, grid10):
+        with pytest.raises(OutOfRangeError, match=r"^radius must be non-negative\.$"):
+            draw_circle(grid10, -5, -5, -1)
+        assert grid10.fault_count == 0
+
     def test_radius_larger_than_grid(self, grid10):
         # Every cell of the arc is cropped: nothing marked, no error.
         assert draw_circle(grid10, 5, 5, 40) == 0

@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 import faultsim
 import faultsim.cli as cli
 import faultsim.engine as engine
-from faultsim.cli import parse_args, run_headless
+from faultsim.cli import MENU, main
 from faultsim.engine import SimConfig, SplitMix64, iter_steps, run, step
 from faultsim.grid import FaultMap, GridDims, StressMap
 from faultsim.render import RESET, RenderStyle, StressBands, render_stress_map, stress_color
@@ -38,6 +38,16 @@ SRC_DIR = str(Path(faultsim.__file__).resolve().parents[1])
 
 # 20x20 with no faults and an unreachable quake target: runs to --max-steps
 LONG_RUN = ["--headless", "--width", "20", "--height", "20", "--seed", "1", "--quakes", "1000000"]
+
+
+def _pipe_without_reader() -> int:
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    return write_end
+
+
+def _full_device() -> int:
+    return os.open("/dev/full", os.O_WRONLY)
 
 
 def _cfg(**kwargs) -> SimConfig:
@@ -101,7 +111,7 @@ class TestHeadlessStreaming:
             return real_step(*args, **kwargs)
 
         monkeypatch.setattr(engine, "step", spy)
-        rc = run_headless(parse_args(LONG_RUN + ["--max-steps", "6"]))
+        rc = main(LONG_RUN + ["--max-steps", "6"])
         assert rc == 2
         # header before step 1, then each row before the next step starts
         assert lines_before_step == [1, 2, 3, 4, 5, 6]
@@ -127,14 +137,44 @@ class TestHeadlessStreaming:
         assert err == b"faultsim: stdout closed, run stopped\n"
         assert elapsed < 3.0
 
+    def test_closed_stdout_stops_the_animation(self):
+        # 20x20 frames with no pause; the reader leaves during the first stress frame
+        argv = ["--no-color", "--seed", "1", "--delay-ms", "0", "--quakes", "1000000", "--max-steps", "20000"]
+        with _spawn(*argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            proc.stdin.write(b"5\n")
+            proc.stdin.close()
+            head = [proc.stdout.readline() for _ in range(30)]
+            proc.stdout.close()
+            err = proc.stderr.read()
+            rc = proc.wait(timeout=120)
+        assert rc == 1
+        assert err == b"faultsim: stdout closed, run stopped\n"
+        zeros = b" ".join([b"0"] * 20) + b"\n"
+        want = MENU.encode().splitlines(keepends=True) + [b"choice: " + zeros] + [zeros] * 19
+        assert head == want + [b" ".join([b"  0"] * 20) + b"\n"] * 3  # fault map, then stress rows
 
-    @pytest.mark.parametrize("argv", [LONG_RUN, ["--no-color"]], ids=["headless", "interactive"])
-    def test_stdout_closed_at_start_fails_before_first_step(self, argv):
-        with _spawn(*argv, "--max-steps", "10000000", preexec_fn=lambda: os.close(1),
+    @pytest.mark.parametrize(
+        "argv, open_stdout, want_err",
+        [
+            (LONG_RUN, None, b"faultsim: stdout closed\n"),
+            (["--no-color"], None, b"faultsim: stdout closed\n"),
+            # a reader that left before the menu was written, and a full disk
+            (["--no-color"], _pipe_without_reader, b"faultsim: stdout closed, run stopped\n"),
+            pytest.param(["--no-color"], _full_device, b"faultsim: [Errno 28] No space left on device\n",
+                         marks=pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")),
+        ],
+        ids=["headless", "interactive", "interactive-no-reader", "interactive-full"],
+    )
+    def test_stdout_closed_at_start_fails_before_first_step(self, argv, open_stdout, want_err):
+        fd = None if open_stdout is None else open_stdout()
+        closed = None if fd is not None else lambda: os.close(1)  # `>&-`
+        with _spawn(*argv, "--max-steps", "10000000", preexec_fn=closed, stdout=fd,
                     stdin=subprocess.DEVNULL, stderr=subprocess.PIPE) as proc:
+            if fd is not None:
+                os.close(fd)
             _, err = proc.communicate(timeout=60)
         assert proc.returncode == 1
-        assert err == b"faultsim: stdout closed\n"
+        assert err == want_err
 
     def test_out_file_runs_with_stdout_closed_at_start(self, tmp_path):
         target = tmp_path / "stats.csv"
@@ -206,8 +246,9 @@ class TestInterrupt:
     def test_headless_out_file_keeps_previous_contents(self, tmp_path):
         target = tmp_path / "stats.csv"
         target.write_text("previous\n")
+        # stdout closed at start-up: with --out the run never needs it
         proc = _spawn(*LONG_RUN, "--max-steps", "10000000", "--out", str(target),
-                      stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+                      preexec_fn=lambda: os.close(1), stderr=subprocess.PIPE)
         deadline = time.monotonic() + 60
         while not any(p.name.endswith(".tmp") and p.stat().st_size for p in tmp_path.iterdir()):
             assert time.monotonic() < deadline and proc.poll() is None
@@ -257,7 +298,7 @@ class TestOutFile:
     def test_unwritable_path_fails_before_first_step(self, tmp_path, capsys):
         bad = tmp_path / "missing" / "stats.csv"
         t0 = time.perf_counter()
-        rc = run_headless(parse_args(LONG_RUN + ["--max-steps", "10000000", "--out", str(bad)]))
+        rc = main(LONG_RUN + ["--max-steps", "10000000", "--out", str(bad)])
         assert time.perf_counter() - t0 < 1.0
         assert rc == 1
         captured = capsys.readouterr()
@@ -266,7 +307,7 @@ class TestOutFile:
 
     def test_directory_path_fails_before_first_step(self, tmp_path, capsys):
         t0 = time.perf_counter()
-        rc = run_headless(parse_args(LONG_RUN + ["--max-steps", "10000000", "--out", str(tmp_path)]))
+        rc = main(LONG_RUN + ["--max-steps", "10000000", "--out", str(tmp_path)])
         assert time.perf_counter() - t0 < 1.0
         assert rc == 1
         assert capsys.readouterr().err.startswith("faultsim: ")
@@ -283,7 +324,7 @@ class TestOutFile:
     def test_failed_run_leaves_no_file(self, tmp_path, capsys, monkeypatch):
         self._fail_at_step_3(monkeypatch)
         out = tmp_path / "stats.csv"
-        rc = run_headless(parse_args(LONG_RUN + ["--max-steps", "10", "--out", str(out)]))
+        rc = main(LONG_RUN + ["--max-steps", "10", "--out", str(out)])
         assert rc == 1
         assert capsys.readouterr().err == "faultsim: [Errno 28] No space left on device\n"
         assert list(tmp_path.iterdir()) == []
@@ -292,7 +333,7 @@ class TestOutFile:
         self._fail_at_step_3(monkeypatch)
         out = tmp_path / "stats.csv"
         out.write_text("previous\n")
-        rc = run_headless(parse_args(LONG_RUN + ["--max-steps", "10", "--out", str(out)]))
+        rc = main(LONG_RUN + ["--max-steps", "10", "--out", str(out)])
         capsys.readouterr()
         assert rc == 1
         assert out.read_text() == "previous\n"
@@ -303,7 +344,7 @@ class TestOutFile:
         out.write_text("previous\n")
         old_mask = os.umask(0o027)
         try:
-            rc = run_headless(parse_args(LONG_RUN + ["--max-steps", "4", "--out", str(out)]))
+            rc = main(LONG_RUN + ["--max-steps", "4", "--out", str(out)])
         finally:
             os.umask(old_mask)
         capsys.readouterr()
@@ -318,7 +359,7 @@ class TestOutFile:
         out = tmp_path / "stats.csv"
         stale = tmp_path / f".stats.csv.{os.getpid()}.tmp"
         stale.write_text("killed run\n")
-        rc = run_headless(parse_args(LONG_RUN + ["--max-steps", "4", "--out", str(out)]))
+        rc = main(LONG_RUN + ["--max-steps", "4", "--out", str(out)])
         capsys.readouterr()
         assert rc == 2
         assert len(out.read_text().splitlines()) == 5
@@ -331,7 +372,7 @@ class TestOutFile:
         got = []
         reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
         reader.start()
-        rc = run_headless(parse_args(LONG_RUN + ["--max-steps", "4", "--out", str(fifo)]))
+        rc = main(LONG_RUN + ["--max-steps", "4", "--out", str(fifo)])
         reader.join(30)
         capsys.readouterr()
         assert rc == 2
