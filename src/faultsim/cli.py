@@ -163,7 +163,7 @@ def _stats_sink(path: str | None) -> Iterator[IO[str]]:
 
 
 def _discard_stdout() -> None:
-    """Point fd 1 at /dev/null so the interpreter's exit flush of a dead pipe is silent."""
+    """Point fd 1 at /dev/null so the interpreter's exit flush of a failed stdout is silent."""
     devnull = os.open(os.devnull, os.O_WRONLY)
     os.dup2(devnull, sys.stdout.fileno())
     os.close(devnull)
@@ -317,12 +317,13 @@ def main(argv: list[str] | None = None) -> int:
     except KeyboardInterrupt:
         return 130
     except OSError as exc:
-        if output_on_stdout and isinstance(exc, BrokenPipeError):
-            # the reader went away (`| head`); the run stopped at that write
+        msg = str(exc)
+        if output_on_stdout:
+            # stdout may still hold the bytes that failed (a dead pipe, a full disk)
             _discard_stdout()
-            sys.stderr.write("faultsim: stdout closed, run stopped\n")
-        else:
-            sys.stderr.write(f"faultsim: {exc}\n")
+            if isinstance(exc, BrokenPipeError):  # the reader went away (`| head`)
+                msg = "stdout closed, run stopped"
+        sys.stderr.write(f"faultsim: {msg}\n")
         return 1
 
 

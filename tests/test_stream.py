@@ -50,6 +50,10 @@ def _full_device() -> int:
     return os.open("/dev/full", os.O_WRONLY)
 
 
+FULL_DEVICE_ERR = b"faultsim: [Errno 28] No space left on device\n"
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+
+
 def _cfg(**kwargs) -> SimConfig:
     base = dict(dims=GridDims(3, 3), seed=5, quake_threshold=12, target_quakes=4, delay_ms=0)
     base.update(kwargs)
@@ -160,10 +164,10 @@ class TestHeadlessStreaming:
             (["--no-color"], None, b"faultsim: stdout closed\n"),
             # a reader that left before the menu was written, and a full disk
             (["--no-color"], _pipe_without_reader, b"faultsim: stdout closed, run stopped\n"),
-            pytest.param(["--no-color"], _full_device, b"faultsim: [Errno 28] No space left on device\n",
-                         marks=pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")),
+            pytest.param(["--no-color"], _full_device, FULL_DEVICE_ERR, marks=needs_dev_full),
+            pytest.param(LONG_RUN, _full_device, FULL_DEVICE_ERR, marks=needs_dev_full),
         ],
-        ids=["headless", "interactive", "interactive-no-reader", "interactive-full"],
+        ids=["headless", "interactive", "interactive-no-reader", "interactive-full", "headless-full"],
     )
     def test_stdout_closed_at_start_fails_before_first_step(self, argv, open_stdout, want_err):
         fd = None if open_stdout is None else open_stdout()
@@ -214,8 +218,11 @@ class TestHeadlessStreaming:
 
 
 def _spawn(*args, preexec_fn=None, **kwargs) -> subprocess.Popen:
-    """The CLI in a child with SIGINT at its default, so Python turns it into KeyboardInterrupt."""
-    env = dict(os.environ)
+    """The CLI in a child with SIGINT at its default, so Python turns it into KeyboardInterrupt.
+
+    PYTHONUNBUFFERED is removed, so stdout is buffered as it is for a user.
+    """
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC_DIR, env.get("PYTHONPATH")]))
 
     def setup() -> None:
@@ -244,11 +251,18 @@ class TestInterrupt:
         assert err.decode() == f"steps={step_index} quakes={cumulative} seed=1\n"
 
     def test_headless_out_file_keeps_previous_contents(self, tmp_path):
+        self._interrupt_out_file_run(tmp_path, stdout=subprocess.DEVNULL)
+
+    def test_headless_out_file_keeps_previous_contents_with_stdout_closed(self, tmp_path):
+        # with --out the run never needs stdout, so Ctrl-C must not touch it either
+        self._interrupt_out_file_run(tmp_path, preexec_fn=lambda: os.close(1))
+
+    @staticmethod
+    def _interrupt_out_file_run(tmp_path, **spawn_kwargs):
         target = tmp_path / "stats.csv"
         target.write_text("previous\n")
-        # stdout closed at start-up: with --out the run never needs it
         proc = _spawn(*LONG_RUN, "--max-steps", "10000000", "--out", str(target),
-                      preexec_fn=lambda: os.close(1), stderr=subprocess.PIPE)
+                      stderr=subprocess.PIPE, **spawn_kwargs)
         deadline = time.monotonic() + 60
         while not any(p.name.endswith(".tmp") and p.stat().st_size for p in tmp_path.iterdir()):
             assert time.monotonic() < deadline and proc.poll() is None
