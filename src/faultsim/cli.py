@@ -7,9 +7,9 @@ no rendering, and emits the per-step statistics CSV.
 
 `main` owns the exit codes of both modes: it resolves the run once and
 turns every failure into one line on stderr. Exit codes: 0 on success, 1 for
-usage or I/O errors (a closed or full stdout included), 2 when the step
-limit was exhausted before reaching the quake target, 130 when interrupted
-(Ctrl-C).
+usage or I/O errors (a closed stdin, or a closed or full stdout, included), 2
+when the step limit was exhausted before reaching the quake target, 130 when
+interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -303,6 +303,9 @@ def main(argv: list[str] | None = None) -> int:
     output_on_stdout = not (opts.headless and opts.out_path is not None)
     if output_on_stdout and sys.stdout is None:
         sys.stderr.write("faultsim: stdout closed\n")  # fd 1 was closed at start-up (`>&-`)
+        return 1
+    if not opts.headless and sys.stdin is None:
+        sys.stderr.write("faultsim: stdin closed\n")  # fd 0 was closed at start-up (`<&-`)
         return 1
     try:
         try:

@@ -10,13 +10,38 @@ is what makes scenario files and recorded statistics trustworthy.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Iterator
 
 from .grid import Cell, FaultMap, GridDims, StressMap
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+
+# cells per block draw in step: larger blocks raise peak memory, not speed
+_CHUNK = 1024
+
+
+@lru_cache(maxsize=4)
+def _lanes(n: int) -> tuple[struct.Struct, int, int, int]:
+    """The layout and constants of n 128-bit lanes, each holding a uint64 in its low half.
+
+    Returns the packer of that layout and three lane ints: `ones` (1 in every
+    lane), `mask` (the low 64 bits of every lane) and `ramp` ((k+1)*gamma
+    mod 2**64 in lane k).
+    """
+    layout = struct.Struct("<" + "Q8x" * n)
+
+    def pack(values: list[int]) -> int:
+        return int.from_bytes(layout.pack(*values), "little")
+
+    ramp = [(k + 1) * _GAMMA & _MASK64 for k in range(n)]
+    return layout, pack([1] * n), pack([_MASK64] * n), pack(ramp)
 
 
 class SplitMix64:
@@ -33,11 +58,28 @@ class SplitMix64:
         self.state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
+        self.state = (self.state + _GAMMA) & _MASK64
         z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
+
+    def draws(self, n: int) -> tuple[int, ...]:
+        """The next n outputs of next_u64 at once; state advances as after n calls.
+
+        Output k is mix(state + (k+1)*gamma). The n inputs sit in the 128-bit
+        lanes of one int, so each mixer operation below acts on every lane
+        at once: a 64x64-bit product fits in its lane, and the mask after
+        each xor-shift drops the bits shifted in from the next lane.
+        """
+        layout, ones, mask, ramp = _lanes(n)
+        z = (self.state * ones + ramp) & mask
+        z = ((z ^ (z >> 30)) & mask) * _MIX1 & mask
+        z = ((z ^ (z >> 27)) & mask) * _MIX2 & mask
+        z ^= z >> 31  # bits this shifts into a lane's high half are never read
+        out = layout.unpack(z.to_bytes(16 * n, "little"))
+        self.state = (self.state + n * _GAMMA) & _MASK64
+        return out
 
     def randint(self, lo: int, hi: int) -> int:
         """Uniform draw from [lo, hi] via modulo reduction; requires lo <= hi."""
@@ -108,25 +150,26 @@ def step(
 ) -> StepReport:
     """Advance the stress map by one step, mutating it in place.
 
-    Exactly one rng draw per cell, row-major. Quake detection is a second
-    pass so that a cell's quake status depends only on its own post-update
-    value, never on neighbors updated later in the scan.
+    Exactly one rng draw per cell, row-major: cell i gets the same value
+    rng.randint would give it, drawn up to _CHUNK cells at a time. Quake
+    detection is a second pass so that a cell's quake status depends only
+    on its own post-update value, never on neighbors updated later in the
+    scan.
     """
     if not (stress.dims == faults.dims == cfg.dims):
         raise ValueError("stress, faults and config must share one grid")
 
     cells = stress.cells
     fault_flags = faults.cells
-    randint = rng.randint
-    f_lo, f_hi = cfg.fault_delta_min, cfg.fault_delta_max
-    n_lo, n_hi = cfg.nonfault_delta_min, cfg.nonfault_delta_max
-    for i in range(len(cells)):
-        if fault_flags[i]:
-            delta = randint(f_lo, f_hi)
-        else:
-            delta = randint(n_lo, n_hi)
-        value = cells[i] + delta
-        cells[i] = value if value > 0 else 0
+    f_lo, f_span = cfg.fault_delta_min, cfg.fault_delta_max - cfg.fault_delta_min + 1
+    n_lo, n_span = cfg.nonfault_delta_min, cfg.nonfault_delta_max - cfg.nonfault_delta_min + 1
+    area = len(cells)
+    for a in range(0, area, _CHUNK):
+        b = min(a + _CHUNK, area)
+        cells[a:b] = [
+            value if (value := cell + (f_lo + u % f_span if fault else n_lo + u % n_span)) > 0 else 0
+            for cell, u, fault in zip(cells[a:b], rng.draws(b - a), fault_flags[a:b])
+        ]
 
     max_stress = max(cells)
 

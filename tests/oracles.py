@@ -1,13 +1,19 @@
-"""Independent reference implementations used to cross-check the rasterizers.
+"""Independent reference implementations used to cross-check the package.
 
-These deliberately avoid the incremental error-accumulator formulations in
-the package: segments are computed by direct nearest-cell rounding per
-major-axis column, circles by exact integer square roots per octant column.
+The rasterizer oracles deliberately avoid the incremental error-accumulator
+formulations in the package: segments are computed by direct nearest-cell
+rounding per major-axis column, circles by exact integer square roots per
+octant column. The step oracle draws each cell through its own `randint`
+call, where the engine draws up to 1,024 cells in one block.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
+
+from faultsim.engine import SimConfig, SplitMix64, StepReport
+from faultsim.grid import Cell, FaultMap, StressMap
 
 
 def segment_oracle(x0: int, y0: int, x1: int, y1: int) -> set[tuple[int, int]]:
@@ -66,3 +72,47 @@ def circle_oracle(cx: int, cy: int, r: int) -> set[tuple[int, int]]:
                 )
             )
     return cells
+
+
+def step_oracle(
+    stress: StressMap,
+    faults: FaultMap,
+    cfg: SimConfig,
+    rng: SplitMix64,
+    cumulative_quakes: int,
+    step_index: int = 1,
+) -> StepReport:
+    """engine.step drawn one cell at a time through rng.randint."""
+    if not (stress.dims == faults.dims == cfg.dims):
+        raise ValueError("stress, faults and config must share one grid")
+
+    cells = stress.cells
+    fault_flags = faults.cells
+    randint = rng.randint
+    f_lo, f_hi = cfg.fault_delta_min, cfg.fault_delta_max
+    n_lo, n_hi = cfg.nonfault_delta_min, cfg.nonfault_delta_max
+    for i in range(len(cells)):
+        if fault_flags[i]:
+            delta = randint(f_lo, f_hi)
+        else:
+            delta = randint(n_lo, n_hi)
+        value = cells[i] + delta
+        cells[i] = value if value > 0 else 0
+
+    max_stress = max(cells)
+
+    quaked: list[Cell] = []
+    width = cfg.dims.width
+    threshold = cfg.quake_threshold
+    for i, value in enumerate(cells):
+        if value >= threshold:
+            quaked.append((i % width, i // width))
+            cells[i] = 0
+
+    return StepReport(
+        step_index=step_index,
+        quaked_cells=tuple(quaked),
+        cumulative_quakes=cumulative_quakes + len(quaked),
+        max_stress=max_stress,
+        mean_stress=Fraction(sum(cells), len(cells)),
+    )

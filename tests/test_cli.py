@@ -523,3 +523,15 @@ class TestMain:
         )
         assert proc.returncode == 1
         assert "error" in proc.stderr
+
+    def test_imports_only_the_standard_library(self):
+        # a fresh interpreter, so modules other tests imported do not count;
+        # names loaded at start-up (site hooks, .pth files) are not the CLI's
+        code = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import faultsim.cli\n"
+            "print(*sorted({name.split('.')[0] for name in set(sys.modules) - before}))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert set(proc.stdout.split()) - sys.stdlib_module_names == {"faultsim"}

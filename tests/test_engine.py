@@ -7,6 +7,9 @@ from hypothesis import strategies as st
 
 from faultsim.engine import SimConfig, SplitMix64, iter_steps, run, step
 from faultsim.grid import FaultMap, GridDims, StressMap
+from oracles import step_oracle
+
+GAMMA = 0x9E3779B97F4A7C15
 
 # First outputs of the reference stream for seed 0, from the published
 # constants (gamma 0x9E3779B97F4A7C15 with the 30/27/31 xor-shift mixer).
@@ -55,6 +58,13 @@ class TestSplitMix64:
         # randint must consume exactly one raw output and reduce it mod the
         # range size, or replays diverge across implementations.
         assert SplitMix64(0).randint(0, 10) == SEED0_FIRST % 11 == 1
+
+    def test_draws_match_scalar_stream(self):
+        for seed in (0, 1, 2**64 - 1, GAMMA):
+            for n in (1, 2, 1023, 1024, 1025, 4097):
+                block, scalar = SplitMix64(seed), SplitMix64(seed)
+                assert list(block.draws(n)) == [scalar.next_u64() for _ in range(n)], (seed, n)
+                assert block.state == scalar.state, (seed, n)
 
 
 class TestSimConfig:
@@ -194,21 +204,15 @@ class TestStep:
             )
 
     def test_one_draw_per_cell_row_major(self):
-        class CountingRng:
-            def __init__(self, seed):
-                self.inner = SplitMix64(seed)
-                self.calls = 0
-
-            def randint(self, lo, hi):
-                self.calls += 1
-                return self.inner.randint(lo, hi)
-
+        # k steps consume exactly k*area outputs: the state moves k*area gammas
         cfg = _cfg(dims=GridDims(5, 3), quake_threshold=1000)
-        rng = CountingRng(0)
+        rng, twin = SplitMix64(0), SplitMix64(0)
         stress = StressMap.zeros(cfg.dims)
         for i in range(1, 5):
             step(stress, FaultMap.empty(cfg.dims), cfg, rng, 0, step_index=i)
-        assert rng.calls == 4 * 15
+        for _ in range(4 * 15):
+            twin.next_u64()
+        assert rng.state == twin.state == (4 * 15 * GAMMA) & ((1 << 64) - 1)
 
     @given(seed=st.integers(0, 2**64 - 1))
     @settings(max_examples=30)
@@ -234,6 +238,53 @@ class TestStep:
             assert min(values) >= 0
             assert all(stress.get(x, y) == 0 for x, y in report.quaked_cells)
             assert max(values) < cfg.quake_threshold  # survivors stay below
+
+
+# areas on both sides of the 1,024-cell block draw, and a multiple of it
+ORACLE_DIMS = [(1, 1), (31, 33), (32, 32), (25, 41), (3, 683), (1024, 3)]
+
+
+@st.composite
+def delta_range(draw):
+    lo = draw(st.integers(-(2**63), 2**63))
+    span = draw(st.one_of(st.just(1), st.just(2**64), st.integers(1, 2**64)))
+    return lo, lo + span - 1
+
+
+class TestStepOracle:
+    @given(
+        dims=st.sampled_from(ORACLE_DIMS),
+        seed=st.integers(0, 2**64 - 1),
+        fault_range=delta_range(),
+        nonfault_range=delta_range(),
+        threshold=st.one_of(st.integers(1, 64), st.integers(1, 10**30)),
+        fault_every=st.integers(1, 7),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_step_matches_per_cell_oracle(
+        self, dims, seed, fault_range, nonfault_range, threshold, fault_every
+    ):
+        cfg = SimConfig(
+            dims=GridDims(*dims),
+            seed=seed,
+            quake_threshold=threshold,
+            fault_delta_min=fault_range[0],
+            fault_delta_max=fault_range[1],
+            nonfault_delta_min=nonfault_range[0],
+            nonfault_delta_max=nonfault_range[1],
+            delay_ms=0,
+        )
+        faults = FaultMap.empty(cfg.dims)
+        faults.cells[::fault_every] = [True] * len(faults.cells[::fault_every])
+        stress, expected = StressMap.zeros(cfg.dims), StressMap.zeros(cfg.dims)
+        rng, oracle_rng = SplitMix64(seed), SplitMix64(seed)
+        cumulative = 0
+        for i in range(1, 4):
+            report = step(stress, faults, cfg, rng, cumulative, step_index=i)
+            assert report == step_oracle(expected, faults, cfg, oracle_rng, cumulative, step_index=i)
+            assert stress.cells == expected.cells
+            assert rng.state == oracle_rng.state
+            cumulative = report.cumulative_quakes
 
 
 class TestRun:

@@ -180,6 +180,22 @@ class TestHeadlessStreaming:
         assert proc.returncode == 1
         assert err == want_err
 
+    @pytest.mark.parametrize("argv, want_code, want_err", [
+        (["--no-color"], 1, b"faultsim: stdin closed\n"),
+        # a headless run reads no stdin
+        (LONG_RUN + ["--max-steps", "2"], 2, b"steps=2 quakes=0 seed=1\n"),
+    ], ids=["interactive", "headless"])
+    def test_stdin_closed_at_start(self, argv, want_code, want_err):
+        with _spawn(*argv, preexec_fn=lambda: os.close(0),  # `<&-`
+                    stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            out, err = proc.communicate(timeout=60)
+        assert proc.returncode == want_code
+        assert err == want_err
+        if want_code == 1:
+            assert out == b""  # nothing, not even the menu
+        else:
+            assert out.startswith((STATS_HEADER + "\n1,").encode())
+
     def test_out_file_runs_with_stdout_closed_at_start(self, tmp_path):
         target = tmp_path / "stats.csv"
         with _spawn(*LONG_RUN, "--max-steps", "4", "--out", str(target),
