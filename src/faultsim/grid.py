@@ -42,38 +42,50 @@ class _Grid:
     """Row-major cells of one grid, addressed by bounds-checked (x, y)."""
 
     dims: GridDims
-    cells: list
+    cells: list | bytearray
+
+    def __post_init__(self) -> None:
+        if len(self.cells) != self.dims.area:
+            raise ValueError(f"{len(self.cells)} cells given for a "
+                             f"{self.dims.width}x{self.dims.height} grid of {self.dims.area}")
 
     def _index(self, x: int, y: int) -> int:
         if not self.dims.contains(x, y):
             raise IndexError(f"({x}, {y}) outside {self.dims.width}x{self.dims.height} grid")
         return y * self.dims.width + x
 
-    def rows(self) -> Iterator[list]:
+    def rows(self) -> Iterator[list | bytearray]:
         """The cells one grid row at a time, top row first."""
         width = self.dims.width
         return (self.cells[start : start + width] for start in range(0, self.dims.area, width))
 
     def copy(self):
-        return type(self)(self.dims, list(self.cells))
+        return type(self)(self.dims, self.cells.copy())
 
 
 class FaultMap(_Grid):
-    """Boolean occupancy grid; True marks a fault cell."""
+    """Occupancy grid, one byte per cell: 1 marks a fault cell, 0 a plain one."""
+
+    cells: bytearray
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.cells, bytearray):
+            self.cells = bytearray(map(bool, self.cells))
+        super().__post_init__()
 
     @classmethod
     def empty(cls, dims: GridDims) -> FaultMap:
-        return cls(dims, [False] * dims.area)
+        return cls(dims, bytearray(dims.area))
 
     def is_fault(self, x: int, y: int) -> bool:
-        return self.cells[self._index(x, y)]
+        return self.cells[self._index(x, y)] != 0
 
     def mark(self, x: int, y: int) -> bool:
         """Set (x, y) to fault; returns True if the cell was newly set."""
         i = self._index(x, y)
         if self.cells[i]:
             return False
-        self.cells[i] = True
+        self.cells[i] = 1
         return True
 
     def fault_cells(self) -> set[Cell]:

@@ -50,6 +50,10 @@ _CONFIG_KEYS = (
 # canonical decimal integers only: no leading zeros, plus signs or "-0"
 _INT_RE = re.compile(r"-?(0|[1-9][0-9]*)$")
 
+# map glyphs to fault cells and back: "0" is a plain cell, "1" a fault cell
+_GLYPHS_TO_CELLS = bytes.maketrans(b"01", b"\0\1")
+_CELLS_TO_GLYPHS = bytes.maketrans(b"\0\1", b"01")
+
 
 class ScenarioError(ValueError):
     """A scenario parse failure; the message names the check that failed."""
@@ -71,7 +75,7 @@ def format_scenario(scenario: Scenario) -> str:
     lines = [MAGIC]
     lines.extend(f"{key} {values[key]}" for key in _CONFIG_KEYS)
     lines.append("map")
-    lines.extend("".join("1" if v else "0" for v in row) for row in scenario.faults.rows())
+    lines.extend(row.translate(_CELLS_TO_GLYPHS).decode("ascii") for row in scenario.faults.rows())
     lines.append("end")
     return "".join(line + "\n" for line in lines)
 
@@ -114,14 +118,18 @@ def parse_scenario(data: str | bytes) -> Scenario:
     if line != "map":
         raise ScenarioError(f"expected 'map' line, got {line!r}")
 
-    cells: list[bool] = []
-    for row_index in range(dims.height):
+    rows: list[str] = []
+    for _ in range(dims.height):
         row = take()
-        if row is None:
-            raise ScenarioError(f"map ended after {row_index} of {dims.height} rows")
-        if len(row) != dims.width or set(row) - {"0", "1"}:
-            raise ScenarioError(f"map row {row_index}: {row!r}")
-        cells.extend(c == "1" for c in row)
+        if row is None or len(row) != dims.width:
+            break
+        rows.append(row)
+    # the whole map is checked for glyphs and converted in one pass each; a
+    # non-ASCII glyph becomes "?", so it fails the glyph check like any other
+    block = bytearray("".join(rows), "ascii", "replace")
+    if len(rows) < dims.height or block.translate(None, b"01"):
+        raise _map_error(rows, row, dims.height)
+    cells = block.translate(_GLYPHS_TO_CELLS)
 
     line = take()
     if line != "end":
@@ -131,6 +139,18 @@ def parse_scenario(data: str | bytes) -> Scenario:
         raise ScenarioError("content after 'end'")
 
     return Scenario(cfg=cfg, faults=FaultMap(dims, cells))
+
+
+def _map_error(rows: list[str], stop: str | None, height: int) -> ScenarioError:
+    """The error for a map that failed the block check: the first bad row wins,
+    whether bad by glyph (any of rows) or by length (stop, the row that ended
+    the scan); only a map free of both ended early."""
+    for index, row in enumerate(rows):
+        if not set(row) <= {"0", "1"}:
+            return ScenarioError(f"map row {index}: {row!r}")
+    if stop is None:
+        return ScenarioError(f"map ended after {len(rows)} of {height} rows")
+    return ScenarioError(f"map row {len(rows)}: {stop!r}")
 
 
 def save_scenario(scenario: Scenario, fp: IO[str]) -> None:

@@ -61,6 +61,14 @@ class TestGridDims:
         assert GridDims(w, h).contains(x, y) == (0 <= x < w and 0 <= y < h)
 
 
+class TestCellCount:
+    @pytest.mark.parametrize("cls,fill", [(FaultMap, False), (StressMap, 0)])
+    @pytest.mark.parametrize("n", [0, 1, 3, 5])
+    def test_wrong_length_rejected(self, cls, fill, n):
+        with pytest.raises(ValueError, match=f"^{n} cells given for a 2x2 grid of 4$"):
+            cls(GridDims(2, 2), [fill] * n)
+
+
 class TestFaultMap:
     @pytest.fixture
     def fmap(self):
@@ -78,6 +86,25 @@ class TestFaultMap:
         assert fmap.is_fault(2, 3)
         assert fmap.fault_count == 1
         assert fmap.fault_cells() == {(2, 3)}
+
+    def test_is_fault_and_mark_return_bool(self, fmap):
+        assert fmap.is_fault(3, 2) is False
+        assert fmap.mark(3, 2) is True
+        assert fmap.is_fault(3, 2) is True
+        assert fmap.mark(3, 2) is False
+
+    def test_cells_are_one_byte_each(self, fmap):
+        assert fmap.cells == bytearray(24)
+        fmap.mark(1, 0)
+        clone = fmap.copy()
+        assert isinstance(clone.cells, bytearray)
+        assert clone.cells == fmap.cells and clone.cells is not fmap.cells
+
+    def test_list_of_bools_becomes_bytes(self):
+        fmap = FaultMap(GridDims(2, 2), [False, True, True, False])
+        assert isinstance(fmap.cells, bytearray)
+        assert fmap.cells == b"\0\1\1\0"
+        assert fmap.fault_cells() == {(1, 0), (0, 1)}
 
     def test_mark_idempotent(self, fmap):
         assert fmap.mark(1, 1) is True

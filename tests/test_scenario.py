@@ -1,3 +1,4 @@
+import random
 import re
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from faultsim.engine import SimConfig, SplitMix64, StepReport
-from faultsim.grid import FaultMap, GridDims
+from faultsim.grid import MAX_DIM, FaultMap, GridDims
 from faultsim.scenario import (
     MAGIC,
     STATS_HEADER,
@@ -90,6 +91,11 @@ class TestParse:
         scenario = parse_scenario(GOLDEN)
         assert scenario == golden_scenario()
 
+    def test_map_parses_to_one_byte_per_cell(self):
+        cells = parse_scenario(GOLDEN).faults.cells
+        assert isinstance(cells, bytearray)
+        assert cells == b"\0\1\0\0"
+
     def test_accepts_bytes(self):
         assert parse_scenario(GOLDEN.encode()) == golden_scenario()
 
@@ -120,6 +126,24 @@ def rejects(text, message):
 def edit(old, new, message):
     """A GOLDEN edit (first occurrence of old replaced by new) and the error it must raise."""
     return pytest.param(old, new, message, id=f"{old}-{new}")
+
+
+class TestFullSize:
+    def test_round_trip_byte_for_byte(self):
+        dims = GridDims(MAX_DIM, MAX_DIM)
+        low_bit = bytes(b & 1 for b in range(256))
+        cells = bytearray(random.Random(7).randbytes(dims.area).translate(low_bit))
+        big = Scenario(cfg=SimConfig(dims=dims, seed=9), faults=FaultMap(dims, cells))
+        text = format_scenario(big)
+        # the map lines, rendered one cell at a time as an independent reference
+        glyphs = "".join("1" if v else "0" for v in big.faults.cells)
+        expected_map = "".join(glyphs[i : i + MAX_DIM] + "\n" for i in range(0, len(glyphs), MAX_DIM))
+        assert text.endswith("map\n" + expected_map + "end\n")
+        for data in (text, text.encode()):
+            parsed = parse_scenario(data)
+            assert parsed == big
+            assert isinstance(parsed.faults.cells, bytearray)
+            assert format_scenario(parsed) == text
 
 
 class TestParseErrors:
@@ -178,6 +202,10 @@ class TestParseErrors:
             edit("01\n00\n", "01\n00\n10\n",
                  "expected 'end' after 2 map rows, got '10'"),  # extra row displaces 'end'
             edit("end\n", "", "expected 'end' after 2 map rows, got None"),  # missing end marker
+            edit("01\n00\n", "01\n0x\n", "map row 1: '0x'"),  # bad glyph in a later row
+            edit("01\n00\n", "02\n0\n", "map row 0: '02'"),  # bad glyph wins over a later short row
+            edit("01\n00\nend\n", "02\n", "map row 0: '02'"),  # bad glyph wins over the early end
+            edit("01\n", "0\u00e9\n", "map row 0: '0\u00e9'"),  # non-ASCII glyph in str input
         ],
     )
     def test_map_shape_mismatch(self, old, new, message):
