@@ -25,7 +25,7 @@ from typing import IO, Callable, Iterator
 
 # step is not called here but stays importable from this module, where
 # bench/traced.py wraps it by name
-from .engine import _MASK64, SimConfig, StepReport, iter_steps, run, step  # noqa: F401
+from .engine import _MASK64, MAX_DELAY_MS, SimConfig, StepReport, iter_steps, run, step  # noqa: F401
 from .grid import MAX_DIM, FaultMap, GridDims, StressMap
 from .raster import OutOfRangeError, draw_circle, draw_horizontal, draw_segment, draw_vertical
 from .render import RenderStyle, StressBands, render_fault_map, render_stress_map
@@ -80,7 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="stop after this many earthquakes")
     p.add_argument("--threshold", type=positive, dest="quake_threshold", metavar="THRESHOLD",
                    help="stress level that triggers a quake")
-    p.add_argument("--delay-ms", type=_int_range("nonneg_int", "must be >= 0", 0), help="pause between frames")
+    p.add_argument("--delay-ms", type=_int_range("delay_ms", f"must be in [0, {MAX_DELAY_MS}]", 0, MAX_DELAY_MS),
+                   help="pause between frames")
     p.add_argument("--max-steps", type=positive, help="step safety cap")
     p.add_argument("--no-color", action="store_true", help="plain ASCII output, no escapes")
     return p

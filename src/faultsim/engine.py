@@ -14,6 +14,8 @@ import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
+from operator import mod
 from typing import Callable, Iterator
 
 from .grid import Cell, FaultMap, GridDims, StressMap
@@ -25,6 +27,11 @@ _MIX2 = 0x94D049BB133111EB
 
 # cells per block draw in step: larger blocks raise peak memory, not speed
 _CHUNK = 1024
+# struct codes of 2-, 4- and 8-byte cell lanes; 1-byte lanes use bytes itself
+_STRUCT_CODES = {2: "H", 4: "I", 8: "Q"}
+
+# one day: longer than any useful frame pause, far below where time.sleep overflows
+MAX_DELAY_MS = 86_400_000
 
 
 @lru_cache(maxsize=4)
@@ -42,6 +49,57 @@ def _lanes(n: int) -> tuple[struct.Struct, int, int, int]:
 
     ramp = [(k + 1) * _GAMMA & _MASK64 for k in range(n)]
     return layout, pack([1] * n), pack([_MASK64] * n), pack(ramp)
+
+
+def _lane_bytes(bound: int) -> int:
+    """Bytes per cell lane for values in [-bound, bound], with a guard bit above them.
+
+    Widths up to 8 round up to a struct size: 1, 2, 4 or 8.
+    """
+    width = bound.bit_length() // 8 + 1
+    return {3: 4, 5: 8, 6: 8, 7: 8}.get(width, width)
+
+
+@lru_cache(maxsize=8)
+def _cell_lanes(n: int, width: int) -> tuple[Callable, Callable, int, int]:
+    """The codec and constants of n little-endian cell lanes of `width` bytes.
+
+    Returns encode (n ints to bytes; raises if one is negative or does not
+    fit a lane), decode (bytes back to a sequence of n ints), `ones` (1 in
+    every lane) and `guards` (each lane's top bit).
+    """
+    if width == 1:
+        encode = decode = bytes
+    elif width <= 8:
+        layout = struct.Struct(f"<{n}{_STRUCT_CODES[width]}")
+        encode, decode = (lambda values: layout.pack(*values)), layout.unpack
+    else:  # thresholds and deltas beyond 64 bits keep exact Python ints
+        def encode(values):
+            return b"".join(v.to_bytes(width, "little") for v in values)
+
+        def decode(data):
+            return [int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]
+    ones = int.from_bytes(b"\1".ljust(width, b"\0") * n, "little")
+    return encode, decode, ones, ones << 8 * width - 1
+
+
+def _stress_lanes(cells: list[int], width: int, room: int) -> tuple[int, int]:
+    """(w, lanes): the cells packed one per lane of w >= width bytes.
+
+    w is widened beyond `width` only when some cell plus `room` would reach
+    its lane's guard bit. Raises ValueError for a negative cell.
+    """
+    encode, _, ones, guards = _cell_lanes(len(cells), width)
+    try:
+        lanes = int.from_bytes(encode(cells), "little")
+    except (ValueError, OverflowError, struct.error):  # a cell outside [0, 2**(8*width))
+        lanes = guards
+    if not (lanes | lanes + ones * room) & guards:
+        return width, lanes
+    low = min(cells)
+    if low < 0:
+        raise ValueError(f"stress must be non-negative, got {low}")
+    return _stress_lanes(cells, max(width, _lane_bytes(max(cells) + room)), room)
 
 
 class SplitMix64:
@@ -109,8 +167,8 @@ class SimConfig:
         for name in ("quake_threshold", "target_quakes", "max_steps"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.delay_ms < 0:
-            raise ValueError("delay_ms must be >= 0")
+        if not 0 <= self.delay_ms <= MAX_DELAY_MS:
+            raise ValueError(f"delay_ms must be in [0, {MAX_DELAY_MS}]")
         if self.nonfault_delta_min > self.nonfault_delta_max:
             raise ValueError("nonfault delta range is empty")
         if self.fault_delta_min > self.fault_delta_max:
@@ -151,42 +209,62 @@ def step(
     """Advance the stress map by one step, mutating it in place.
 
     Exactly one rng draw per cell, row-major: cell i gets the same value
-    rng.randint would give it, drawn up to _CHUNK cells at a time. Quake
-    detection is a second pass so that a cell's quake status depends only
-    on its own post-update value, never on neighbors updated later in the
-    scan.
+    rng.randint would give it. Cells go _CHUNK at a time: only the modulo
+    runs once per cell; the add, the clamp, the running max, the quake test
+    and the reset act on one int per chunk that holds each cell in a lane
+    (see _cell_lanes). Each test uses only the cell's own post-update value,
+    never a neighbour's. A negative cell raises ValueError, with the chunks
+    before it already stepped.
     """
     if not (stress.dims == faults.dims == cfg.dims):
         raise ValueError("stress, faults and config must share one grid")
 
     cells = stress.cells
     fault_flags = faults.cells
-    f_lo, f_span = cfg.fault_delta_min, cfg.fault_delta_max - cfg.fault_delta_min + 1
-    n_lo, n_span = cfg.nonfault_delta_min, cfg.nonfault_delta_max - cfg.nonfault_delta_min + 1
+    f_lo, n_lo = cfg.fault_delta_min, cfg.nonfault_delta_min
+    spans = (cfg.nonfault_delta_max - n_lo + 1, cfg.fault_delta_max - f_lo + 1)
+    threshold = cfg.quake_threshold
+    room = max(cfg.fault_delta_max, cfg.nonfault_delta_max, 0)  # the most a cell can gain
+    # lanes hold -delta_min, r < span and any cell below the threshold plus room,
+    # so only a chunk with a cell at or above the threshold ever widens
+    narrow = _lane_bytes(max(-min(f_lo, n_lo), max(spans) - 1, threshold - 1 + room))
+    width = cfg.dims.width
+    quaked: list[Cell] = []
+    top = 0
     area = len(cells)
     for a in range(0, area, _CHUNK):
         b = min(a + _CHUNK, area)
-        cells[a:b] = [
-            value if (value := cell + (f_lo + u % f_span if fault else n_lo + u % n_span)) > 0 else 0
-            for cell, u, fault in zip(cells[a:b], rng.draws(b - a), fault_flags[a:b])
-        ]
-
-    max_stress = max(cells)
-
-    quaked: list[Cell] = []
-    width = cfg.dims.width
-    threshold = cfg.quake_threshold
-    for i, value in enumerate(cells):
-        if value >= threshold:
-            quaked.append((i % width, i // width))
-            cells[i] = 0
+        n = b - a
+        w, lanes = _stress_lanes(cells[a:b], narrow, room)
+        encode, decode, ones, guards = _cell_lanes(n, w)
+        half = 1 << 8 * w - 1
+        r = map(mod, rng.draws(n), repeat(spans[0]) if spans[0] == spans[1]
+                else map(spans.__getitem__, fault_flags[a:b]))
+        # lane: half + cell + delta, where delta = r + the low end of the cell's range
+        x = lanes + int.from_bytes(encode(r), "little") + ones * (half + n_lo)
+        if f_lo != n_lo:
+            x += int.from_bytes(encode(fault_flags[a:b]), "little") * (f_lo - n_lo)
+        g = x & guards  # guard bit set where cell + delta >= 0
+        v = x & (g - (g >> 8 * w - 1))  # clamped at 0
+        if top < half and (v + ones * (half - 1 - top)) & guards:  # some lane exceeds top
+            top = max(decode(v.to_bytes(n * w, "little")))
+        q = (v + ones * (half - threshold)) & guards  # guard bit set where v >= threshold
+        if q:
+            v ^= v & (q - (q >> 8 * w - 1))
+            flags = q.to_bytes(n * w, "little")
+            i = flags.find(0x80)
+            while i >= 0:
+                k = a + i // w
+                quaked.append((k % width, k // width))
+                i = flags.find(0x80, i + 1)
+        cells[a:b] = decode(v.to_bytes(n * w, "little"))
 
     return StepReport(
         step_index=step_index,
         quaked_cells=tuple(quaked),
         cumulative_quakes=cumulative_quakes + len(quaked),
-        max_stress=max_stress,
-        mean_stress=Fraction(sum(cells), len(cells)),
+        max_stress=top,
+        mean_stress=Fraction(sum(cells), area),
     )
 
 

@@ -98,6 +98,9 @@ class TestParseArgs:
             ["--quakes", "0"],
             ["--threshold", "0"],
             ["--delay-ms", "-5"],
+            ["--delay-ms", "86400001"],  # over a day; much larger values overflow time.sleep
+            ["--delay-ms", "100000000000000000000"],
+            ["--delay-ms", str(10**400)],
             ["--max-steps", "0"],
             ["--bogus"],
         ],
@@ -192,6 +195,18 @@ class TestHeadless:
         rc = main(["--headless", "--scenario", str(path)])
         assert rc == 1
         assert capsys.readouterr().err.startswith("faultsim: ")
+
+    @pytest.mark.parametrize("delay", ["86400001", "100000000000000000000", str(10**400)],
+                             ids=["day+1ms", "1e20", "1e400"])
+    def test_scenario_delay_over_a_day(self, tmp_path, delay, capsys):
+        path = tmp_path / "slow.txt"
+        text = format_scenario(Scenario(cfg=one_cell_cfg(), faults=FaultMap.empty(GridDims(1, 1))))
+        path.write_text(text.replace("\ndelay_ms 0\n", f"\ndelay_ms {delay}\n"))
+        rc = main(["--headless", "--scenario", str(path)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == "faultsim: delay_ms must be in [0, 86400000]\n"
+        assert captured.out == ""
 
     def test_dims_conflict_with_scenario(self, tmp_path, capsys):
         path = write_scenario(tmp_path, one_cell_cfg())

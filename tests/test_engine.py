@@ -87,6 +87,8 @@ class TestSimConfig:
             {"target_quakes": 0},
             {"max_steps": 0},
             {"delay_ms": -1},
+            {"delay_ms": 86_400_001},  # over a day; much larger values overflow time.sleep
+            {"delay_ms": 10**400},
             {"nonfault_delta_min": 6},  # min > max
             {"fault_delta_min": 11},
         ],
@@ -94,6 +96,9 @@ class TestSimConfig:
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SimConfig(**kwargs)
+
+    def test_delay_up_to_one_day_accepted(self):
+        assert SimConfig(delay_ms=86_400_000).delay_ms == 86_400_000
 
 
 def _cfg(**kwargs) -> SimConfig:
@@ -214,6 +219,17 @@ class TestStep:
             twin.next_u64()
         assert rng.state == twin.state == (4 * 15 * GAMMA) & ((1 << 64) - 1)
 
+    # 1-, 2- and 8-byte lanes and the int.to_bytes lanes beyond 64 bits
+    @pytest.mark.parametrize("threshold", [10, 1000, 2**40, 10**30])
+    def test_negative_cell_rejected(self, threshold):
+        # StressMap.put refuses negative values; one written into cells directly
+        # must not reach the lane packing as a struct.error or a wrong report
+        cfg = _cfg(dims=GridDims(3, 1), quake_threshold=threshold)
+        stress = StressMap.zeros(cfg.dims)
+        stress.cells[1] = -4
+        with pytest.raises(ValueError, match="stress must be non-negative, got -4"):
+            step(stress, FaultMap.empty(cfg.dims), cfg, SplitMix64(0), 0)
+
     @given(seed=st.integers(0, 2**64 - 1))
     @settings(max_examples=30)
     def test_stress_never_negative(self, seed):
@@ -242,12 +258,18 @@ class TestStep:
 
 # areas on both sides of the 1,024-cell block draw, and a multiple of it
 ORACLE_DIMS = [(1, 1), (31, 33), (32, 32), (25, 41), (3, 683), (1024, 3)]
+# thresholds on both sides of the 1-, 2-, 4- and 8-byte cell lanes' guard bits
+LANE_EDGE_THRESHOLDS = [1, 100, *range(112, 131), 255, 256, 32_767, 32_768, 2**31, 2**63, 10**30]
 
 
 @st.composite
-def delta_range(draw):
-    lo = draw(st.integers(-(2**63), 2**63))
-    span = draw(st.one_of(st.just(1), st.just(2**64), st.integers(1, 2**64)))
+def delta_range(draw, span=None):
+    """A delta range: small (1- and 2-byte lanes) or up to 64 bits wide; `span` fixes its size."""
+    small = draw(st.booleans())
+    lo = draw(st.integers(-300, 300) if small else st.integers(-(2**63), 2**63))
+    if span is None:
+        span = draw(st.integers(1, 600) if small else
+                    st.one_of(st.just(1), st.just(2**64), st.integers(1, 2**64)))
     return lo, lo + span - 1
 
 
@@ -256,14 +278,14 @@ class TestStepOracle:
         dims=st.sampled_from(ORACLE_DIMS),
         seed=st.integers(0, 2**64 - 1),
         fault_range=delta_range(),
-        nonfault_range=delta_range(),
-        threshold=st.one_of(st.integers(1, 64), st.integers(1, 10**30)),
+        threshold=st.one_of(st.sampled_from(LANE_EDGE_THRESHOLDS), st.integers(1, 64), st.integers(1, 10**30)),
         fault_every=st.integers(1, 7),
+        data=st.data(),
     )
-    @settings(max_examples=25, deadline=None)
-    def test_step_matches_per_cell_oracle(
-        self, dims, seed, fault_range, nonfault_range, threshold, fault_every
-    ):
+    @settings(max_examples=60, deadline=None)
+    def test_step_matches_per_cell_oracle(self, dims, seed, fault_range, threshold, fault_every, data):
+        fault_span = fault_range[1] - fault_range[0] + 1
+        nonfault_range = data.draw(st.one_of(delta_range(), delta_range(span=fault_span)), "nonfault_range")
         cfg = SimConfig(
             dims=GridDims(*dims),
             seed=seed,
@@ -276,7 +298,14 @@ class TestStepOracle:
         )
         faults = FaultMap.empty(cfg.dims)
         faults.cells[::fault_every] = [True] * len(faults.cells[::fault_every])
-        stress, expected = StressMap.zeros(cfg.dims), StressMap.zeros(cfg.dims)
+        stress = StressMap.zeros(cfg.dims)
+        # starting cells up to 3x the threshold and around each lane width's guard bit
+        near_guard = st.sampled_from([7, 8, 15, 16, 31, 32, 63, 64]).flatmap(
+            lambda bits: st.integers(2**bits - 16, 2**bits + 16))
+        starts = st.tuples(st.integers(0, cfg.dims.area - 1), st.one_of(st.integers(0, 3 * threshold), near_guard))
+        for i, value in data.draw(st.lists(starts, max_size=12), "starting_cells"):
+            stress.put(i % cfg.dims.width, i // cfg.dims.width, value)
+        expected = stress.copy()
         rng, oracle_rng = SplitMix64(seed), SplitMix64(seed)
         cumulative = 0
         for i in range(1, 4):
@@ -285,6 +314,22 @@ class TestStepOracle:
             assert stress.cells == expected.cells
             assert rng.state == oracle_rng.state
             cumulative = report.cumulative_quakes
+
+    # stock deltas and threshold use 1-byte lanes (guard bit 128): a cell that
+    # could reach 128 with the largest delta (10), or one past 255, widens its chunk
+    @pytest.mark.parametrize("value", [99, 100, 117, 118, 127, 128, 255, 256, 32_757, 32_758, 65_536, 2**63, 10**30])
+    def test_large_starting_cell_matches_oracle(self, value):
+        cfg = SimConfig(dims=GridDims(40, 30), seed=5, delay_ms=0)
+        faults = FaultMap.empty(cfg.dims)
+        faults.cells[::3] = [1] * len(faults.cells[::3])
+        stress = StressMap.zeros(cfg.dims)
+        for x, y in ((0, 0), (1, 0), (39, 25), (39, 29)):
+            stress.put(x, y, value)
+        expected = stress.copy()
+        rng, oracle_rng = SplitMix64(cfg.seed), SplitMix64(cfg.seed)
+        for i in (1, 2):
+            assert step(stress, faults, cfg, rng, 0, i) == step_oracle(expected, faults, cfg, oracle_rng, 0, i)
+            assert stress.cells == expected.cells
 
 
 class TestRun:
