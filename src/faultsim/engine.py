@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
-from operator import mod
+from operator import and_, lshift, mod, or_, rshift
 from typing import Callable, Iterator
 
 from .grid import Cell, FaultMap, GridDims, StressMap
@@ -27,8 +27,8 @@ _MIX2 = 0x94D049BB133111EB
 
 # cells per block draw in step: larger blocks raise peak memory, not speed
 _CHUNK = 1024
-# struct codes of 2-, 4- and 8-byte cell lanes; 1-byte lanes use bytes itself
-_STRUCT_CODES = {2: "H", 4: "I", 8: "Q"}
+# struct codes of the 2-, 4- and 8-byte words in lanes wider than 1 byte
+_WORD_CODES = {2: "H", 4: "I", 8: "Q"}
 
 # one day: longer than any useful frame pause, far below where time.sleep overflows
 MAX_DELAY_MS = 86_400_000
@@ -54,10 +54,10 @@ def _lanes(n: int) -> tuple[struct.Struct, int, int, int]:
 def _lane_bytes(bound: int) -> int:
     """Bytes per cell lane for values in [-bound, bound], with a guard bit above them.
 
-    Widths up to 8 round up to a struct size: 1, 2, 4 or 8.
+    A power of two, so that a lane is one 1-, 2-, 4- or 8-byte word or
+    several 8-byte words.
     """
-    width = bound.bit_length() // 8 + 1
-    return {3: 4, 5: 8, 6: 8, 7: 8}.get(width, width)
+    return 1 << (bound.bit_length() // 8).bit_length()
 
 
 @lru_cache(maxsize=8)
@@ -65,20 +65,30 @@ def _cell_lanes(n: int, width: int) -> tuple[Callable, Callable, int, int]:
     """The codec and constants of n little-endian cell lanes of `width` bytes.
 
     Returns encode (n ints to bytes; raises if one is negative or does not
-    fit a lane), decode (bytes back to a sequence of n ints), `ones` (1 in
+    fit a lane), decode (bytes back to an iterable of n ints), `ones` (1 in
     every lane) and `guards` (each lane's top bit).
     """
     if width == 1:
         encode = decode = bytes
-    elif width <= 8:
-        layout = struct.Struct(f"<{n}{_STRUCT_CODES[width]}")
-        encode, decode = (lambda values: layout.pack(*values)), layout.unpack
-    else:  # thresholds and deltas beyond 64 bits keep exact Python ints
+    else:  # m struct words per lane, low word first
+        m = max(width // 8, 1)
+        layout = struct.Struct(f"<{n * m}{_WORD_CODES[min(width, 8)]}")
+
         def encode(values):
-            return b"".join(v.to_bytes(width, "little") for v in values)
+            words = [0] * (n * m)
+            for j in range(m - 1):
+                values = list(values)
+                words[j::m] = map(and_, values, repeat(_MASK64))
+                values = map(rshift, values, repeat(64))
+            words[m - 1 :: m] = values  # the top word: struct.error if a value does not fit
+            return layout.pack(*words)
 
         def decode(data):
-            return [int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]
+            words = layout.unpack(data)
+            values = words[m - 1 :: m]
+            for j in range(m - 2, -1, -1):
+                values = map(or_, map(lshift, values, repeat(64)), words[j::m])
+            return values
     ones = int.from_bytes(b"\1".ljust(width, b"\0") * n, "little")
     return encode, decode, ones, ones << 8 * width - 1
 
@@ -92,7 +102,7 @@ def _stress_lanes(cells: list[int], width: int, room: int) -> tuple[int, int]:
     encode, _, ones, guards = _cell_lanes(len(cells), width)
     try:
         lanes = int.from_bytes(encode(cells), "little")
-    except (ValueError, OverflowError, struct.error):  # a cell outside [0, 2**(8*width))
+    except (ValueError, struct.error):  # a cell outside [0, 2**(8*width))
         lanes = guards
     if not (lanes | lanes + ones * room) & guards:
         return width, lanes

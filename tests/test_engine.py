@@ -219,8 +219,8 @@ class TestStep:
             twin.next_u64()
         assert rng.state == twin.state == (4 * 15 * GAMMA) & ((1 << 64) - 1)
 
-    # 1-, 2- and 8-byte lanes and the int.to_bytes lanes beyond 64 bits
-    @pytest.mark.parametrize("threshold", [10, 1000, 2**40, 10**30])
+    # 1-, 2-, 8-, 16- and 32-byte lanes
+    @pytest.mark.parametrize("threshold", [10, 1000, 2**40, 10**30, 10**60])
     def test_negative_cell_rejected(self, threshold):
         # StressMap.put refuses negative values; one written into cells directly
         # must not reach the lane packing as a struct.error or a wrong report
@@ -258,7 +258,7 @@ class TestStep:
 
 # areas on both sides of the 1,024-cell block draw, and a multiple of it
 ORACLE_DIMS = [(1, 1), (31, 33), (32, 32), (25, 41), (3, 683), (1024, 3)]
-# thresholds on both sides of the 1-, 2-, 4- and 8-byte cell lanes' guard bits
+# thresholds on both sides of the 1-, 2-, 4- and 8-byte cell lanes' guard bits, and beyond
 LANE_EDGE_THRESHOLDS = [1, 100, *range(112, 131), 255, 256, 32_767, 32_768, 2**31, 2**63, 10**30]
 
 
@@ -317,7 +317,7 @@ class TestStepOracle:
 
     # stock deltas and threshold use 1-byte lanes (guard bit 128): a cell that
     # could reach 128 with the largest delta (10), or one past 255, widens its chunk
-    @pytest.mark.parametrize("value", [99, 100, 117, 118, 127, 128, 255, 256, 32_757, 32_758, 65_536, 2**63, 10**30])
+    @pytest.mark.parametrize("value", [99, 100, 117, 118, 127, 128, 255, 256, 32_757, 32_758, 65_536, 2**63, 10**30, 10**60])
     def test_large_starting_cell_matches_oracle(self, value):
         cfg = SimConfig(dims=GridDims(40, 30), seed=5, delay_ms=0)
         faults = FaultMap.empty(cfg.dims)
