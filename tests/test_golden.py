@@ -44,6 +44,62 @@ map
 end
 """
 
+# threshold 1000 with fault cells that gain 20..60 a step: a cell near the
+# threshold plus the largest delta no longer fits a byte
+THRESHOLD_1000_SCENARIO = """\
+FAULTSIM 1
+width 8
+height 6
+seed 1000
+quake_threshold 1000
+target_quakes 6
+nonfault_delta_min -5
+nonfault_delta_max 5
+fault_delta_min 20
+fault_delta_max 60
+delay_ms 0
+max_steps 5000
+map
+10000001
+01000010
+00100100
+00011000
+00011000
+11111111
+end
+"""
+
+# threshold 10^30, reached by the fault cells after about 50 steps of 2*10^28;
+# their span of 10^19 is below 2^64, so the modulo still shapes every delta
+THRESHOLD_1E30_SCENARIO = """\
+FAULTSIM 1
+width 7
+height 5
+seed 1030
+quake_threshold 1000000000000000000000000000000
+target_quakes 3
+nonfault_delta_min -5
+nonfault_delta_max 5
+fault_delta_min 19999999995000000000000000000
+fault_delta_max 20000000004999999999999999999
+delay_ms 0
+max_steps 5000
+map
+0001000
+0001000
+1111111
+0001000
+0001000
+end
+"""
+
+# case name -> the scenario file that "{scenario}" in its arguments names
+SCENARIOS = {
+    "negative-lows": NEGATIVE_LOWS_SCENARIO,
+    "threshold-1000": THRESHOLD_1000_SCENARIO,
+    "threshold-1e30": THRESHOLD_1E30_SCENARIO,
+}
+
 # name -> (CLI arguments, sha256, length, exit code, stderr)
 CASES = {
     "one-cell": (
@@ -82,12 +138,28 @@ CASES = {
         0,
         "steps=114 quakes=3 seed=7\n",
     ),
+    "threshold-1000": (
+        ["--scenario", "{scenario}"],
+        "9b2e4bab37010ddc6726223856df2f608a963b818af798d14a9a866a50ce2ad4",
+        510,
+        0,
+        "steps=26 quakes=11 seed=1000\n",
+    ),
+    "threshold-1e30": (
+        ["--scenario", "{scenario}"],
+        "9b08ed1eb121258dfed2b15a381afc12da1ce9805c268821063d282299cee174",
+        3697,
+        0,
+        "steps=51 quakes=11 seed=1030\n",
+    ),
 }
 
 
 def run_cli(tmp_path, name, extra=()):
-    args = [a.replace("{scenario}", str(tmp_path / "neg.scn")) for a in CASES[name][0]]
-    (tmp_path / "neg.scn").write_text(NEGATIVE_LOWS_SCENARIO)
+    scenario = tmp_path / "case.scn"
+    if name in SCENARIOS:
+        scenario.write_text(SCENARIOS[name])
+    args = [a.replace("{scenario}", str(scenario)) for a in CASES[name][0]]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC_DIR, env.get("PYTHONPATH")]))
     return subprocess.run(
