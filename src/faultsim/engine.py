@@ -11,14 +11,14 @@ is what makes scenario files and recorded statistics trustworthy.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
-from operator import and_, lshift, mod, or_, rshift
+from operator import mod
 from typing import Callable, Iterator
 
-from .grid import Cell, FaultMap, GridDims, StressMap
+from .grid import Cell, FaultMap, GridDims, StressMap, require_int
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -27,8 +27,6 @@ _MIX2 = 0x94D049BB133111EB
 
 # cells per block draw in step: larger blocks raise peak memory, not speed
 _CHUNK = 1024
-# struct codes of the 2-, 4- and 8-byte words in lanes wider than 1 byte
-_WORD_CODES = {2: "H", 4: "I", 8: "Q"}
 
 # one day: longer than any useful frame pause, far below where time.sleep overflows
 MAX_DELAY_MS = 86_400_000
@@ -51,65 +49,10 @@ def _lanes(n: int) -> tuple[struct.Struct, int, int, int]:
     return layout, pack([1] * n), pack([_MASK64] * n), pack(ramp)
 
 
-def _lane_bytes(bound: int) -> int:
-    """Bytes per cell lane for values in [-bound, bound], with a guard bit above them.
-
-    A power of two, so that a lane is one 1-, 2-, 4- or 8-byte word or
-    several 8-byte words.
-    """
-    return 1 << (bound.bit_length() // 8).bit_length()
-
-
-@lru_cache(maxsize=8)
-def _cell_lanes(n: int, width: int) -> tuple[Callable, Callable, int, int]:
-    """The codec and constants of n little-endian cell lanes of `width` bytes.
-
-    Returns encode (n ints to bytes; raises if one is negative or does not
-    fit a lane), decode (bytes back to an iterable of n ints), `ones` (1 in
-    every lane) and `guards` (each lane's top bit).
-    """
-    if width == 1:
-        encode = decode = bytes
-    else:  # m struct words per lane, low word first
-        m = max(width // 8, 1)
-        layout = struct.Struct(f"<{n * m}{_WORD_CODES[min(width, 8)]}")
-
-        def encode(values):
-            words = [0] * (n * m)
-            for j in range(m - 1):
-                values = list(values)
-                words[j::m] = map(and_, values, repeat(_MASK64))
-                values = map(rshift, values, repeat(64))
-            words[m - 1 :: m] = values  # the top word: struct.error if a value does not fit
-            return layout.pack(*words)
-
-        def decode(data):
-            words = layout.unpack(data)
-            values = words[m - 1 :: m]
-            for j in range(m - 2, -1, -1):
-                values = map(or_, map(lshift, values, repeat(64)), words[j::m])
-            return values
-    ones = int.from_bytes(b"\1".ljust(width, b"\0") * n, "little")
-    return encode, decode, ones, ones << 8 * width - 1
-
-
-def _stress_lanes(cells: list[int], width: int, room: int) -> tuple[int, int]:
-    """(w, lanes): the cells packed one per lane of w >= width bytes.
-
-    w is widened beyond `width` only when some cell plus `room` would reach
-    its lane's guard bit. Raises ValueError for a negative cell.
-    """
-    encode, _, ones, guards = _cell_lanes(len(cells), width)
-    try:
-        lanes = int.from_bytes(encode(cells), "little")
-    except (ValueError, struct.error):  # a cell outside [0, 2**(8*width))
-        lanes = guards
-    if not (lanes | lanes + ones * room) & guards:
-        return width, lanes
-    low = min(cells)
-    if low < 0:
-        raise ValueError(f"stress must be non-negative, got {low}")
-    return _stress_lanes(cells, max(width, _lane_bytes(max(cells) + room)), room)
+@lru_cache(maxsize=4)
+def _byte_lanes(n: int) -> tuple[int, int]:
+    """(ones, guards) of n little-endian byte lanes: 1 and the guard bit 0x80 in every byte."""
+    return int.from_bytes(b"\1" * n, "little"), int.from_bytes(b"\x80" * n, "little")
 
 
 class SplitMix64:
@@ -172,6 +115,8 @@ class SimConfig:
     max_steps: int = 100_000
 
     def __post_init__(self) -> None:
+        for field in fields(self)[1:]:  # every field after dims
+            require_int(field.name, getattr(self, field.name))
         if not 0 <= self.seed <= _MASK64:
             raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
         for name in ("quake_threshold", "target_quakes", "max_steps"):
@@ -219,10 +164,12 @@ def step(
     """Advance the stress map by one step, mutating it in place.
 
     Exactly one rng draw per cell, row-major: cell i gets the same value
-    rng.randint would give it. Cells go _CHUNK at a time: only the modulo
-    runs once per cell; the add, the clamp, the running max, the quake test
-    and the reset act on one int per chunk that holds each cell in a lane
-    (see _cell_lanes). Each test uses only the cell's own post-update value,
+    rng.randint would give it. Cells go _CHUNK at a time. When every cell of
+    a chunk and the config fit byte lanes, only the modulo runs once per
+    cell; the add, the clamp, the running max, the quake test and the reset
+    act on one int that holds each cell in a byte (Lamport's multiple byte
+    processing with full-word instructions). Any other chunk is stepped one
+    cell at a time. Each test uses only the cell's own post-update value,
     never a neighbour's. A negative cell raises ValueError, with the chunks
     before it already stepped.
     """
@@ -232,12 +179,12 @@ def step(
     cells = stress.cells
     fault_flags = faults.cells
     f_lo, n_lo = cfg.fault_delta_min, cfg.nonfault_delta_min
-    spans = (cfg.nonfault_delta_max - n_lo + 1, cfg.fault_delta_max - f_lo + 1)
+    spans = n_span, f_span = (cfg.nonfault_delta_max - n_lo + 1, cfg.fault_delta_max - f_lo + 1)
     threshold = cfg.quake_threshold
     room = max(cfg.fault_delta_max, cfg.nonfault_delta_max, 0)  # the most a cell can gain
-    # lanes hold -delta_min, r < span and any cell below the threshold plus room,
-    # so only a chunk with a cell at or above the threshold ever widens
-    narrow = _lane_bytes(max(-min(f_lo, n_lo), max(spans) - 1, threshold - 1 + room))
+    # byte lanes hold -delta_min, r < span and any cell below the threshold plus room,
+    # so under a config that fits them only a chunk with a larger cell is stepped per cell
+    fits = max(-min(f_lo, n_lo), max(spans) - 1, threshold - 1 + room) < 0x80
     width = cfg.dims.width
     quaked: list[Cell] = []
     top = 0
@@ -245,29 +192,49 @@ def step(
     for a in range(0, area, _CHUNK):
         b = min(a + _CHUNK, area)
         n = b - a
-        w, lanes = _stress_lanes(cells[a:b], narrow, room)
-        encode, decode, ones, guards = _cell_lanes(n, w)
-        half = 1 << 8 * w - 1
-        r = map(mod, rng.draws(n), repeat(spans[0]) if spans[0] == spans[1]
+        ones, guards = _byte_lanes(n)
+        try:
+            lanes = int.from_bytes(bytes(cells[a:b]), "little") if fits else guards
+        except ValueError:  # a cell outside [0, 256)
+            lanes = guards
+        if lanes & guards or (lanes + ones * room) & guards:  # the config or a cell does not fit
+            chunk = cells[a:b]
+            if (low := min(chunk)) < 0:
+                raise ValueError(f"stress must be non-negative, got {low}")
+            chunk = [
+                v if (v := cell + (f_lo + u % f_span if f else n_lo + u % n_span)) > 0 else 0
+                for cell, u, f in zip(chunk, rng.draws(n), fault_flags[a:b])
+            ]
+            if (high := max(chunk)) > top:
+                top = high
+            if high >= threshold:
+                for i, v in enumerate(chunk):
+                    if v >= threshold:
+                        k = a + i
+                        quaked.append((k % width, k // width))
+                        chunk[i] = 0
+            cells[a:b] = chunk
+            continue
+        r = map(mod, rng.draws(n), repeat(n_span) if n_span == f_span
                 else map(spans.__getitem__, fault_flags[a:b]))
-        # lane: half + cell + delta, where delta = r + the low end of the cell's range
-        x = lanes + int.from_bytes(encode(r), "little") + ones * (half + n_lo)
+        # lane: 0x80 + cell + delta, where delta = r + the low end of the cell's range
+        x = lanes + int.from_bytes(bytes(r), "little") + ones * (0x80 + n_lo)
         if f_lo != n_lo:
-            x += int.from_bytes(encode(fault_flags[a:b]), "little") * (f_lo - n_lo)
+            x += int.from_bytes(fault_flags[a:b], "little") * (f_lo - n_lo)
         g = x & guards  # guard bit set where cell + delta >= 0
-        v = x & (g - (g >> 8 * w - 1))  # clamped at 0
-        if top < half and (v + ones * (half - 1 - top)) & guards:  # some lane exceeds top
-            top = max(decode(v.to_bytes(n * w, "little")))
-        q = (v + ones * (half - threshold)) & guards  # guard bit set where v >= threshold
+        v = x & (g - (g >> 7))  # clamped at 0
+        if top < 0x80 and (v + ones * (0x7F - top)) & guards:  # some lane exceeds top
+            top = max(v.to_bytes(n, "little"))
+        q = (v + ones * (0x80 - threshold)) & guards  # guard bit set where v >= threshold
         if q:
-            v ^= v & (q - (q >> 8 * w - 1))
-            flags = q.to_bytes(n * w, "little")
+            v ^= v & (q - (q >> 7))
+            flags = q.to_bytes(n, "little")
             i = flags.find(0x80)
             while i >= 0:
-                k = a + i // w
+                k = a + i
                 quaked.append((k % width, k // width))
                 i = flags.find(0x80, i + 1)
-        cells[a:b] = decode(v.to_bytes(n * w, "little"))
+        cells[a:b] = v.to_bytes(n, "little")
 
     return StepReport(
         step_index=step_index,

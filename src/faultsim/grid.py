@@ -14,6 +14,12 @@ MAX_DIM = 1024
 Cell = tuple[int, int]  # (x, y)
 
 
+def require_int(name: str, value: object) -> None:
+    """Raise ValueError unless value is an int; a bool or a float does not count."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GridDims:
     """Validated grid dimensions, 1..1024 cells per side."""
@@ -23,8 +29,7 @@ class GridDims:
 
     def __post_init__(self) -> None:
         for name, value in (("width", self.width), ("height", self.height)):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            require_int(name, value)
             if not 1 <= value <= MAX_DIM:
                 raise ValueError(f"{name} must be in [1, {MAX_DIM}], got {value}")
 
@@ -108,6 +113,7 @@ class StressMap(_Grid):
         return self.cells[self._index(x, y)]
 
     def put(self, x: int, y: int, value: int) -> None:
+        require_int("stress", value)
         if value < 0:
             raise ValueError(f"stress must be non-negative, got {value}")
         self.cells[self._index(x, y)] = value

@@ -97,6 +97,16 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(**kwargs)
 
+    @pytest.mark.parametrize("name", [
+        "seed", "quake_threshold", "target_quakes", "nonfault_delta_min", "nonfault_delta_max",
+        "fault_delta_min", "fault_delta_max", "delay_ms", "max_steps",
+    ])
+    @pytest.mark.parametrize("value", [1.0, 2.5, True])
+    def test_non_integer_rejected(self, name, value):
+        # a float threshold used to fail only inside the first step, a bool delay ran
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
+            SimConfig(**{name: value})
+
     def test_delay_up_to_one_day_accepted(self):
         assert SimConfig(delay_ms=86_400_000).delay_ms == 86_400_000
 
@@ -219,16 +229,27 @@ class TestStep:
             twin.next_u64()
         assert rng.state == twin.state == (4 * 15 * GAMMA) & ((1 << 64) - 1)
 
-    # 1-, 2-, 8-, 16- and 32-byte lanes
+    # byte lanes at threshold 10, the per-cell chunk at every larger one
     @pytest.mark.parametrize("threshold", [10, 1000, 2**40, 10**30, 10**60])
     def test_negative_cell_rejected(self, threshold):
         # StressMap.put refuses negative values; one written into cells directly
-        # must not reach the lane packing as a struct.error or a wrong report
+        # must raise, not be clamped or give a wrong report
         cfg = _cfg(dims=GridDims(3, 1), quake_threshold=threshold)
         stress = StressMap.zeros(cfg.dims)
         stress.cells[1] = -4
         with pytest.raises(ValueError, match="stress must be non-negative, got -4"):
             step(stress, FaultMap.empty(cfg.dims), cfg, SplitMix64(0), 0)
+
+    # with zero deltas only a cell that starts at the threshold quakes; byte lanes
+    # hold thresholds up to 128, and from 129 on every chunk is stepped per cell
+    @pytest.mark.parametrize("threshold", [100, 127, 128, 129, 1000])
+    def test_zero_deltas_quake_only_at_threshold(self, threshold):
+        cfg = _cfg(dims=GridDims(4, 1), quake_threshold=threshold, fault_delta_min=0, fault_delta_max=0)
+        for starts, quaked in (([0, 1, 2, 3], ()), ([0, threshold - 1, threshold, 1], ((2, 0),))):
+            stress = StressMap(cfg.dims, list(starts))
+            report = step(stress, FaultMap.empty(cfg.dims), cfg, SplitMix64(0), 0)
+            assert report.quaked_cells == quaked
+            assert report.max_stress == max(starts)
 
     @given(seed=st.integers(0, 2**64 - 1))
     @settings(max_examples=30)
@@ -258,13 +279,13 @@ class TestStep:
 
 # areas on both sides of the 1,024-cell block draw, and a multiple of it
 ORACLE_DIMS = [(1, 1), (31, 33), (32, 32), (25, 41), (3, 683), (1024, 3)]
-# thresholds on both sides of the 1-, 2-, 4- and 8-byte cell lanes' guard bits, and beyond
+# thresholds on both sides of the largest that byte lanes hold, and far beyond it in the per-cell chunk
 LANE_EDGE_THRESHOLDS = [1, 100, *range(112, 131), 255, 256, 32_767, 32_768, 2**31, 2**63, 10**30]
 
 
 @st.composite
 def delta_range(draw, span=None):
-    """A delta range: small (1- and 2-byte lanes) or up to 64 bits wide; `span` fixes its size."""
+    """A delta range: small (byte lanes or just past them) or up to 64 bits wide; `span` fixes its size."""
     small = draw(st.booleans())
     lo = draw(st.integers(-300, 300) if small else st.integers(-(2**63), 2**63))
     if span is None:
@@ -299,7 +320,7 @@ class TestStepOracle:
         faults = FaultMap.empty(cfg.dims)
         faults.cells[::fault_every] = [True] * len(faults.cells[::fault_every])
         stress = StressMap.zeros(cfg.dims)
-        # starting cells up to 3x the threshold and around each lane width's guard bit
+        # starting cells up to 3x the threshold and around powers of two from 2^7 to 2^64
         near_guard = st.sampled_from([7, 8, 15, 16, 31, 32, 63, 64]).flatmap(
             lambda bits: st.integers(2**bits - 16, 2**bits + 16))
         starts = st.tuples(st.integers(0, cfg.dims.area - 1), st.one_of(st.integers(0, 3 * threshold), near_guard))
@@ -315,8 +336,8 @@ class TestStepOracle:
             assert rng.state == oracle_rng.state
             cumulative = report.cumulative_quakes
 
-    # stock deltas and threshold use 1-byte lanes (guard bit 128): a cell that
-    # could reach 128 with the largest delta (10), or one past 255, widens its chunk
+    # stock deltas and threshold use byte lanes (guard bit 128): a cell that could
+    # reach 128 with the largest delta (10), or one past 255, puts its chunk in the per-cell chunk
     @pytest.mark.parametrize("value", [99, 100, 117, 118, 127, 128, 255, 256, 32_757, 32_758, 65_536, 2**63, 10**30, 10**60])
     def test_large_starting_cell_matches_oracle(self, value):
         cfg = SimConfig(dims=GridDims(40, 30), seed=5, delay_ms=0)
@@ -330,6 +351,30 @@ class TestStepOracle:
         for i in (1, 2):
             assert step(stress, faults, cfg, rng, 0, i) == step_oracle(expected, faults, cfg, oracle_rng, 0, i)
             assert stress.cells == expected.cells
+
+    # chunk 0 (cells 0..1023) quakes on byte lanes; chunk 1 holds one cell that
+    # does not fit them. 118 drifts by at most 5, below chunk 0's 127, so chunk 0
+    # sets max_stress; the larger values set it from chunk 1.
+    @pytest.mark.parametrize("value,max_from_chunk_1", [(118, False), (256, True), (10**30, True)])
+    def test_byte_lane_chunk_beside_per_cell_chunk(self, value, max_from_chunk_1):
+        cfg = SimConfig(dims=GridDims(40, 30), seed=5, delay_ms=0)
+        faults = FaultMap.empty(cfg.dims)
+        faults.cells[::3] = [1] * len(faults.cells[::3])
+        stress = StressMap.zeros(cfg.dims)
+        for x, start in ((0, 99), (3, 99), (6, 117), (9, 117)):  # fault cells
+            stress.put(x, 0, start)
+        stress.put(38, 29, value)  # a non-fault cell
+        expected = stress.copy()
+        rng, oracle_rng = SplitMix64(cfg.seed), SplitMix64(cfg.seed)
+        report = step(stress, faults, cfg, rng, 0)
+        assert report == step_oracle(expected, faults, cfg, oracle_rng, 0)
+        assert report.quaked_cells[0] == (0, 0) and report.quaked_cells[-1] == (38, 29)
+        if max_from_chunk_1:
+            assert report.max_stress > 127  # more than any byte lane holds
+        else:
+            assert report.max_stress > value + 5  # more than the chunk 1 cell reaches
+        assert stress.cells == expected.cells
+        assert rng.state == oracle_rng.state
 
 
 class TestRun:

@@ -154,6 +154,13 @@ class TestStressMap:
         with pytest.raises(ValueError):
             smap.put(0, 0, -1)
 
+    @pytest.mark.parametrize("value", [1.5, 2.0, True])
+    def test_non_integer_rejected(self, value):
+        smap = StressMap.zeros(GridDims(3, 2))
+        with pytest.raises(ValueError, match=f"stress must be an integer, got {value!r}"):
+            smap.put(0, 0, value)
+        assert smap.cells == [0] * 6
+
     @pytest.mark.parametrize("x,y", [(3, 0), (0, 2), (-1, 1)])
     def test_out_of_bounds_raises(self, x, y):
         smap = StressMap.zeros(GridDims(3, 2))
