@@ -337,7 +337,7 @@ class TestStepOracle:
             cumulative = report.cumulative_quakes
 
     # stock deltas and threshold use byte lanes (guard bit 128): a cell that could
-    # reach 128 with the largest delta (10), or one past 255, puts its chunk in the per-cell chunk
+    # reach 128 with the largest delta (10), or one past 255, makes its chunk a per-cell chunk
     @pytest.mark.parametrize("value", [99, 100, 117, 118, 127, 128, 255, 256, 32_757, 32_758, 65_536, 2**63, 10**30, 10**60])
     def test_large_starting_cell_matches_oracle(self, value):
         cfg = SimConfig(dims=GridDims(40, 30), seed=5, delay_ms=0)
