@@ -14,8 +14,6 @@ import struct
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
-from operator import mod
 from typing import Callable, Iterator
 
 from .grid import Cell, FaultMap, GridDims, StressMap, require_int
@@ -49,6 +47,37 @@ def _lanes(n: int) -> tuple[struct.Struct, int, int, int]:
     return layout, pack([1] * n), pack([_MASK64] * n), pack(ramp)
 
 
+@lru_cache(maxsize=8)
+def _residue_tables(span: int) -> tuple[tuple[bytes, ...], bytes, int]:
+    """Lookup tables that take u mod span from the bytes of u, for 1 <= span <= 128.
+
+    Returns eight tables (table i maps byte b to b*256**i mod span), the
+    table of x mod span, and how many values below span add up in a byte.
+    """
+    tables = tuple(bytes(b * pow(256, i, span) % span for b in range(256)) for i in range(8))
+    return tables, tables[0], 255 // (span - 1) if span > 1 else 8
+
+
+def _residues(buf: bytes, span: int) -> bytes:
+    """u mod span for each 64-bit u in the low half of buf's 16-byte lanes, one byte each.
+
+    u = sum of b_i*256**i over its bytes b_i, so u mod span is the sum of
+    table i's entries, mod span. The partial sums add on byte lanes; once
+    `fit` values below span are in a lane, the lanes are reduced mod span
+    before the next one is added, so no byte carries into its neighbour.
+    """
+    tables, reduce, fit = _residue_tables(span)
+    n = len(buf) // 16
+    acc = held = 0
+    for i, table in enumerate(tables):
+        if held == fit:
+            acc = int.from_bytes(acc.to_bytes(n, "little").translate(reduce), "little")
+            held = 1
+        acc += int.from_bytes(buf[i::16].translate(table), "little")
+        held += 1
+    return acc.to_bytes(n, "little").translate(reduce)
+
+
 @lru_cache(maxsize=4)
 def _byte_lanes(n: int) -> tuple[int, int]:
     """(ones, guards) of n little-endian byte lanes: 1 and the guard bit 0x80 in every byte."""
@@ -75,22 +104,35 @@ class SplitMix64:
         z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
 
-    def draws(self, n: int) -> tuple[int, ...]:
-        """The next n outputs of next_u64 at once; state advances as after n calls.
+    def _mix(self, n: int) -> bytes:
+        """The next n outputs of next_u64, each in the low half of a 16-byte lane.
 
         Output k is mix(state + (k+1)*gamma). The n inputs sit in the 128-bit
         lanes of one int, so each mixer operation below acts on every lane
         at once: a 64x64-bit product fits in its lane, and the mask after
         each xor-shift drops the bits shifted in from the next lane.
         """
-        layout, ones, mask, ramp = _lanes(n)
+        _, ones, mask, ramp = _lanes(n)
         z = (self.state * ones + ramp) & mask
         z = ((z ^ (z >> 30)) & mask) * _MIX1 & mask
         z = ((z ^ (z >> 27)) & mask) * _MIX2 & mask
         z ^= z >> 31  # bits this shifts into a lane's high half are never read
-        out = layout.unpack(z.to_bytes(16 * n, "little"))
         self.state = (self.state + n * _GAMMA) & _MASK64
-        return out
+        return z.to_bytes(16 * n, "little")
+
+    def draws(self, n: int) -> tuple[int, ...]:
+        """The next n outputs of next_u64 at once; state advances as after n calls."""
+        return _lanes(n)[0].unpack(self._mix(n))
+
+    def residues(self, n: int, span: int) -> bytes:
+        """Byte k is draws(n)[k] % span, for 1 <= span <= 128; state advances as draws(n) does.
+
+        No int is built per output: the residues come from table lookups on
+        the mixer's bytes.
+        """
+        if not 1 <= span <= 128:  # larger residues do not fit the byte-lane sums
+            raise ValueError(f"span must be in [1, 128], got {span}")
+        return _residues(self._mix(n), span)
 
     def randint(self, lo: int, hi: int) -> int:
         """Uniform draw from [lo, hi] via modulo reduction; requires lo <= hi."""
@@ -165,10 +207,11 @@ def step(
 
     Exactly one rng draw per cell, row-major: cell i gets the same value
     rng.randint would give it. Cells go _CHUNK at a time. When every cell of
-    a chunk and the config fit byte lanes, only the modulo runs once per
-    cell; the add, the clamp, the running max, the quake test and the reset
-    act on one int that holds each cell in a byte (Lamport's multiple byte
-    processing with full-word instructions). Any other chunk is stepped one
+    a chunk and the config fit byte lanes, no Python int is built per cell:
+    the residues come from table lookups on the mixer's bytes, and the add,
+    the clamp, the running max, the quake test and the reset act on one int
+    that holds each cell in a byte (Lamport's multiple byte processing with
+    full-word instructions). Any other chunk is stepped one
     cell at a time. Each test uses only the cell's own post-update value,
     never a neighbour's. A negative cell raises ValueError, with the chunks
     before it already stepped.
@@ -215,12 +258,15 @@ def step(
                         chunk[i] = 0
             cells[a:b] = chunk
             continue
-        r = map(mod, rng.draws(n), repeat(n_span) if n_span == f_span
-                else map(spans.__getitem__, fault_flags[a:b]))
+        flags = int.from_bytes(fault_flags[a:b], "little")  # 1 in each fault cell's lane
+        if n_span == f_span:
+            r = int.from_bytes(rng.residues(n, n_span), "little")
+        else:  # one draw per cell, reduced by both spans; fault lanes take the fault residue
+            buf = rng._mix(n)
+            r = int.from_bytes(_residues(buf, n_span), "little")
+            r ^= (r ^ int.from_bytes(_residues(buf, f_span), "little")) & flags * 0xFF
         # lane: 0x80 + cell + delta, where delta = r + the low end of the cell's range
-        x = lanes + int.from_bytes(bytes(r), "little") + ones * (0x80 + n_lo)
-        if f_lo != n_lo:
-            x += int.from_bytes(fault_flags[a:b], "little") * (f_lo - n_lo)
+        x = lanes + r + ones * (0x80 + n_lo) + flags * (f_lo - n_lo)
         g = x & guards  # guard bit set where cell + delta >= 0
         v = x & (g - (g >> 7))  # clamped at 0
         if top < 0x80 and (v + ones * (0x7F - top)) & guards:  # some lane exceeds top

@@ -1,5 +1,8 @@
+import random
 import tracemalloc
 from fractions import Fraction
+from itertools import repeat
+from operator import mod
 
 import pytest
 from hypothesis import given, settings
@@ -10,11 +13,22 @@ from faultsim.grid import FaultMap, GridDims, StressMap
 from oracles import step_oracle
 
 GAMMA = 0x9E3779B97F4A7C15
+MASK64 = (1 << 64) - 1
 
 # First outputs of the reference stream for seed 0, from the published
 # constants (gamma 0x9E3779B97F4A7C15 with the 30/27/31 xor-shift mixer).
 SEED0_FIRST = 0xE220A8397B1DCDAF
 SEED0_SECOND = 0x6E789E6AA1B965F4
+
+
+def seed_for_first_output(u: int) -> int:
+    """The seed whose first next_u64 is u: the SplitMix64 mixer run backwards."""
+    u ^= u >> 31 ^ u >> 62
+    u = u * pow(0x94D049BB133111EB, -1, 1 << 64) & MASK64
+    u ^= u >> 27 ^ u >> 54
+    u = u * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & MASK64
+    u ^= u >> 30 ^ u >> 60
+    return (u - GAMMA) & MASK64
 
 
 class TestSplitMix64:
@@ -65,6 +79,33 @@ class TestSplitMix64:
                 block, scalar = SplitMix64(seed), SplitMix64(seed)
                 assert list(block.draws(n)) == [scalar.next_u64() for _ in range(n)], (seed, n)
                 assert block.state == scalar.state, (seed, n)
+
+    # chunk lengths on both sides of a 1,024-cell chunk, every span byte lanes hold
+    @pytest.mark.parametrize("n", [1, 7, 400, 1023, 1024])
+    def test_residues_match_modulo_of_draws(self, n):
+        seeds = random.Random(n)
+        for span in range(1, 129):
+            seed = seeds.getrandbits(64)
+            table, drawn = SplitMix64(seed), SplitMix64(seed)
+            assert table.residues(n, span) == bytes(map(mod, drawn.draws(n), repeat(span))), (seed, n, span)
+            assert table.state == drawn.state, (seed, n, span)
+
+    def test_residues_of_the_largest_byte_sums(self):
+        # byte i of u picks the largest of b*256**i mod span, so every partial
+        # sum is as large as it can get: a late reduction would carry into lane 1
+        for span in range(1, 129):
+            u = sum(max(range(256), key=lambda b: b * pow(256, i, span) % span) << 8 * i for i in range(8))
+            seed = seed_for_first_output(u)
+            assert SplitMix64(seed).next_u64() == u
+            table, drawn = SplitMix64(seed), SplitMix64(seed)
+            assert table.residues(2, span) == bytes(map(mod, drawn.draws(2), repeat(span))), span
+
+    @pytest.mark.parametrize("span", [0, 129])
+    def test_residues_span_outside_byte_lanes_rejected(self, span):
+        rng = SplitMix64(0)
+        with pytest.raises(ValueError, match=f"span must be in \\[1, 128\\], got {span}"):
+            rng.residues(4, span)
+        assert rng.state == 0
 
 
 class TestSimConfig:
@@ -235,10 +276,11 @@ class TestStep:
         # StressMap.put refuses negative values; one written into cells directly
         # must raise, not be clamped or give a wrong report
         cfg = _cfg(dims=GridDims(3, 1), quake_threshold=threshold)
-        stress = StressMap.zeros(cfg.dims)
-        stress.cells[1] = -4
-        with pytest.raises(ValueError, match="stress must be non-negative, got -4"):
-            step(stress, FaultMap.empty(cfg.dims), cfg, SplitMix64(0), 0)
+        for value in (-4, -1):
+            stress = StressMap.zeros(cfg.dims)
+            stress.cells[1] = value
+            with pytest.raises(ValueError, match=f"stress must be non-negative, got {value}"):
+                step(stress, FaultMap.empty(cfg.dims), cfg, SplitMix64(0), 0)
 
     # with zero deltas only a cell that starts at the threshold quakes; byte lanes
     # hold thresholds up to 128, and from 129 on every chunk is stepped per cell
@@ -375,6 +417,31 @@ class TestStepOracle:
             assert report.max_stress > value + 5  # more than the chunk 1 cell reaches
         assert stress.cells == expected.cells
         assert rng.state == oracle_rng.state
+
+    # spans above 32 need the residues reduced between byte-lane sums; spans that
+    # differ draw once and pick each cell's residue by its fault flag
+    @pytest.mark.parametrize("nonfault,fault,threshold", [
+        ((-50, 49), (0, 19), 70),  # spans 100 and 20
+        ((-40, 59), (-40, 59), 60),  # span 100 on both
+    ])
+    def test_wide_and_differing_spans_match_oracle(self, nonfault, fault, threshold):
+        # 40x30 is one full chunk and one partial one, both on byte lanes
+        cfg = SimConfig(dims=GridDims(40, 30), seed=11, quake_threshold=threshold, delay_ms=0,
+                        nonfault_delta_min=nonfault[0], nonfault_delta_max=nonfault[1],
+                        fault_delta_min=fault[0], fault_delta_max=fault[1])
+        faults = FaultMap.empty(cfg.dims)
+        faults.cells[::3] = [1] * len(faults.cells[::3])
+        stress = StressMap.zeros(cfg.dims)
+        expected = stress.copy()
+        rng, oracle_rng = SplitMix64(cfg.seed), SplitMix64(cfg.seed)
+        cumulative = 0
+        for i in range(1, 6):
+            report = step(stress, faults, cfg, rng, cumulative, step_index=i)
+            assert report == step_oracle(expected, faults, cfg, oracle_rng, cumulative, step_index=i)
+            assert stress.cells == expected.cells
+            assert rng.state == oracle_rng.state
+            cumulative = report.cumulative_quakes
+        assert cumulative > 0
 
 
 class TestRun:
