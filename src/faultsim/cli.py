@@ -228,6 +228,7 @@ def _animate(faults: FaultMap, cfg: SimConfig, style: RenderStyle, stdout: IO[st
     Returns the exit code: 0 when the quake target was reached, 2 at the step cap.
     """
     bands = _stress_bands(cfg.quake_threshold)
+    clear = CLEAR_SCREEN if style.color_enabled else ""
     stress = StressMap.zeros(cfg.dims)
     steps = quakes = 0  # of the last complete frame
     try:
@@ -237,11 +238,9 @@ def _animate(faults: FaultMap, cfg: SimConfig, style: RenderStyle, stdout: IO[st
         for report in iter_steps(stress, faults, cfg):
             if steps and cfg.delay_ms > 0:  # between step frames; none before step 1's
                 time.sleep(cfg.delay_ms / 1000)
-            if style.color_enabled:
-                stdout.write(CLEAR_SCREEN)
-            stdout.write(render_stress_map(stress, bands, cfg.quake_threshold, style))
-            for x, y in report.quaked_cells:
-                stdout.write(f"EARTHQUAKE at ({x}, {y})!\n")
+            frame = render_stress_map(stress, bands, cfg.quake_threshold, style)
+            quake_lines = [f"EARTHQUAKE at ({x}, {y})!\n" for x, y in report.quaked_cells]
+            stdout.write("".join([clear, frame, *quake_lines]))  # the whole frame in one write
             stdout.flush()
             steps, quakes = report.step_index, report.cumulative_quakes
     except KeyboardInterrupt:

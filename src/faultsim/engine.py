@@ -211,10 +211,12 @@ def step(
     the residues come from table lookups on the mixer's bytes, and the add,
     the clamp, the running max, the quake test and the reset act on one int
     that holds each cell in a byte (Lamport's multiple byte processing with
-    full-word instructions). Any other chunk is stepped one
-    cell at a time. Each test uses only the cell's own post-update value,
-    never a neighbour's. A negative cell raises ValueError, with the chunks
-    before it already stepped.
+    full-word instructions); a map held in bytes is read and stored as
+    bytes. Any other chunk is stepped one cell at a time, and widens a map
+    held in bytes the first time it must store a value above 255. Each test
+    uses only the cell's own post-update value, never a neighbour's. A
+    negative cell raises ValueError, with the chunks before it already
+    stepped.
     """
     if not (stress.dims == faults.dims == cfg.dims):
         raise ValueError("stress, faults and config must share one grid")
@@ -237,8 +239,8 @@ def step(
         n = b - a
         ones, guards = _byte_lanes(n)
         try:
-            lanes = int.from_bytes(bytes(cells[a:b]), "little") if fits else guards
-        except ValueError:  # a cell outside [0, 256)
+            lanes = int.from_bytes(cells[a:b], "little") if fits else guards
+        except ValueError:  # a cell of a list-backed map outside [0, 256)
             lanes = guards
         if lanes & guards or (lanes + ones * room) & guards:  # the config or a cell does not fit
             chunk = cells[a:b]
@@ -256,7 +258,11 @@ def step(
                         k = a + i
                         quaked.append((k % width, k // width))
                         chunk[i] = 0
-            cells[a:b] = chunk
+            try:
+                cells[a:b] = chunk
+            except ValueError:  # a value above 255 on a map still in bytes
+                cells = stress.widen()
+                cells[a:b] = chunk
             continue
         flags = int.from_bytes(fault_flags[a:b], "little")  # 1 in each fault cell's lane
         if n_span == f_span:

@@ -103,11 +103,21 @@ class FaultMap(_Grid):
 
 
 class StressMap(_Grid):
-    """Per-cell accumulated stress; values are non-negative integers."""
+    """Per-cell accumulated stress; values are non-negative integers.
+
+    A new map holds its cells in a bytearray, one byte each, and switches to
+    a list of ints (`widen`) the first time a value above 255 is stored.
+    """
 
     @classmethod
     def zeros(cls, dims: GridDims) -> StressMap:
-        return cls(dims, [0] * dims.area)
+        return cls(dims, bytearray(dims.area))
+
+    def widen(self) -> list[int]:
+        """The cells as a list of ints, switching a bytearray to one, same values, in place."""
+        if isinstance(self.cells, bytearray):
+            self.cells = list(self.cells)
+        return self.cells
 
     def get(self, x: int, y: int) -> int:
         return self.cells[self._index(x, y)]
@@ -116,4 +126,6 @@ class StressMap(_Grid):
         require_int("stress", value)
         if value < 0:
             raise ValueError(f"stress must be non-negative, got {value}")
-        self.cells[self._index(x, y)] = value
+        i = self._index(x, y)
+        cells = self.widen() if value > 0xFF else self.cells
+        cells[i] = value

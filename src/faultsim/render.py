@@ -7,8 +7,9 @@ is byte-identical to the colored output with escape sequences stripped.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Callable, Sequence
 
 from .grid import FaultMap, StressMap
 
@@ -17,8 +18,6 @@ GREEN = "\x1b[32m"
 YELLOW = "\x1b[33m"
 BLUE = "\x1b[34m"
 RESET = "\x1b[0m"
-
-_ANSI_RE = re.compile(r"\x1b\[[0-9;]*[A-Za-z]")
 
 # stress cells print as right-aligned 3-char decimals, clamped for display
 STRESS_CELL_WIDTH = 3
@@ -53,9 +52,12 @@ def stress_color(value: int, bands: StressBands, threshold: int) -> str:
     return RED
 
 
-def strip_ansi(text: str) -> str:
-    """Remove ANSI escape sequences."""
-    return _ANSI_RE.sub("", text)
+def _join_rows(cells: Sequence[int], width: int, cell: Sequence[str], last: Sequence[str]) -> str:
+    """Lay cells out `width` to a row: value v reads cell[v], which ends in a space,
+    or last[v], which ends in a newline, in a row's last column."""
+    parts = list(map(cell.__getitem__, cells))
+    parts[width - 1 :: width] = map(last.__getitem__, cells[width - 1 :: width])
+    return "".join(parts)
 
 
 def render_fault_map(fault_map: FaultMap, style: RenderStyle) -> str:
@@ -65,24 +67,44 @@ def render_fault_map(fault_map: FaultMap, style: RenderStyle) -> str:
     terminal theme.
     """
     one = f"{RED}1{RESET}" if style.color_enabled else "1"
-    lines = [" ".join(one if v else "0" for v in row) for row in fault_map.rows()]
-    return "".join(line + "\n" for line in lines)
+    return _join_rows(fault_map.cells, fault_map.dims.width, ("0 ", one + " "), ("0\n", one + "\n"))
+
+
+class _Glyphs(dict):
+    """Each stress value's glyph followed by `end`, built on first lookup.
+
+    Only values from 0 to the display cap are kept, so the table stays small
+    whatever values a map holds.
+    """
+
+    def __init__(self, glyph: Callable[[int], str], end: str) -> None:
+        super().__init__()
+        self.glyph = glyph
+        self.end = end
+
+    def __missing__(self, value: int) -> str:
+        text = self.glyph(value) + self.end
+        if 0 <= value <= _STRESS_DISPLAY_CAP:
+            self[value] = text
+        return text
+
+
+@lru_cache(maxsize=8)
+def _stress_glyphs(bands: StressBands, threshold: int, color: bool) -> tuple[_Glyphs, _Glyphs]:
+    """The glyph tables of a cell inside a row and of a row's last cell."""
+
+    def glyph(value: int) -> str:
+        text = f"{min(value, _STRESS_DISPLAY_CAP):>{STRESS_CELL_WIDTH}d}"
+        if not color:
+            return text
+        return f"{stress_color(value, bands, threshold)}{text}{RESET}"
+
+    return _Glyphs(glyph, " "), _Glyphs(glyph, "\n")
 
 
 def render_stress_map(
     stress: StressMap, bands: StressBands, threshold: int, style: RenderStyle
 ) -> str:
     """Stress values as colored fixed-width columns, one grid row per line."""
-
-    def glyph(value: int) -> str:
-        text = f"{min(value, _STRESS_DISPLAY_CAP):>{STRESS_CELL_WIDTH}d}"
-        if not style.color_enabled:
-            return text
-        return f"{stress_color(value, bands, threshold)}{text}{RESET}"
-
-    # quaked cells reset to 0, so between steps every value up to the display
-    # cap is in the table
-    table = [glyph(v) for v in range(min(threshold, _STRESS_DISPLAY_CAP) + 1)]
-    top = len(table)
-    lines = [" ".join([table[v] if 0 <= v < top else glyph(v) for v in row]) for row in stress.rows()]
-    return "".join(line + "\n" for line in lines)
+    cell, last = _stress_glyphs(bands, threshold, style.color_enabled)
+    return _join_rows(stress.cells, stress.dims.width, cell, last)

@@ -4,16 +4,26 @@ The rasterizer oracles deliberately avoid the incremental error-accumulator
 formulations in the package: segments are computed by direct nearest-cell
 rounding per major-axis column, circles by exact integer square roots per
 octant column. The step oracle draws each cell through its own `randint`
-call, where the engine draws up to 1,024 cells in one block.
+call, where the engine draws up to 1,024 cells in one block. `strip_ansi`
+removes the renderer's colour codes, so a coloured frame can be checked
+against a plain one.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 from faultsim.engine import SimConfig, SplitMix64, StepReport
 from faultsim.grid import Cell, FaultMap, StressMap
+
+_ANSI_RE = re.compile(r"\x1b\[[0-9;]*[A-Za-z]")
+
+
+def strip_ansi(text: str) -> str:
+    """Remove ANSI escape sequences."""
+    return _ANSI_RE.sub("", text)
 
 
 def segment_oracle(x0: int, y0: int, x1: int, y1: int) -> set[tuple[int, int]]:
@@ -96,8 +106,10 @@ def step_oracle(
             delta = randint(f_lo, f_hi)
         else:
             delta = randint(n_lo, n_hi)
-        value = cells[i] + delta
-        cells[i] = value if value > 0 else 0
+        value = max(cells[i] + delta, 0)
+        if value > 0xFF:
+            cells = stress.widen()
+        cells[i] = value
 
     max_stress = max(cells)
 

@@ -23,7 +23,6 @@ from faultsim.render import (
     StressBands,
     render_fault_map,
     render_stress_map,
-    strip_ansi,
 )
 from faultsim.scenario import (
     Scenario,
@@ -33,7 +32,7 @@ from faultsim.scenario import (
     parse_scenario,
 )
 
-from oracles import circle_oracle, segment_oracle
+from oracles import circle_oracle, segment_oracle, strip_ansi
 
 DATA_DIR = Path(__file__).parent / "data"
 

@@ -16,8 +16,10 @@ from faultsim.cli import (
 )
 from faultsim.engine import SimConfig, SplitMix64, iter_steps, run, step
 from faultsim.grid import FaultMap, GridDims, StressMap
-from faultsim.render import RenderStyle, render_stress_map, strip_ansi
+from faultsim.render import RenderStyle, render_stress_map
 from faultsim.scenario import Scenario, format_scenario, format_stats, parse_scenario
+
+from oracles import strip_ansi
 
 
 def write_scenario(tmp_path, cfg: SimConfig, fault_cells=()) -> str:
@@ -489,6 +491,31 @@ class TestInteractiveSimulation:
             found = out.find(frame, pos)
             assert found != -1, f"frame missing or out of order:\n{frame}"
             pos = found + len(frame)
+
+    @pytest.mark.parametrize("color", [True, False])
+    def test_one_write_per_step_frame(self, color):
+        # a step frame's clear-screen, map and EARTHQUAKE lines go out in one write
+        class Recorder(io.StringIO):
+            def write(self, text):
+                writes.append(text)
+                return super().write(text)
+
+        writes = []
+        cfg = SimConfig(dims=GridDims(3, 3), seed=8, quake_threshold=12, target_quakes=3, delay_ms=0)
+        faults = FaultMap.empty(cfg.dims)
+        for x in range(3):
+            faults.mark(x, 1)
+        out = Recorder()
+        assert cli._animate(faults, cfg, RenderStyle(color_enabled=color), out) == 0
+        reports = list(iter_steps(StressMap.zeros(cfg.dims), faults, cfg))
+        assert len(writes) == 2 + len(reports) + 1  # fault map, first stress map, frames, outcome
+        assert sum(len(r.quaked_cells) for r in reports) >= 3
+        for frame, report in zip(writes[2:-1], reports):
+            quakes = "".join(f"EARTHQUAKE at ({x}, {y})!\n" for x, y in report.quaked_cells)
+            assert frame.startswith(CLEAR_SCREEN) == color
+            assert frame.endswith(quakes)
+            assert frame.count("\n") == cfg.dims.height + len(report.quaked_cells)
+        assert "".join(writes) == out.getvalue()
 
     def test_draw_then_simulate(self, tmp_path):
         cfg = SimConfig(

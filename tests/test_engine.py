@@ -273,12 +273,11 @@ class TestStep:
     # byte lanes at threshold 10, the per-cell chunk at every larger one
     @pytest.mark.parametrize("threshold", [10, 1000, 2**40, 10**30, 10**60])
     def test_negative_cell_rejected(self, threshold):
-        # StressMap.put refuses negative values; one written into cells directly
-        # must raise, not be clamped or give a wrong report
+        # StressMap.put refuses negative values and a map in bytes cannot hold one;
+        # a list-backed map given one must raise, not be clamped or give a wrong report
         cfg = _cfg(dims=GridDims(3, 1), quake_threshold=threshold)
         for value in (-4, -1):
-            stress = StressMap.zeros(cfg.dims)
-            stress.cells[1] = value
+            stress = StressMap(cfg.dims, [0, value, 0])
             with pytest.raises(ValueError, match=f"stress must be non-negative, got {value}"):
                 step(stress, FaultMap.empty(cfg.dims), cfg, SplitMix64(0), 0)
 
@@ -374,7 +373,7 @@ class TestStepOracle:
         for i in range(1, 4):
             report = step(stress, faults, cfg, rng, cumulative, step_index=i)
             assert report == step_oracle(expected, faults, cfg, oracle_rng, cumulative, step_index=i)
-            assert stress.cells == expected.cells
+            assert list(stress.cells) == list(expected.cells)
             assert rng.state == oracle_rng.state
             cumulative = report.cumulative_quakes
 
@@ -392,7 +391,7 @@ class TestStepOracle:
         rng, oracle_rng = SplitMix64(cfg.seed), SplitMix64(cfg.seed)
         for i in (1, 2):
             assert step(stress, faults, cfg, rng, 0, i) == step_oracle(expected, faults, cfg, oracle_rng, 0, i)
-            assert stress.cells == expected.cells
+            assert list(stress.cells) == list(expected.cells)
 
     # chunk 0 (cells 0..1023) quakes on byte lanes; chunk 1 holds one cell that
     # does not fit them. 118 drifts by at most 5, below chunk 0's 127, so chunk 0
@@ -415,8 +414,26 @@ class TestStepOracle:
             assert report.max_stress > 127  # more than any byte lane holds
         else:
             assert report.max_stress > value + 5  # more than the chunk 1 cell reaches
-        assert stress.cells == expected.cells
+        assert list(stress.cells) == list(expected.cells)
         assert rng.state == oracle_rng.state
+
+    # threshold 250 and 1000 step every chunk per cell; the fault cell gains 100 a
+    # step, so step 3 takes it to 300. At 250 it quakes and the map stays in bytes
+    # (the oracle stores 300 before its reset, so it widens); at 1000 the map widens.
+    @pytest.mark.parametrize("threshold,widened", [(250, False), (1000, True)])
+    def test_per_cell_chunk_widens_past_255(self, threshold, widened):
+        cfg = _cfg(dims=GridDims(40, 30), quake_threshold=threshold,
+                   fault_delta_min=100, fault_delta_max=100, nonfault_delta_min=0, nonfault_delta_max=1)
+        faults = FaultMap.empty(cfg.dims)
+        faults.mark(39, 29)  # in the second chunk
+        stress = StressMap.zeros(cfg.dims)
+        expected = stress.copy()
+        rng, oracle_rng = SplitMix64(cfg.seed), SplitMix64(cfg.seed)
+        for i in (1, 2, 3):
+            assert step(stress, faults, cfg, rng, 0, i) == step_oracle(expected, faults, cfg, oracle_rng, 0, i)
+            assert isinstance(stress.cells, list if widened and i == 3 else bytearray)
+            assert list(stress.cells) == list(expected.cells)
+        assert stress.get(39, 29) == (300 if widened else 0)
 
     # spans above 32 need the residues reduced between byte-lane sums; spans that
     # differ draw once and pick each cell's residue by its fault flag
@@ -438,7 +455,7 @@ class TestStepOracle:
         for i in range(1, 6):
             report = step(stress, faults, cfg, rng, cumulative, step_index=i)
             assert report == step_oracle(expected, faults, cfg, oracle_rng, cumulative, step_index=i)
-            assert stress.cells == expected.cells
+            assert list(stress.cells) == list(expected.cells)
             assert rng.state == oracle_rng.state
             cumulative = report.cumulative_quakes
         assert cumulative > 0

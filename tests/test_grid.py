@@ -159,7 +159,29 @@ class TestStressMap:
         smap = StressMap.zeros(GridDims(3, 2))
         with pytest.raises(ValueError, match=f"stress must be an integer, got {value!r}"):
             smap.put(0, 0, value)
-        assert smap.cells == [0] * 6
+        assert list(smap.cells) == [0] * 6
+
+    @pytest.mark.parametrize("value", [-1, 256])
+    def test_zeros_cells_hold_only_bytes(self, value):
+        # written straight into the cells, a value outside [0, 256) is refused, not wrapped
+        smap = StressMap.zeros(GridDims(3, 2))
+        with pytest.raises(ValueError):
+            smap.cells[4] = value
+        assert list(smap.cells) == [0] * 6
+
+    def test_bytes_until_a_value_above_255(self):
+        smap = StressMap.zeros(GridDims(3, 2))
+        for i, value in enumerate((0, 1, 127, 128, 255)):
+            smap.put(i % 3, i // 3, value)
+        for bad in ((3, 0, 256), (0, 0, -1), (0, 0, 256.0)):  # refused before anything is stored
+            with pytest.raises((IndexError, ValueError)):
+                smap.put(*bad)
+        assert isinstance(smap.cells, bytearray)
+        smap.put(2, 1, 256)
+        assert isinstance(smap.cells, list)
+        assert smap.cells == [0, 1, 127, 128, 255, 256]
+        smap.put(2, 1, 3)  # a list stays a list
+        assert smap.cells == [0, 1, 127, 128, 255, 3]
 
     @pytest.mark.parametrize("x,y", [(3, 0), (0, 2), (-1, 1)])
     def test_out_of_bounds_raises(self, x, y):

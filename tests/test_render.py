@@ -11,11 +11,13 @@ from faultsim.render import (
     YELLOW,
     RenderStyle,
     StressBands,
+    _stress_glyphs,
     render_fault_map,
     render_stress_map,
     stress_color,
-    strip_ansi,
 )
+
+from oracles import strip_ansi
 
 COLOR = RenderStyle(color_enabled=True)
 PLAIN = RenderStyle(color_enabled=False)
@@ -127,6 +129,24 @@ class TestRenderStressMap:
     def test_display_cap(self):
         assert self._single(12345, PLAIN) == "999\n"
         assert self._single(12345, COLOR) == f"{BLUE}999{RESET}\n"
+
+    # above a threshold of 999 values past the display cap print as 999 in their
+    # band's colour; the table is kept per threshold, so a second one does not reuse it
+    @pytest.mark.parametrize("style", [COLOR, PLAIN], ids=["color", "plain"])
+    def test_threshold_above_display_cap(self, style):
+        smap = StressMap(GridDims(3, 2), [998, 999, 1000, 1199, 1200, 5000])
+        _stress_glyphs.cache_clear()  # start from empty tables, whatever ran before
+
+        def frame(*colors):
+            texts = ["998"] + ["999"] * 5
+            cells = [f"{c}{t}{RESET}" for c, t in zip(colors, texts)] if style.color_enabled else texts
+            return " ".join(cells[:3]) + "\n" + " ".join(cells[3:]) + "\n"
+
+        for _ in range(2):  # the second render reads the table the first one filled
+            assert render_stress_map(smap, BANDS, 1200, style) == frame(RED, RED, RED, RED, BLUE, BLUE)
+        assert render_stress_map(smap, BANDS, 1000, style) == frame(RED, RED, BLUE, BLUE, BLUE, BLUE)
+        # values past the cap are not kept; only 998 and 999 sit inside a row
+        assert [set(table) for table in _stress_glyphs(BANDS, 1200, style.color_enabled)] == [{998, 999}, set()]
 
     def test_does_not_mutate(self):
         smap = StressMap.zeros(GridDims(2, 2))

@@ -411,14 +411,17 @@ class TestOutFile:
 
 
 @given(
-    values=st.lists(st.integers(0, 1500), min_size=6, max_size=6),
+    data=st.data(),
     threshold=st.integers(1, 1200),
     color=st.booleans(),
+    in_bytes=st.booleans(),
 )
 @settings(max_examples=200)
-def test_stress_render_matches_per_cell_reference(values, threshold, color):
+def test_stress_render_matches_per_cell_reference(data, threshold, color, in_bytes):
+    # a map in bytes holds values up to 255, a list-backed one any value
+    values = data.draw(st.lists(st.integers(0, 255 if in_bytes else 1500), min_size=6, max_size=6), "values")
     bands = StressBands(low_max=threshold // 3, med_max=threshold // 3 + 1 + threshold // 3)
-    smap = StressMap(GridDims(3, 2), list(values))
+    smap = StressMap(GridDims(3, 2), (bytearray if in_bytes else list)(values))
 
     def cell(v):
         text = f"{min(v, 999):>3d}"
