@@ -124,16 +124,6 @@ class SplitMix64:
         """The next n outputs of next_u64 at once; state advances as after n calls."""
         return _lanes(n)[0].unpack(self._mix(n))
 
-    def residues(self, n: int, span: int) -> bytes:
-        """Byte k is draws(n)[k] % span, for 1 <= span <= 128; state advances as draws(n) does.
-
-        No int is built per output: the residues come from table lookups on
-        the mixer's bytes.
-        """
-        if not 1 <= span <= 128:  # larger residues do not fit the byte-lane sums
-            raise ValueError(f"span must be in [1, 128], got {span}")
-        return _residues(self._mix(n), span)
-
     def randint(self, lo: int, hi: int) -> int:
         """Uniform draw from [lo, hi] via modulo reduction; requires lo <= hi."""
         if lo > hi:
@@ -206,14 +196,15 @@ def step(
     """Advance the stress map by one step, mutating it in place.
 
     Exactly one rng draw per cell, row-major: cell i gets the same value
-    rng.randint would give it. Cells go _CHUNK at a time. When every cell of
-    a chunk and the config fit byte lanes, no Python int is built per cell:
-    the residues come from table lookups on the mixer's bytes, and the add,
-    the clamp, the running max, the quake test and the reset act on one int
-    that holds each cell in a byte (Lamport's multiple byte processing with
-    full-word instructions); a map held in bytes is read and stored as
-    bytes. Any other chunk is stepped one cell at a time, and widens a map
-    held in bytes the first time it must store a value above 255. Each test
+    rng.randint would give it. Cells go _CHUNK at a time. When the map is
+    held in bytes and every cell of a chunk and the config fit byte lanes,
+    no Python int is built per cell: the residues come from table lookups on
+    the mixer's bytes, and the add, the clamp, the running max, the quake
+    test and the reset act on one int that holds each cell in a byte
+    (Lamport's multiple byte processing with full-word instructions). Any
+    other chunk, and every chunk of a list-backed map, is stepped one cell
+    at a time, and widens a map held in bytes the first time it must store
+    a value above 255. Each test
     uses only the cell's own post-update value, never a neighbour's. A
     negative cell raises ValueError, with the chunks before it already
     stepped.
@@ -227,9 +218,10 @@ def step(
     spans = n_span, f_span = (cfg.nonfault_delta_max - n_lo + 1, cfg.fault_delta_max - f_lo + 1)
     threshold = cfg.quake_threshold
     room = max(cfg.fault_delta_max, cfg.nonfault_delta_max, 0)  # the most a cell can gain
-    # byte lanes hold -delta_min, r < span and any cell below the threshold plus room,
-    # so under a config that fits them only a chunk with a larger cell is stepped per cell
-    fits = max(-min(f_lo, n_lo), max(spans) - 1, threshold - 1 + room) < 0x80
+    # byte lanes hold -delta_min, r < span and any cell below the threshold plus room, so on
+    # a map in bytes under a config that fits them only a chunk with a larger cell goes per cell
+    fits = (isinstance(cells, bytearray)
+            and max(-min(f_lo, n_lo), max(spans) - 1, threshold - 1 + room) < 0x80)
     width = cfg.dims.width
     quaked: list[Cell] = []
     top = 0
@@ -238,10 +230,7 @@ def step(
         b = min(a + _CHUNK, area)
         n = b - a
         ones, guards = _byte_lanes(n)
-        try:
-            lanes = int.from_bytes(cells[a:b], "little") if fits else guards
-        except ValueError:  # a cell of a list-backed map outside [0, 256)
-            lanes = guards
+        lanes = int.from_bytes(cells[a:b], "little") if fits else guards
         if lanes & guards or (lanes + ones * room) & guards:  # the config or a cell does not fit
             chunk = cells[a:b]
             if (low := min(chunk)) < 0:
@@ -260,16 +249,14 @@ def step(
                         chunk[i] = 0
             try:
                 cells[a:b] = chunk
-            except ValueError:  # a value above 255 on a map still in bytes
-                cells = stress.widen()
+            except ValueError:  # a value above 255 on a map in bytes: a config that fits
+                cells = stress.widen()  # byte lanes quakes it first, so `fits` is False here
                 cells[a:b] = chunk
             continue
         flags = int.from_bytes(fault_flags[a:b], "little")  # 1 in each fault cell's lane
-        if n_span == f_span:
-            r = int.from_bytes(rng.residues(n, n_span), "little")
-        else:  # one draw per cell, reduced by both spans; fault lanes take the fault residue
-            buf = rng._mix(n)
-            r = int.from_bytes(_residues(buf, n_span), "little")
+        buf = rng._mix(n)
+        r = int.from_bytes(_residues(buf, n_span), "little")
+        if f_span != n_span:  # the same draws reduced by the fault span; fault lanes take it
             r ^= (r ^ int.from_bytes(_residues(buf, f_span), "little")) & flags * 0xFF
         # lane: 0x80 + cell + delta, where delta = r + the low end of the cell's range
         x = lanes + r + ones * (0x80 + n_lo) + flags * (f_lo - n_lo)

@@ -64,9 +64,6 @@ class _Grid:
         width = self.dims.width
         return (self.cells[start : start + width] for start in range(0, self.dims.area, width))
 
-    def copy(self):
-        return type(self)(self.dims, self.cells.copy())
-
 
 class FaultMap(_Grid):
     """Occupancy grid, one byte per cell: 1 marks a fault cell, 0 a plain one."""
@@ -82,9 +79,6 @@ class FaultMap(_Grid):
     def empty(cls, dims: GridDims) -> FaultMap:
         return cls(dims, bytearray(dims.area))
 
-    def is_fault(self, x: int, y: int) -> bool:
-        return self.cells[self._index(x, y)] != 0
-
     def mark(self, x: int, y: int) -> bool:
         """Set (x, y) to fault; returns True if the cell was newly set."""
         i = self._index(x, y)
@@ -92,14 +86,6 @@ class FaultMap(_Grid):
             return False
         self.cells[i] = 1
         return True
-
-    def fault_cells(self) -> set[Cell]:
-        w = self.dims.width
-        return {(i % w, i // w) for i, v in enumerate(self.cells) if v}
-
-    @property
-    def fault_count(self) -> int:
-        return sum(self.cells)
 
 
 class StressMap(_Grid):

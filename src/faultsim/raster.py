@@ -32,38 +32,28 @@ def segment_cells(x0: int, y0: int, x1: int, y1: int) -> list[Cell]:
     if (x1, y1) < (x0, y0):
         x0, y0, x1, y1 = x1, y1, x0, y0
     dx = x1 - x0  # >= 0 after reordering
-    dy = y1 - y0
-    cells = [(x0, y0)]
-    if dx >= abs(dy):
-        if dx == 0:
-            return cells
-        n = abs(dy)
-        sy = 1 if dy > 0 else -1
-        # acc tracks 2*(k*n - r*dx): twice the signed distance numerator
-        # between the ideal minor offset and the chosen one.
-        acc = 0
-        y = y0
-        for x in range(x0 + 1, x1 + 1):
-            acc += 2 * n
-            # ties (acc == dx) must keep the lower y: strict when stepping
-            # down the page, inclusive when stepping up.
-            if (acc > dx) if sy > 0 else (acc >= dx):
-                y += sy
-                acc -= 2 * dx
-            cells.append((x, y))
+    dy = abs(y1 - y0)
+    sy = 1 if y1 >= y0 else -1
+    # walk the major axis one cell at a time: (mx, my) is its unit step, (nx, ny) the minor one
+    if dx >= dy:
+        major, minor, (mx, my), (nx, ny) = dx, dy, (1, 0), (0, sy)
     else:
-        d = abs(dy)
-        sy = 1 if dy > 0 else -1
-        acc = 0
-        x = x0
-        y = y0
-        for _ in range(d):
-            y += sy
-            acc += 2 * dx
-            if acc > d:  # ties keep the lower x (dx >= 0 here)
-                x += 1
-                acc -= 2 * d
-            cells.append((x, y))
+        major, minor, (mx, my), (nx, ny) = dy, dx, (0, sy), (1, 0)
+    up = ny < 0  # a tie keeps the lower minor coordinate, so only a step up the page takes it
+    x, y = x0, y0
+    cells = [(x, y)]
+    # acc tracks 2*(k*minor - r*major): twice the signed distance numerator
+    # between the ideal minor offset and the chosen one.
+    acc = 0
+    for _ in range(major):
+        x += mx
+        y += my
+        acc += 2 * minor
+        if acc > major or (up and acc == major):
+            x += nx
+            y += ny
+            acc -= 2 * major
+        cells.append((x, y))
     return cells
 
 
@@ -145,4 +135,8 @@ def draw_circle(fault_map: FaultMap, cx: int, cy: int, r: int) -> int:
     dims = fault_map.dims
     if not dims.contains(cx, cy):
         raise OutOfRangeError(f"center ({cx}, {cy}) outside {dims.width}x{dims.height} grid")
+    # every cell the midpoint circle plots lies above squared distance r*r - r - 1 from its
+    # center: past the farthest corner none lands, and circle_cells would still grow with r
+    if max(cx, dims.width - 1 - cx) ** 2 + max(cy, dims.height - 1 - cy) ** 2 <= r * r - r - 1:
+        return 0
     return sum(fault_map.mark(x, y) for x, y in circle_cells(cx, cy, r) if dims.contains(x, y))

@@ -162,11 +162,10 @@ def load_scenario(fp: IO[str] | IO[bytes]) -> Scenario:
 
 
 def _format_mean(mean: Fraction) -> str:
-    """Two decimal places, rounding halves away from zero."""
+    """Two decimal places, rounding halves up; step clamps cells at 0, so a mean is never negative."""
     num, den = mean.numerator, mean.denominator
-    cents = (200 * abs(num) + den) // (2 * den)
-    sign = "-" if num < 0 else ""
-    return f"{sign}{cents // 100}.{cents % 100:02d}"
+    cents = (200 * num + den) // (2 * den)
+    return f"{cents // 100}.{cents % 100:02d}"
 
 
 def format_stats_row(r: StepReport) -> str:

@@ -6,7 +6,9 @@ rounding per major-axis column, circles by exact integer square roots per
 octant column. The step oracle draws each cell through its own `randint`
 call, where the engine draws up to 1,024 cells in one block. `strip_ansi`
 removes the renderer's colour codes, so a coloured frame can be checked
-against a plain one.
+against a plain one. `fault_cells`, `fault_count`, `is_fault` and
+`copy_grid` read and copy maps for the tests; the program itself never needs
+them.
 """
 
 from __future__ import annotations
@@ -24,6 +26,26 @@ _ANSI_RE = re.compile(r"\x1b\[[0-9;]*[A-Za-z]")
 def strip_ansi(text: str) -> str:
     """Remove ANSI escape sequences."""
     return _ANSI_RE.sub("", text)
+
+
+def fault_cells(fmap: FaultMap) -> set[Cell]:
+    """The (x, y) of every fault cell."""
+    w = fmap.dims.width
+    return {(i % w, i // w) for i, v in enumerate(fmap.cells) if v}
+
+
+def fault_count(fmap: FaultMap) -> int:
+    return sum(fmap.cells)
+
+
+def is_fault(fmap: FaultMap, x: int, y: int) -> bool:
+    """True iff (x, y) is a fault cell; IndexError off the grid."""
+    return fmap.cells[fmap._index(x, y)] != 0
+
+
+def copy_grid(grid: FaultMap | StressMap) -> FaultMap | StressMap:
+    """A map of the same type and dims whose cells are a copy."""
+    return type(grid)(grid.dims, grid.cells.copy())
 
 
 def segment_oracle(x0: int, y0: int, x1: int, y1: int) -> set[tuple[int, int]]:

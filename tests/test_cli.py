@@ -19,7 +19,7 @@ from faultsim.grid import FaultMap, GridDims, StressMap
 from faultsim.render import RenderStyle, render_stress_map
 from faultsim.scenario import Scenario, format_scenario, format_stats, parse_scenario
 
-from oracles import strip_ansi
+from oracles import fault_cells, strip_ansi
 
 
 def write_scenario(tmp_path, cfg: SimConfig, fault_cells=()) -> str:
@@ -351,7 +351,7 @@ class TestInteractiveMenu:
         # the remaining prompts are still shown; nothing is drawn or printed after them
         assert out == MENU + "choice: " + prompts
         [(_, faults)] = states
-        assert faults.fault_cells() == set()
+        assert fault_cells(faults) == set()
 
     def test_prompts_accept_padded_integers(self):
         argv = ["--width", "4", "--height", "3", "--seed", "1", "--no-color"]
@@ -368,7 +368,7 @@ class TestInteractiveMenu:
         scenario = parse_scenario(target.read_text())
         assert scenario.cfg.dims == GridDims(4, 3)
         assert scenario.cfg.seed == 11
-        assert scenario.faults.fault_cells() == {(2, y) for y in range(3)}
+        assert fault_cells(scenario.faults) == {(2, y) for y in range(3)}
 
     def test_save_failure_keeps_session(self, tmp_path):
         argv = ["--width", "2", "--height", "2", "--seed", "1", "--no-color"]

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from faultsim.engine import SimConfig, SplitMix64, iter_steps, run, step
+from faultsim.engine import SimConfig, SplitMix64, _residues, iter_steps, run, step
 from faultsim.grid import FaultMap, GridDims, StressMap
-from oracles import step_oracle
+from oracles import copy_grid, step_oracle
 
 GAMMA = 0x9E3779B97F4A7C15
 MASK64 = (1 << 64) - 1
@@ -87,7 +87,7 @@ class TestSplitMix64:
         for span in range(1, 129):
             seed = seeds.getrandbits(64)
             table, drawn = SplitMix64(seed), SplitMix64(seed)
-            assert table.residues(n, span) == bytes(map(mod, drawn.draws(n), repeat(span))), (seed, n, span)
+            assert _residues(table._mix(n), span) == bytes(map(mod, drawn.draws(n), repeat(span))), (seed, n, span)
             assert table.state == drawn.state, (seed, n, span)
 
     def test_residues_of_the_largest_byte_sums(self):
@@ -98,14 +98,7 @@ class TestSplitMix64:
             seed = seed_for_first_output(u)
             assert SplitMix64(seed).next_u64() == u
             table, drawn = SplitMix64(seed), SplitMix64(seed)
-            assert table.residues(2, span) == bytes(map(mod, drawn.draws(2), repeat(span))), span
-
-    @pytest.mark.parametrize("span", [0, 129])
-    def test_residues_span_outside_byte_lanes_rejected(self, span):
-        rng = SplitMix64(0)
-        with pytest.raises(ValueError, match=f"span must be in \\[1, 128\\], got {span}"):
-            rng.residues(4, span)
-        assert rng.state == 0
+            assert _residues(table._mix(2), span) == bytes(map(mod, drawn.draws(2), repeat(span))), span
 
 
 class TestSimConfig:
@@ -270,7 +263,7 @@ class TestStep:
             twin.next_u64()
         assert rng.state == twin.state == (4 * 15 * GAMMA) & ((1 << 64) - 1)
 
-    # byte lanes at threshold 10, the per-cell chunk at every larger one
+    # a list-backed map is stepped per cell at every threshold, byte lanes or not
     @pytest.mark.parametrize("threshold", [10, 1000, 2**40, 10**30, 10**60])
     def test_negative_cell_rejected(self, threshold):
         # StressMap.put refuses negative values and a map in bytes cannot hold one;
@@ -281,13 +274,13 @@ class TestStep:
             with pytest.raises(ValueError, match=f"stress must be non-negative, got {value}"):
                 step(stress, FaultMap.empty(cfg.dims), cfg, SplitMix64(0), 0)
 
-    # with zero deltas only a cell that starts at the threshold quakes; byte lanes
-    # hold thresholds up to 128, and from 129 on every chunk is stepped per cell
+    # with zero deltas only a cell that starts at the threshold quakes; byte lanes on a
+    # map in bytes hold thresholds up to 128, and from 129 on every chunk is stepped per cell
     @pytest.mark.parametrize("threshold", [100, 127, 128, 129, 1000])
     def test_zero_deltas_quake_only_at_threshold(self, threshold):
         cfg = _cfg(dims=GridDims(4, 1), quake_threshold=threshold, fault_delta_min=0, fault_delta_max=0)
         for starts, quaked in (([0, 1, 2, 3], ()), ([0, threshold - 1, threshold, 1], ((2, 0),))):
-            stress = StressMap(cfg.dims, list(starts))
+            stress = StressMap(cfg.dims, bytearray(starts) if max(starts) < 256 else list(starts))
             report = step(stress, FaultMap.empty(cfg.dims), cfg, SplitMix64(0), 0)
             assert report.quaked_cells == quaked
             assert report.max_stress == max(starts)
@@ -367,7 +360,7 @@ class TestStepOracle:
         starts = st.tuples(st.integers(0, cfg.dims.area - 1), st.one_of(st.integers(0, 3 * threshold), near_guard))
         for i, value in data.draw(st.lists(starts, max_size=12), "starting_cells"):
             stress.put(i % cfg.dims.width, i // cfg.dims.width, value)
-        expected = stress.copy()
+        expected = copy_grid(stress)
         rng, oracle_rng = SplitMix64(seed), SplitMix64(seed)
         cumulative = 0
         for i in range(1, 4):
@@ -387,16 +380,18 @@ class TestStepOracle:
         stress = StressMap.zeros(cfg.dims)
         for x, y in ((0, 0), (1, 0), (39, 25), (39, 29)):
             stress.put(x, y, value)
-        expected = stress.copy()
+        expected = copy_grid(stress)
         rng, oracle_rng = SplitMix64(cfg.seed), SplitMix64(cfg.seed)
         for i in (1, 2):
             assert step(stress, faults, cfg, rng, 0, i) == step_oracle(expected, faults, cfg, oracle_rng, 0, i)
             assert list(stress.cells) == list(expected.cells)
 
-    # chunk 0 (cells 0..1023) quakes on byte lanes; chunk 1 holds one cell that
-    # does not fit them. 118 drifts by at most 5, below chunk 0's 127, so chunk 0
-    # sets max_stress; the larger values set it from chunk 1.
-    @pytest.mark.parametrize("value,max_from_chunk_1", [(118, False), (256, True), (10**30, True)])
+    # chunk 0 (cells 0..1023) quakes; chunk 1 holds one cell that does not fit byte
+    # lanes. With 118 or 250 the map stays in bytes, so chunk 0 steps on byte lanes;
+    # put widens it for 256 and 10**30, and a widened map steps per cell in every
+    # chunk. 118 drifts by at most 5, below chunk 0's 127, so chunk 0 sets
+    # max_stress; the larger values set it from chunk 1.
+    @pytest.mark.parametrize("value,max_from_chunk_1", [(118, False), (250, True), (256, True), (10**30, True)])
     def test_byte_lane_chunk_beside_per_cell_chunk(self, value, max_from_chunk_1):
         cfg = SimConfig(dims=GridDims(40, 30), seed=5, delay_ms=0)
         faults = FaultMap.empty(cfg.dims)
@@ -405,7 +400,7 @@ class TestStepOracle:
         for x, start in ((0, 99), (3, 99), (6, 117), (9, 117)):  # fault cells
             stress.put(x, 0, start)
         stress.put(38, 29, value)  # a non-fault cell
-        expected = stress.copy()
+        expected = copy_grid(stress)
         rng, oracle_rng = SplitMix64(cfg.seed), SplitMix64(cfg.seed)
         report = step(stress, faults, cfg, rng, 0)
         assert report == step_oracle(expected, faults, cfg, oracle_rng, 0)
@@ -417,6 +412,24 @@ class TestStepOracle:
         assert list(stress.cells) == list(expected.cells)
         assert rng.state == oracle_rng.state
 
+    def test_list_backed_map_that_fits_matches_oracle(self):
+        # stock config and cells that fit byte lanes, but held in a list: every
+        # chunk is stepped per cell, with the same reports, cells and draws
+        cfg = SimConfig(dims=GridDims(40, 30), seed=5, delay_ms=0)
+        faults = FaultMap.empty(cfg.dims)
+        faults.cells[::3] = [1] * len(faults.cells[::3])
+        starts = random.Random(5).choices(range(100), k=cfg.dims.area)
+        stress, expected = StressMap(cfg.dims, list(starts)), StressMap(cfg.dims, list(starts))
+        rng, oracle_rng = SplitMix64(cfg.seed), SplitMix64(cfg.seed)
+        cumulative = 0
+        for i in (1, 2, 3):
+            report = step(stress, faults, cfg, rng, cumulative, step_index=i)
+            assert report == step_oracle(expected, faults, cfg, oracle_rng, cumulative, step_index=i)
+            assert stress.cells == expected.cells
+            assert rng.state == oracle_rng.state
+            cumulative = report.cumulative_quakes
+        assert cumulative > 0
+
     # threshold 250 and 1000 step every chunk per cell; the fault cell gains 100 a
     # step, so step 3 takes it to 300. At 250 it quakes and the map stays in bytes
     # (the oracle stores 300 before its reset, so it widens); at 1000 the map widens.
@@ -427,7 +440,7 @@ class TestStepOracle:
         faults = FaultMap.empty(cfg.dims)
         faults.mark(39, 29)  # in the second chunk
         stress = StressMap.zeros(cfg.dims)
-        expected = stress.copy()
+        expected = copy_grid(stress)
         rng, oracle_rng = SplitMix64(cfg.seed), SplitMix64(cfg.seed)
         for i in (1, 2, 3):
             assert step(stress, faults, cfg, rng, 0, i) == step_oracle(expected, faults, cfg, oracle_rng, 0, i)
@@ -436,20 +449,22 @@ class TestStepOracle:
         assert stress.get(39, 29) == (300 if widened else 0)
 
     # spans above 32 need the residues reduced between byte-lane sums; spans that
-    # differ draw once and pick each cell's residue by its fault flag
+    # differ draw once and pick each cell's residue by its fault flag; a span of 129
+    # does not fit byte lanes, so every chunk of that config is stepped per cell
     @pytest.mark.parametrize("nonfault,fault,threshold", [
         ((-50, 49), (0, 19), 70),  # spans 100 and 20
         ((-40, 59), (-40, 59), 60),  # span 100 on both
+        ((-64, 64), (0, 19), 70),  # spans 129 and 20
     ])
     def test_wide_and_differing_spans_match_oracle(self, nonfault, fault, threshold):
-        # 40x30 is one full chunk and one partial one, both on byte lanes
+        # 40x30 is one full chunk and one partial one
         cfg = SimConfig(dims=GridDims(40, 30), seed=11, quake_threshold=threshold, delay_ms=0,
                         nonfault_delta_min=nonfault[0], nonfault_delta_max=nonfault[1],
                         fault_delta_min=fault[0], fault_delta_max=fault[1])
         faults = FaultMap.empty(cfg.dims)
         faults.cells[::3] = [1] * len(faults.cells[::3])
         stress = StressMap.zeros(cfg.dims)
-        expected = stress.copy()
+        expected = copy_grid(stress)
         rng, oracle_rng = SplitMix64(cfg.seed), SplitMix64(cfg.seed)
         cumulative = 0
         for i in range(1, 6):
@@ -510,7 +525,7 @@ class TestRun:
             faults.mark(x, 2)
         seen_a, seen_b = [], []
         a = run(faults, cfg, observer=seen_a.append)
-        b = run(faults.copy(), cfg, observer=seen_b.append)
+        b = run(copy_grid(faults), cfg, observer=seen_b.append)
         assert seen_a == seen_b
         assert a.total_steps == b.total_steps
         cells_a = [a.final_stress.get(x, y) for y in range(6) for x in range(6)]

@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from faultsim.grid import MAX_DIM, FaultMap, GridDims, StressMap
+from oracles import copy_grid, fault_cells, fault_count, is_fault
 
 
 class TestGridDims:
@@ -75,28 +76,28 @@ class TestFaultMap:
         return FaultMap.empty(GridDims(6, 4))
 
     def test_empty_all_clear(self, fmap):
-        assert fmap.fault_count == 0
-        assert fmap.fault_cells() == set()
+        assert fault_count(fmap) == 0
+        assert fault_cells(fmap) == set()
         for y in range(4):
             for x in range(6):
-                assert not fmap.is_fault(x, y)
+                assert not is_fault(fmap, x, y)
 
     def test_mark_and_read_back(self, fmap):
         assert fmap.mark(2, 3) is True
-        assert fmap.is_fault(2, 3)
-        assert fmap.fault_count == 1
-        assert fmap.fault_cells() == {(2, 3)}
+        assert is_fault(fmap, 2, 3)
+        assert fault_count(fmap) == 1
+        assert fault_cells(fmap) == {(2, 3)}
 
     def test_is_fault_and_mark_return_bool(self, fmap):
-        assert fmap.is_fault(3, 2) is False
+        assert is_fault(fmap, 3, 2) is False
         assert fmap.mark(3, 2) is True
-        assert fmap.is_fault(3, 2) is True
+        assert is_fault(fmap, 3, 2) is True
         assert fmap.mark(3, 2) is False
 
     def test_cells_are_one_byte_each(self, fmap):
         assert fmap.cells == bytearray(24)
         fmap.mark(1, 0)
-        clone = fmap.copy()
+        clone = copy_grid(fmap)
         assert isinstance(clone.cells, bytearray)
         assert clone.cells == fmap.cells and clone.cells is not fmap.cells
 
@@ -104,26 +105,26 @@ class TestFaultMap:
         fmap = FaultMap(GridDims(2, 2), [False, True, True, False])
         assert isinstance(fmap.cells, bytearray)
         assert fmap.cells == b"\0\1\1\0"
-        assert fmap.fault_cells() == {(1, 0), (0, 1)}
+        assert fault_cells(fmap) == {(1, 0), (0, 1)}
 
     def test_mark_idempotent(self, fmap):
         assert fmap.mark(1, 1) is True
         assert fmap.mark(1, 1) is False  # already set: not newly marked
-        assert fmap.fault_count == 1
+        assert fault_count(fmap) == 1
 
     @pytest.mark.parametrize("x,y", [(-1, 0), (0, -1), (6, 0), (0, 4)])
     def test_out_of_bounds_raises(self, fmap, x, y):
         with pytest.raises(IndexError):
-            fmap.is_fault(x, y)
+            is_fault(fmap, x, y)
         with pytest.raises(IndexError):
             fmap.mark(x, y)
 
     def test_copy_is_independent(self, fmap):
         fmap.mark(0, 0)
-        clone = fmap.copy()
+        clone = copy_grid(fmap)
         clone.mark(5, 3)
-        assert fmap.fault_cells() == {(0, 0)}
-        assert clone.fault_cells() == {(0, 0), (5, 3)}
+        assert fault_cells(fmap) == {(0, 0)}
+        assert fault_cells(clone) == {(0, 0), (5, 3)}
 
     @given(
         st.lists(
@@ -134,8 +135,8 @@ class TestFaultMap:
         fmap = FaultMap.empty(GridDims(6, 4))
         for x, y in points:
             fmap.mark(x, y)
-        assert fmap.fault_cells() == set(points)
-        assert fmap.fault_count == len(set(points))
+        assert fault_cells(fmap) == set(points)
+        assert fault_count(fmap) == len(set(points))
 
 
 class TestStressMap:
@@ -194,7 +195,7 @@ class TestStressMap:
     def test_copy_is_independent(self):
         smap = StressMap.zeros(GridDims(2, 2))
         smap.put(1, 1, 5)
-        clone = smap.copy()
+        clone = copy_grid(smap)
         clone.put(0, 0, 9)
         assert smap.get(0, 0) == 0
         assert clone.get(1, 1) == 5

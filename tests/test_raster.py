@@ -13,7 +13,7 @@ from faultsim.raster import (
     segment_cells,
 )
 
-from oracles import circle_oracle, segment_oracle
+from oracles import circle_oracle, copy_grid, fault_cells, fault_count, segment_oracle
 
 coord = st.integers(0, 15)
 
@@ -125,7 +125,7 @@ class TestCircleCells:
 class TestDrawLines:
     def test_vertical_marks_full_column(self, grid10):
         assert draw_vertical(grid10, 5) == 10
-        assert grid10.fault_cells() == {(5, y) for y in range(10)}
+        assert fault_cells(grid10) == {(5, y) for y in range(10)}
 
     def test_vertical_counts_only_new_cells(self, grid10):
         grid10.mark(5, 3)
@@ -133,37 +133,37 @@ class TestDrawLines:
 
     def test_horizontal_marks_full_row(self, grid10):
         assert draw_horizontal(grid10, 0) == 10
-        assert grid10.fault_cells() == {(x, 0) for x in range(10)}
+        assert fault_cells(grid10) == {(x, 0) for x in range(10)}
 
     def test_horizontal_rect_grid(self):
         fmap = FaultMap.empty(GridDims(4, 7))
         assert draw_horizontal(fmap, 6) == 4
-        assert fmap.fault_cells() == {(x, 6) for x in range(4)}
+        assert fault_cells(fmap) == {(x, 6) for x in range(4)}
 
     @pytest.mark.parametrize("x", [-1, 10, 12])
     def test_vertical_out_of_range(self, grid10, x):
         with pytest.raises(OutOfRangeError):
             draw_vertical(grid10, x)
-        assert grid10.fault_count == 0  # failed draw leaves the map unchanged
+        assert fault_count(grid10) == 0  # failed draw leaves the map unchanged
 
     @pytest.mark.parametrize("y", [-1, 10])
     def test_horizontal_out_of_range(self, grid10, y):
         with pytest.raises(OutOfRangeError):
             draw_horizontal(grid10, y)
-        assert grid10.fault_count == 0
+        assert fault_count(grid10) == 0
 
     def test_segment_draw(self, grid10):
         assert draw_segment(grid10, 0, 0, 5, 2) == 6
-        assert grid10.fault_cells() == {(0, 0), (1, 0), (2, 1), (3, 1), (4, 2), (5, 2)}
+        assert fault_cells(grid10) == {(0, 0), (1, 0), (2, 1), (3, 1), (4, 2), (5, 2)}
 
     @pytest.mark.parametrize(
         "ends", [(-1, 0, 5, 5), (0, 0, 10, 5), (0, 0, 5, 10), (0, -1, 0, 0)]
     )
     def test_segment_requires_both_endpoints_in_bounds(self, grid10, ends):
-        before = grid10.copy().fault_cells()
+        before = fault_cells(copy_grid(grid10))
         with pytest.raises(OutOfRangeError):
             draw_segment(grid10, *ends)
-        assert grid10.fault_cells() == before
+        assert fault_cells(grid10) == before
 
     @given(x0=st.integers(0, 9), y0=st.integers(0, 9),
            x1=st.integers(0, 9), y1=st.integers(0, 9))
@@ -171,18 +171,18 @@ class TestDrawLines:
         fmap = FaultMap.empty(GridDims(10, 10))
         n = draw_segment(fmap, x0, y0, x1, y1)
         assert n == len(segment_oracle(x0, y0, x1, y1))
-        assert fmap.fault_cells() == segment_oracle(x0, y0, x1, y1)
+        assert fault_cells(fmap) == segment_oracle(x0, y0, x1, y1)
 
 
 class TestDrawCircle:
     def test_fully_inside(self, grid10):
         assert draw_circle(grid10, 5, 5, 3) == 16
-        assert grid10.fault_cells() == circle_oracle(5, 5, 3)
+        assert fault_cells(grid10) == circle_oracle(5, 5, 3)
 
     def test_cropped_at_corner(self, grid10):
         n = draw_circle(grid10, 0, 0, 3)
         want = {c for c in circle_oracle(0, 0, 3) if grid10.dims.contains(*c)}
-        assert grid10.fault_cells() == want
+        assert fault_cells(grid10) == want
         assert n == len(want) < 16
 
     def test_center_must_be_in_bounds(self, grid10):
@@ -190,17 +190,39 @@ class TestDrawCircle:
             draw_circle(grid10, 10, 5, 2)
         with pytest.raises(OutOfRangeError):
             draw_circle(grid10, 5, -1, 2)
-        assert grid10.fault_count == 0
+        assert fault_count(grid10) == 0
 
     def test_negative_radius_reported_before_center(self, grid10):
         with pytest.raises(OutOfRangeError, match=r"^radius must be non-negative\.$"):
             draw_circle(grid10, -5, -5, -1)
-        assert grid10.fault_count == 0
+        assert fault_count(grid10) == 0
 
     def test_radius_larger_than_grid(self, grid10):
         # Every cell of the arc is cropped: nothing marked, no error.
         assert draw_circle(grid10, 5, 5, 40) == 0
-        assert grid10.fault_count == 0
+        assert fault_count(grid10) == 0
+
+    def test_radius_up_to_the_far_corner_bound_matches_clipped_circle(self):
+        # a plotted cell lies above squared distance r*r - r - 1 from the center, so
+        # draw_circle skips the walk once that passes the farthest corner; check every
+        # center of a 6x4 grid up to 3 radii past the first radius it skips at
+        dims = GridDims(6, 4)
+        for cx in range(6):
+            for cy in range(4):
+                far = max(cx, 5 - cx) ** 2 + max(cy, 3 - cy) ** 2
+                first_skipped = next(r for r in range(100) if far <= r * r - r - 1)
+                for r in range(first_skipped + 4):
+                    fmap = FaultMap.empty(dims)
+                    want = {c for c in circle_cells(cx, cy, r) if dims.contains(*c)}
+                    assert draw_circle(fmap, cx, cy, r) == len(want), (cx, cy, r)
+                    assert fault_cells(fmap) == want, (cx, cy, r)
+
+    def test_huge_radius_marks_nothing_at_once(self, grid10):
+        # the midpoint walk would take about 7 * 10**11 iterations here
+        draw_vertical(grid10, 3)
+        before = bytearray(grid10.cells)
+        assert draw_circle(grid10, 5, 5, 10**12) == 0
+        assert grid10.cells == before
 
     @given(
         w=st.integers(1, 24),
@@ -216,10 +238,10 @@ class TestDrawCircle:
         draw_circle(fmap, cx, cy, r)
         dims = GridDims(w, h)
         want = {c for c in circle_oracle(cx, cy, r) if dims.contains(*c)}
-        assert fmap.fault_cells() == want
+        assert fault_cells(fmap) == want
 
     def test_draws_accumulate(self, grid10):
         draw_vertical(grid10, 2)
-        before = grid10.fault_cells()
+        before = fault_cells(grid10)
         draw_circle(grid10, 5, 5, 3)
-        assert before <= grid10.fault_cells()  # drawing never clears cells
+        assert before <= fault_cells(grid10)  # drawing never clears cells
