@@ -125,8 +125,8 @@ def _stress_bands(threshold: int) -> StressBands:
 
 
 @contextmanager
-def _stats_sink(path: str | None) -> Iterator[IO[str]]:
-    """Where the CSV goes: stdout, or a file that only ever appears complete.
+def _output_file(path: str | None) -> Iterator[IO[str]]:
+    """Where a CSV or a saved scenario goes: stdout, or a file that only ever appears complete.
 
     A regular file is written under a temporary name beside its target and
     renamed over it when the block succeeds; on any failure the temporary
@@ -180,7 +180,7 @@ def run_headless(cfg: SimConfig, faults: FaultMap, out_path: str | None) -> int:
         out.write(row)
 
     try:
-        with _stats_sink(out_path) as out:
+        with _output_file(out_path) as out:
             out.write(format_stats(()))  # the header: the CSV of a run with no steps
             summary = run(faults, cfg, observer=write_row)
     except KeyboardInterrupt:
@@ -229,7 +229,7 @@ def _animate(faults: FaultMap, cfg: SimConfig, style: RenderStyle, stdout: IO[st
     """
     bands = _stress_bands(cfg.quake_threshold)
     clear = CLEAR_SCREEN if style.color_enabled else ""
-    stress = StressMap.zeros(cfg.dims)
+    stress = StressMap.empty(cfg.dims)
     steps = quakes = 0  # of the last complete frame
     try:
         stdout.write(render_fault_map(faults, style))
@@ -287,7 +287,7 @@ def run_interactive(cfg: SimConfig, faults: FaultMap, style: RenderStyle,
             if path is None:
                 return 0
             try:
-                with open(path, "w", newline="") as fp:
+                with _output_file(path) as fp:  # an old file stays whole if the save fails
                     save_scenario(Scenario(cfg=cfg, faults=faults), fp)
             except OSError as exc:
                 stdout.write(f"Error: {exc}\n")

@@ -203,8 +203,8 @@ def step(
     test and the reset act on one int that holds each cell in a byte
     (Lamport's multiple byte processing with full-word instructions). Any
     other chunk, and every chunk of a list-backed map, is stepped one cell
-    at a time, and widens a map held in bytes the first time it must store
-    a value above 255. Each test
+    at a time, and switches a map held in bytes to a list of ints the first
+    time it must store a value above 255. Each test
     uses only the cell's own post-update value, never a neighbour's. A
     negative cell raises ValueError, with the chunks before it already
     stepped.
@@ -249,8 +249,8 @@ def step(
                         chunk[i] = 0
             try:
                 cells[a:b] = chunk
-            except ValueError:  # a value above 255 on a map in bytes: a config that fits
-                cells = stress.widen()  # byte lanes quakes it first, so `fits` is False here
+            except ValueError:  # a value above 255 on a map in bytes: a config that fits byte
+                stress.cells = cells = list(cells)  # lanes quakes it first, so `fits` is False here
                 cells[a:b] = chunk
             continue
         flags = int.from_bytes(fault_flags[a:b], "little")  # 1 in each fault cell's lane
@@ -309,7 +309,7 @@ def run(
 
     Only the last report is kept, so memory does not grow with the step count.
     """
-    stress = StressMap.zeros(cfg.dims)
+    stress = StressMap.empty(cfg.dims)
     for last in iter_steps(stress, faults, cfg):
         if observer is not None:
             observer(last)

@@ -7,11 +7,13 @@ top-left, x grows rightward (column index), y grows downward (row index).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import TypeVar
 
 MAX_DIM = 1024
 
 Cell = tuple[int, int]  # (x, y)
+
+_G = TypeVar("_G", bound="_Grid")
 
 
 def require_int(name: str, value: object) -> None:
@@ -54,15 +56,15 @@ class _Grid:
             raise ValueError(f"{len(self.cells)} cells given for a "
                              f"{self.dims.width}x{self.dims.height} grid of {self.dims.area}")
 
+    @classmethod
+    def empty(cls: type[_G], dims: GridDims) -> _G:
+        """A map of dims whose cells are all 0, held in bytes."""
+        return cls(dims, bytearray(dims.area))
+
     def _index(self, x: int, y: int) -> int:
         if not self.dims.contains(x, y):
             raise IndexError(f"({x}, {y}) outside {self.dims.width}x{self.dims.height} grid")
         return y * self.dims.width + x
-
-    def rows(self) -> Iterator[list | bytearray]:
-        """The cells one grid row at a time, top row first."""
-        width = self.dims.width
-        return (self.cells[start : start + width] for start in range(0, self.dims.area, width))
 
 
 class FaultMap(_Grid):
@@ -74,10 +76,6 @@ class FaultMap(_Grid):
         if not isinstance(self.cells, bytearray):
             self.cells = bytearray(map(bool, self.cells))
         super().__post_init__()
-
-    @classmethod
-    def empty(cls, dims: GridDims) -> FaultMap:
-        return cls(dims, bytearray(dims.area))
 
     def mark(self, x: int, y: int) -> bool:
         """Set (x, y) to fault; returns True if the cell was newly set."""
@@ -91,27 +89,7 @@ class FaultMap(_Grid):
 class StressMap(_Grid):
     """Per-cell accumulated stress; values are non-negative integers.
 
-    A new map holds its cells in a bytearray, one byte each, and switches to
-    a list of ints (`widen`) the first time a value above 255 is stored.
+    A new map holds its cells in a bytearray, one byte each; engine.step
+    switches them to a list of ints the first time it must store a value
+    above 255.
     """
-
-    @classmethod
-    def zeros(cls, dims: GridDims) -> StressMap:
-        return cls(dims, bytearray(dims.area))
-
-    def widen(self) -> list[int]:
-        """The cells as a list of ints, switching a bytearray to one, same values, in place."""
-        if isinstance(self.cells, bytearray):
-            self.cells = list(self.cells)
-        return self.cells
-
-    def get(self, x: int, y: int) -> int:
-        return self.cells[self._index(x, y)]
-
-    def put(self, x: int, y: int, value: int) -> None:
-        require_int("stress", value)
-        if value < 0:
-            raise ValueError(f"stress must be non-negative, got {value}")
-        i = self._index(x, y)
-        cells = self.widen() if value > 0xFF else self.cells
-        cells[i] = value

@@ -22,7 +22,8 @@ CSV, one row per simulation step.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import partial
 from typing import IO, Iterable
@@ -33,19 +34,8 @@ from .grid import FaultMap, GridDims
 MAGIC = "FAULTSIM 1"
 STATS_HEADER = "step,quakes,cumulative_quakes,max_stress,mean_stress"
 
-_CONFIG_KEYS = (
-    "width",
-    "height",
-    "seed",
-    "quake_threshold",
-    "target_quakes",
-    "nonfault_delta_min",
-    "nonfault_delta_max",
-    "fault_delta_min",
-    "fault_delta_max",
-    "delay_ms",
-    "max_steps",
-)
+# the keys in file order: SimConfig's fields, its first (dims) given as width and height
+_CONFIG_KEYS = ("width", "height", *(f.name for f in fields(SimConfig)[1:]))
 
 # canonical decimal integers only: no leading zeros, plus signs or "-0"
 _INT_RE = re.compile(r"-?(0|[1-9][0-9]*)$")
@@ -75,7 +65,9 @@ def format_scenario(scenario: Scenario) -> str:
     lines = [MAGIC]
     lines.extend(f"{key} {values[key]}" for key in _CONFIG_KEYS)
     lines.append("map")
-    lines.extend(row.translate(_CELLS_TO_GLYPHS).decode("ascii") for row in scenario.faults.rows())
+    glyphs = scenario.faults.cells.translate(_CELLS_TO_GLYPHS).decode("ascii")
+    width = cfg.dims.width
+    lines.extend(glyphs[start : start + width] for start in range(0, len(glyphs), width))
     lines.append("end")
     return "".join(line + "\n" for line in lines)
 
@@ -106,7 +98,11 @@ def parse_scenario(data: str | bytes) -> Scenario:
         token = line[len(key) + 1 :]
         if not _INT_RE.fullmatch(token):
             raise ScenarioError(f"{key}: not a canonical integer: {token!r}")
-        values[key] = int(token)
+        try:
+            values[key] = int(token)
+        except ValueError:  # more digits than int() converts (sys.get_int_max_str_digits)
+            raise ScenarioError(f"{key}: {len(token.lstrip('-'))} digits, more than the "
+                                f"{sys.get_int_max_str_digits()} an integer may have") from None
 
     try:
         dims = GridDims(values.pop("width"), values.pop("height"))

@@ -6,9 +6,9 @@ rounding per major-axis column, circles by exact integer square roots per
 octant column. The step oracle draws each cell through its own `randint`
 call, where the engine draws up to 1,024 cells in one block. `strip_ansi`
 removes the renderer's colour codes, so a coloured frame can be checked
-against a plain one. `fault_cells`, `fault_count`, `is_fault` and
-`copy_grid` read and copy maps for the tests; the program itself never needs
-them.
+against a plain one. `fault_cells`, `fault_count`, `is_fault`, `copy_grid`
+and `stress_map` read, copy and build maps for the tests; the program itself
+never needs them.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import re
 from fractions import Fraction
 
 from faultsim.engine import SimConfig, SplitMix64, StepReport
-from faultsim.grid import Cell, FaultMap, StressMap
+from faultsim.grid import Cell, FaultMap, GridDims, StressMap
 
 _ANSI_RE = re.compile(r"\x1b\[[0-9;]*[A-Za-z]")
 
@@ -46,6 +46,12 @@ def is_fault(fmap: FaultMap, x: int, y: int) -> bool:
 def copy_grid(grid: FaultMap | StressMap) -> FaultMap | StressMap:
     """A map of the same type and dims whose cells are a copy."""
     return type(grid)(grid.dims, grid.cells.copy())
+
+
+def stress_map(dims: GridDims, values: list[int]) -> StressMap:
+    """A stress map of these row-major values, stored as the engine stores them:
+    in bytes while every value fits one, else as a list of ints."""
+    return StressMap(dims, bytearray(values) if max(values) <= 0xFF else list(values))
 
 
 def segment_oracle(x0: int, y0: int, x1: int, y1: int) -> set[tuple[int, int]]:
@@ -129,8 +135,8 @@ def step_oracle(
         else:
             delta = randint(n_lo, n_hi)
         value = max(cells[i] + delta, 0)
-        if value > 0xFF:
-            cells = stress.widen()
+        if value > 0xFF and isinstance(cells, bytearray):  # the engine's switch to a list
+            stress.cells = cells = list(cells)
         cells[i] = value
 
     max_stress = max(cells)

@@ -32,7 +32,7 @@ from faultsim.scenario import (
     parse_scenario,
 )
 
-from oracles import circle_oracle, fault_cells, is_fault, segment_oracle, strip_ansi
+from oracles import circle_oracle, fault_cells, is_fault, segment_oracle, strip_ansi, stress_map
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -113,7 +113,7 @@ def test_criterion_4_stress_never_negative_and_resets():
             for x in range(6):
                 if meta.randint(0, 2) == 0:
                     faults.mark(x, y)
-        stress = StressMap.zeros(dims)
+        stress = StressMap.empty(dims)
         rng = SplitMix64(cfg.seed)
         cumulative = 0
         for index in range(1, 201):
@@ -123,7 +123,7 @@ def test_criterion_4_stress_never_negative_and_resets():
             assert min(cells) >= 0
             assert max(cells) < threshold  # anything at/over it was reset
             for x, y in report.quaked_cells:
-                assert stress.get(x, y) == 0
+                assert cells[y * dims.width + x] == 0
     _pass(4, "100 runs x 200 steps: stress stays >= 0 and quaked cells reset")
 
 
@@ -148,7 +148,7 @@ def test_criterion_5_deterministic_replay(tmp_path, capsys):
         outs.append(out.read_bytes())
     capsys.readouterr()
     assert outs[0] == outs[1]
-    assert outs[0].decode() == format_stats(iter_steps(StressMap.zeros(cfg.dims), faults, cfg))
+    assert outs[0].decode() == format_stats(iter_steps(StressMap.empty(cfg.dims), faults, cfg))
     _pass(5, "seed-0 generator vector and byte-identical repeated headless runs")
 
 
@@ -186,22 +186,16 @@ def test_criterion_7_render_goldens():
     assert render_fault_map(fmap, color) == "\x1b[31m1\x1b[0m 0\n"
     assert render_fault_map(fmap, plain) == "1 0\n"
 
-    low = StressMap.zeros(GridDims(1, 1))
+    low = StressMap.empty(GridDims(1, 1))
     assert render_stress_map(low, bands, 100, color) == "\x1b[32m  0\x1b[0m\n"
-    quake = StressMap.zeros(GridDims(1, 1))
-    quake.put(0, 0, 100)
+    quake = stress_map(GridDims(1, 1), [100])
     assert render_stress_map(quake, bands, 100, color) == "\x1b[34m100\x1b[0m\n"
-    row = StressMap.zeros(GridDims(2, 1))
-    row.put(0, 0, 5)
-    row.put(1, 0, 70)
+    row = stress_map(GridDims(2, 1), [5, 70])
     assert render_stress_map(row, bands, 100, plain) == "  5  70\n"
 
     rng = SplitMix64(7)
     for _ in range(50):
-        smap = StressMap.zeros(GridDims(4, 3))
-        for y in range(3):
-            for x in range(4):
-                smap.put(x, y, rng.randint(0, 150))
+        smap = stress_map(GridDims(4, 3), [rng.randint(0, 150) for _ in range(12)])
         colored = render_stress_map(smap, bands, 100, color)
         uncolored = render_stress_map(smap, bands, 100, plain)
         assert strip_ansi(colored) == uncolored

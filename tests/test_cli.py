@@ -235,7 +235,7 @@ class TestHeadless:
             faults.mark(x, 1)
         from dataclasses import replace
 
-        want = format_stats(iter_steps(StressMap.zeros(cfg.dims), faults, replace(cfg, seed=7)))
+        want = format_stats(iter_steps(StressMap.empty(cfg.dims), faults, replace(cfg, seed=7)))
         assert captured.out == want
 
     def test_flag_overrides_apply(self, tmp_path, capsys):
@@ -377,6 +377,27 @@ class TestInteractiveMenu:
         assert "Error: " in out
         assert out.count(MENU) == 2
 
+    # a save that fails part-way, by a full disk or by Ctrl-C, leaves the old file whole
+    @pytest.mark.parametrize("exc,code", [(OSError(28, "No space left on device"), 0), (KeyboardInterrupt(), 130)],
+                             ids=["disk-full", "interrupt"])
+    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch, exc, code):
+        target = tmp_path / "saved.txt"
+        target.write_text("old scenario\n")
+
+        def save_part(scenario, fp):
+            fp.write(format_scenario(scenario)[:20])
+            fp.flush()
+            raise exc
+
+        monkeypatch.setattr(cli, "save_scenario", save_part)
+        argv = ["--width", "2", "--height", "2", "--seed", "1", "--no-color"]
+        rc, out = run_script(f"6\n{target}\n7\n", argv)
+        assert rc == code
+        assert ("Error: [Errno 28] No space left on device\n" in out) == (code == 0)
+        assert "Saved" not in out
+        assert target.read_text() == "old scenario\n"
+        assert list(tmp_path.iterdir()) == [target]  # no temporary file left behind
+
 
 class TestInteractiveSimulation:
     def test_one_cell_golden_transcript(self, tmp_path):
@@ -472,7 +493,7 @@ class TestInteractiveSimulation:
         faults = FaultMap.empty(cfg.dims)
         for x, y in fault_cells:
             faults.mark(x, y)
-        stress = StressMap.zeros(cfg.dims)
+        stress = StressMap.empty(cfg.dims)
         rng = SplitMix64(cfg.seed)
         style = RenderStyle(color_enabled=False)
         bands = _stress_bands(cfg.quake_threshold)
@@ -507,7 +528,7 @@ class TestInteractiveSimulation:
             faults.mark(x, 1)
         out = Recorder()
         assert cli._animate(faults, cfg, RenderStyle(color_enabled=color), out) == 0
-        reports = list(iter_steps(StressMap.zeros(cfg.dims), faults, cfg))
+        reports = list(iter_steps(StressMap.empty(cfg.dims), faults, cfg))
         assert len(writes) == 2 + len(reports) + 1  # fault map, first stress map, frames, outcome
         assert sum(len(r.quaked_cells) for r in reports) >= 3
         for frame, report in zip(writes[2:-1], reports):

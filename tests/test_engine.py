@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from faultsim.engine import SimConfig, SplitMix64, _residues, iter_steps, run, step
 from faultsim.grid import FaultMap, GridDims, StressMap
-from oracles import copy_grid, step_oracle
+from oracles import copy_grid, step_oracle, stress_map
 
 GAMMA = 0x9E3779B97F4A7C15
 MASK64 = (1 << 64) - 1
@@ -166,29 +166,29 @@ class TestStep:
         cfg = _cfg()
         faults = FaultMap.empty(cfg.dims)
         faults.mark(0, 0)
-        stress = StressMap.zeros(cfg.dims)
+        stress = StressMap.empty(cfg.dims)
         rng = SplitMix64(cfg.seed)
 
         first = step(stress, faults, cfg, rng, 0, step_index=1)
         assert first.quaked_cells == ()
         assert first.max_stress == 5
         assert first.mean_stress == Fraction(5)
-        assert stress.get(0, 0) == 5
+        assert stress.cells[0] == 5
 
         second = step(stress, faults, cfg, rng, 0, step_index=2)
         assert second.quaked_cells == ((0, 0),)
         assert second.cumulative_quakes == 1
         assert second.max_stress == 10  # read before the reset
         assert second.mean_stress == Fraction(0)  # read after it
-        assert stress.get(0, 0) == 0
+        assert stress.cells[0] == 0
 
     def test_clamps_at_zero(self):
         cfg = _cfg(nonfault_delta_min=-5, nonfault_delta_max=-5)
         faults = FaultMap.empty(cfg.dims)
-        stress = StressMap.zeros(cfg.dims)
-        stress.put(0, 0, 3)
+        stress = StressMap.empty(cfg.dims)
+        stress.cells[0] = 3
         step(stress, faults, cfg, SplitMix64(0), 0)
-        assert stress.get(0, 0) == 0
+        assert stress.cells[0] == 0
 
     def test_mixed_cells_deterministic_deltas(self):
         # Fault gains 3/step, non-fault 2/step, threshold 7: the fault cell
@@ -203,7 +203,7 @@ class TestStep:
         )
         faults = FaultMap.empty(cfg.dims)
         faults.mark(0, 0)
-        stress = StressMap.zeros(cfg.dims)
+        stress = StressMap.empty(cfg.dims)
         rng = SplitMix64(0)
         for i in (1, 2):
             report = step(stress, faults, cfg, rng, 0, step_index=i)
@@ -212,7 +212,7 @@ class TestStep:
         assert report.quaked_cells == ((0, 0),)
         assert report.max_stress == 9
         assert report.mean_stress == Fraction(6, 2)
-        assert (stress.get(0, 0), stress.get(1, 0)) == (0, 6)
+        assert (stress.cells[0], stress.cells[1]) == (0, 6)
 
     def test_quaked_cells_row_major_order(self):
         cfg = _cfg(
@@ -223,7 +223,7 @@ class TestStep:
             nonfault_delta_min=1,
             nonfault_delta_max=1,
         )
-        stress = StressMap.zeros(cfg.dims)
+        stress = StressMap.empty(cfg.dims)
         report = step(stress, FaultMap.empty(cfg.dims), cfg, SplitMix64(0), 0)
         assert report.quaked_cells == ((0, 0), (1, 0), (0, 1), (1, 1))
 
@@ -237,7 +237,7 @@ class TestStep:
         )
         faults = FaultMap.empty(cfg.dims)
         faults.mark(0, 0)
-        stress = StressMap.zeros(cfg.dims)
+        stress = StressMap.empty(cfg.dims)
         report = step(stress, faults, cfg, SplitMix64(0), 0)
         assert report.mean_stress == Fraction(3, 2)
 
@@ -245,7 +245,7 @@ class TestStep:
         cfg = _cfg()
         with pytest.raises(ValueError):
             step(
-                StressMap.zeros(GridDims(2, 2)),
+                StressMap.empty(GridDims(2, 2)),
                 FaultMap.empty(GridDims(2, 2)),
                 cfg,
                 SplitMix64(0),
@@ -256,7 +256,7 @@ class TestStep:
         # k steps consume exactly k*area outputs: the state moves k*area gammas
         cfg = _cfg(dims=GridDims(5, 3), quake_threshold=1000)
         rng, twin = SplitMix64(0), SplitMix64(0)
-        stress = StressMap.zeros(cfg.dims)
+        stress = StressMap.empty(cfg.dims)
         for i in range(1, 5):
             step(stress, FaultMap.empty(cfg.dims), cfg, rng, 0, step_index=i)
         for _ in range(4 * 15):
@@ -266,8 +266,8 @@ class TestStep:
     # a list-backed map is stepped per cell at every threshold, byte lanes or not
     @pytest.mark.parametrize("threshold", [10, 1000, 2**40, 10**30, 10**60])
     def test_negative_cell_rejected(self, threshold):
-        # StressMap.put refuses negative values and a map in bytes cannot hold one;
-        # a list-backed map given one must raise, not be clamped or give a wrong report
+        # a map in bytes cannot hold a negative value; a list-backed map given one
+        # must raise, not be clamped or give a wrong report
         cfg = _cfg(dims=GridDims(3, 1), quake_threshold=threshold)
         for value in (-4, -1):
             stress = StressMap(cfg.dims, [0, value, 0])
@@ -301,13 +301,13 @@ class TestStep:
         faults = FaultMap.empty(cfg.dims)
         faults.mark(1, 1)
         faults.mark(2, 3)
-        stress = StressMap.zeros(cfg.dims)
+        stress = StressMap.empty(cfg.dims)
         rng = SplitMix64(seed)
         for i in range(1, 41):
             report = step(stress, faults, cfg, rng, 0, step_index=i)
-            values = [stress.get(x, y) for y in range(4) for x in range(4)]
+            values = list(stress.cells)  # row-major
             assert min(values) >= 0
-            assert all(stress.get(x, y) == 0 for x, y in report.quaked_cells)
+            assert all(values[y * 4 + x] == 0 for x, y in report.quaked_cells)
             assert max(values) < cfg.quake_threshold  # survivors stay below
 
 
@@ -353,13 +353,14 @@ class TestStepOracle:
         )
         faults = FaultMap.empty(cfg.dims)
         faults.cells[::fault_every] = [True] * len(faults.cells[::fault_every])
-        stress = StressMap.zeros(cfg.dims)
         # starting cells up to 3x the threshold and around powers of two from 2^7 to 2^64
         near_guard = st.sampled_from([7, 8, 15, 16, 31, 32, 63, 64]).flatmap(
             lambda bits: st.integers(2**bits - 16, 2**bits + 16))
         starts = st.tuples(st.integers(0, cfg.dims.area - 1), st.one_of(st.integers(0, 3 * threshold), near_guard))
+        values = [0] * cfg.dims.area
         for i, value in data.draw(st.lists(starts, max_size=12), "starting_cells"):
-            stress.put(i % cfg.dims.width, i // cfg.dims.width, value)
+            values[i] = value
+        stress = stress_map(cfg.dims, values)
         expected = copy_grid(stress)
         rng, oracle_rng = SplitMix64(seed), SplitMix64(seed)
         cumulative = 0
@@ -377,9 +378,10 @@ class TestStepOracle:
         cfg = SimConfig(dims=GridDims(40, 30), seed=5, delay_ms=0)
         faults = FaultMap.empty(cfg.dims)
         faults.cells[::3] = [1] * len(faults.cells[::3])
-        stress = StressMap.zeros(cfg.dims)
+        values = [0] * cfg.dims.area
         for x, y in ((0, 0), (1, 0), (39, 25), (39, 29)):
-            stress.put(x, y, value)
+            values[y * 40 + x] = value
+        stress = stress_map(cfg.dims, values)
         expected = copy_grid(stress)
         rng, oracle_rng = SplitMix64(cfg.seed), SplitMix64(cfg.seed)
         for i in (1, 2):
@@ -388,7 +390,7 @@ class TestStepOracle:
 
     # chunk 0 (cells 0..1023) quakes; chunk 1 holds one cell that does not fit byte
     # lanes. With 118 or 250 the map stays in bytes, so chunk 0 steps on byte lanes;
-    # put widens it for 256 and 10**30, and a widened map steps per cell in every
+    # a map holding 256 or 10**30 is a list, and a list steps per cell in every
     # chunk. 118 drifts by at most 5, below chunk 0's 127, so chunk 0 sets
     # max_stress; the larger values set it from chunk 1.
     @pytest.mark.parametrize("value,max_from_chunk_1", [(118, False), (250, True), (256, True), (10**30, True)])
@@ -396,10 +398,11 @@ class TestStepOracle:
         cfg = SimConfig(dims=GridDims(40, 30), seed=5, delay_ms=0)
         faults = FaultMap.empty(cfg.dims)
         faults.cells[::3] = [1] * len(faults.cells[::3])
-        stress = StressMap.zeros(cfg.dims)
+        values = [0] * cfg.dims.area
         for x, start in ((0, 99), (3, 99), (6, 117), (9, 117)):  # fault cells
-            stress.put(x, 0, start)
-        stress.put(38, 29, value)  # a non-fault cell
+            values[x] = start
+        values[29 * 40 + 38] = value  # a non-fault cell
+        stress = stress_map(cfg.dims, values)
         expected = copy_grid(stress)
         rng, oracle_rng = SplitMix64(cfg.seed), SplitMix64(cfg.seed)
         report = step(stress, faults, cfg, rng, 0)
@@ -432,21 +435,22 @@ class TestStepOracle:
 
     # threshold 250 and 1000 step every chunk per cell; the fault cell gains 100 a
     # step, so step 3 takes it to 300. At 250 it quakes and the map stays in bytes
-    # (the oracle stores 300 before its reset, so it widens); at 1000 the map widens.
+    # (the oracle stores 300 before its reset, so its map becomes a list); at 1000 the
+    # engine's map becomes a list too.
     @pytest.mark.parametrize("threshold,widened", [(250, False), (1000, True)])
     def test_per_cell_chunk_widens_past_255(self, threshold, widened):
         cfg = _cfg(dims=GridDims(40, 30), quake_threshold=threshold,
                    fault_delta_min=100, fault_delta_max=100, nonfault_delta_min=0, nonfault_delta_max=1)
         faults = FaultMap.empty(cfg.dims)
         faults.mark(39, 29)  # in the second chunk
-        stress = StressMap.zeros(cfg.dims)
+        stress = StressMap.empty(cfg.dims)
         expected = copy_grid(stress)
         rng, oracle_rng = SplitMix64(cfg.seed), SplitMix64(cfg.seed)
         for i in (1, 2, 3):
             assert step(stress, faults, cfg, rng, 0, i) == step_oracle(expected, faults, cfg, oracle_rng, 0, i)
             assert isinstance(stress.cells, list if widened and i == 3 else bytearray)
             assert list(stress.cells) == list(expected.cells)
-        assert stress.get(39, 29) == (300 if widened else 0)
+        assert stress.cells[29 * 40 + 39] == (300 if widened else 0)
 
     # spans above 32 need the residues reduced between byte-lane sums; spans that
     # differ draw once and pick each cell's residue by its fault flag; a span of 129
@@ -463,7 +467,7 @@ class TestStepOracle:
                         fault_delta_min=fault[0], fault_delta_max=fault[1])
         faults = FaultMap.empty(cfg.dims)
         faults.cells[::3] = [1] * len(faults.cells[::3])
-        stress = StressMap.zeros(cfg.dims)
+        stress = StressMap.empty(cfg.dims)
         expected = copy_grid(stress)
         rng, oracle_rng = SplitMix64(cfg.seed), SplitMix64(cfg.seed)
         cumulative = 0
@@ -486,7 +490,7 @@ class TestRun:
         assert summary.total_steps == 2
         assert summary.total_quakes == 1
         assert not summary.hit_step_limit
-        assert summary.final_stress.get(0, 0) == 0
+        assert summary.final_stress.cells[0] == 0
         assert [r.step_index for r in seen] == [1, 2]
 
     def test_dims_mismatch_rejected_before_first_report(self):
@@ -528,8 +532,8 @@ class TestRun:
         b = run(copy_grid(faults), cfg, observer=seen_b.append)
         assert seen_a == seen_b
         assert a.total_steps == b.total_steps
-        cells_a = [a.final_stress.get(x, y) for y in range(6) for x in range(6)]
-        cells_b = [b.final_stress.get(x, y) for y in range(6) for x in range(6)]
+        cells_a = list(a.final_stress.cells)
+        cells_b = list(b.final_stress.cells)
         assert cells_a == cells_b
 
     def test_different_seeds_diverge(self):
@@ -538,15 +542,15 @@ class TestRun:
         draw_all = [faults.mark(x, 3) for x in range(6)]
         assert all(draw_all)
         other = SimConfig(dims=GridDims(6, 6), seed=2, target_quakes=1, delay_ms=0)
-        assert list(iter_steps(StressMap.zeros(cfg.dims), faults, cfg)) != list(
-            iter_steps(StressMap.zeros(other.dims), faults, other)
+        assert list(iter_steps(StressMap.empty(cfg.dims), faults, cfg)) != list(
+            iter_steps(StressMap.empty(other.dims), faults, other)
         )
 
     def test_observer_sees_every_report_in_order(self):
         cfg = _cfg(max_steps=7)
         seen = []
         run(FaultMap.empty(cfg.dims), cfg, observer=seen.append)
-        assert seen == list(iter_steps(StressMap.zeros(cfg.dims), FaultMap.empty(cfg.dims), cfg))
+        assert seen == list(iter_steps(StressMap.empty(cfg.dims), FaultMap.empty(cfg.dims), cfg))
 
     def test_memory_does_not_grow_with_step_count(self):
         # 20,000 steps that never quake: nothing per step may be kept

@@ -17,7 +17,7 @@ from faultsim.render import (
     stress_color,
 )
 
-from oracles import strip_ansi
+from oracles import strip_ansi, stress_map
 
 COLOR = RenderStyle(color_enabled=True)
 PLAIN = RenderStyle(color_enabled=False)
@@ -106,8 +106,7 @@ class TestRenderFaultMap:
 
 class TestRenderStressMap:
     def _single(self, value: int, style: RenderStyle, threshold: int = 100) -> str:
-        smap = StressMap.zeros(GridDims(1, 1))
-        smap.put(0, 0, value)
+        smap = stress_map(GridDims(1, 1), [value])
         return render_stress_map(smap, BANDS, threshold, style)
 
     def test_low_value_green(self):
@@ -121,9 +120,7 @@ class TestRenderStressMap:
         assert self._single(70, COLOR) == f"{RED} 70{RESET}\n"
 
     def test_plain_row(self):
-        smap = StressMap.zeros(GridDims(2, 1))
-        smap.put(0, 0, 5)
-        smap.put(1, 0, 70)
+        smap = stress_map(GridDims(2, 1), [5, 70])
         assert render_stress_map(smap, BANDS, 100, PLAIN) == "  5  70\n"
 
     def test_display_cap(self):
@@ -149,10 +146,9 @@ class TestRenderStressMap:
         assert [set(table) for table in _stress_glyphs(BANDS, 1200, style.color_enabled)] == [{998, 999}, set()]
 
     def test_does_not_mutate(self):
-        smap = StressMap.zeros(GridDims(2, 2))
-        smap.put(1, 1, 1234)
+        smap = stress_map(GridDims(2, 2), [0, 0, 0, 1234])
         render_stress_map(smap, BANDS, 100, COLOR)
-        assert smap.get(1, 1) == 1234  # display clamp only affects the text
+        assert smap.cells[3] == 1234  # display clamp only affects the text
 
     @given(
         values=st.lists(st.integers(0, 250), min_size=6, max_size=6),
@@ -160,9 +156,7 @@ class TestRenderStressMap:
     )
     @settings(max_examples=60)
     def test_color_strips_to_plain(self, values, threshold):
-        smap = StressMap.zeros(GridDims(3, 2))
-        for i, v in enumerate(values):
-            smap.put(i % 3, i // 3, v)
+        smap = stress_map(GridDims(3, 2), values)
         colored = render_stress_map(smap, BANDS, threshold, COLOR)
         plain = render_stress_map(smap, BANDS, threshold, PLAIN)
         assert strip_ansi(colored) == plain
@@ -171,9 +165,7 @@ class TestRenderStressMap:
     @given(values=st.lists(st.integers(0, 1500), min_size=4, max_size=4))
     @settings(max_examples=40)
     def test_constant_plain_width(self, values):
-        smap = StressMap.zeros(GridDims(2, 2))
-        for i, v in enumerate(values):
-            smap.put(i % 2, i // 2, v)
+        smap = stress_map(GridDims(2, 2), values)
         lines = render_stress_map(smap, BANDS, 100, PLAIN).splitlines()
         assert len(lines) == 2
         assert all(len(line) == 2 * 3 + 1 for line in lines)

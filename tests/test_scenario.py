@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -161,6 +162,12 @@ class TestParseErrors:
             "width 2\nheight 2\n", "height 2\nwidth 2\n"
         )
         rejects(swapped, "expected 'width <value>' line, got 'height 2'")
+
+    def test_integer_longer_than_int_converts(self):
+        # one digit past the interpreter's limit on int(str): a ScenarioError naming the key
+        digits = sys.get_int_max_str_digits() + 1
+        rejects(GOLDEN.replace("max_steps 100000", "max_steps " + "9" * digits),
+                f"max_steps: {digits} digits, more than the {digits - 1} an integer may have")
 
     def test_missing_map_marker(self):
         rejects(GOLDEN.replace("map\n", ""), "expected 'map' line, got '01'")

@@ -70,7 +70,7 @@ def _faults(cfg: SimConfig) -> FaultMap:
 class TestIterSteps:
     def test_yields_what_run_collects(self):
         cfg = _cfg()
-        stress = StressMap.zeros(cfg.dims)
+        stress = StressMap.empty(cfg.dims)
         reports = list(iter_steps(stress, _faults(cfg), cfg))
         seen = []
         summary = run(_faults(cfg), cfg, observer=seen.append)
@@ -80,15 +80,15 @@ class TestIterSteps:
 
     def test_stops_at_step_cap(self):
         cfg = _cfg(target_quakes=10**6, max_steps=7)
-        reports = list(iter_steps(StressMap.zeros(cfg.dims), _faults(cfg), cfg))
+        reports = list(iter_steps(StressMap.empty(cfg.dims), _faults(cfg), cfg))
         assert [r.step_index for r in reports] == list(range(1, 8))
 
     def test_consumer_that_stops_stops_the_run(self):
         cfg = _cfg(target_quakes=10**6)
-        stress = StressMap.zeros(cfg.dims)
+        stress = StressMap.empty(cfg.dims)
         taken = list(itertools.islice(iter_steps(stress, _faults(cfg), cfg), 3))
 
-        want = StressMap.zeros(cfg.dims)
+        want = StressMap.empty(cfg.dims)
         rng = SplitMix64(cfg.seed)
         cumulative = 0
         for index in range(1, 4):
@@ -98,7 +98,7 @@ class TestIterSteps:
 
 
 def test_format_stats_is_header_plus_rows():
-    reports = list(iter_steps(StressMap.zeros(_cfg().dims), _faults(_cfg()), _cfg()))
+    reports = list(iter_steps(StressMap.empty(_cfg().dims), _faults(_cfg()), _cfg()))
     assert format_stats(()) == STATS_HEADER + "\n"
     assert format_stats(reports) == format_stats(()) + "".join(map(format_stats_row, reports))
 
