@@ -171,12 +171,13 @@ def _discard_stdout() -> None:
 
 
 def run_headless(cfg: SimConfig, faults: FaultMap, out_path: str | None) -> int:
-    last: StepReport | None = None
+    steps = quakes = 0  # of the last row written; the report itself is not kept
 
     def write_row(report: StepReport) -> None:
-        nonlocal last
+        nonlocal steps, quakes
         row = format_stats_row(report)
-        last = report  # before the write: an interrupt raised just after it counts this row
+        # before the write: an interrupt raised just after it counts this row
+        steps, quakes = report.step_index, report.cumulative_quakes
         out.write(row)
 
     try:
@@ -187,7 +188,6 @@ def run_headless(cfg: SimConfig, faults: FaultMap, out_path: str | None) -> int:
         # the rows written so far stay; the summary counts the steps they cover
         if out_path is None:  # with --out, stdout may have been closed at start-up
             sys.stdout.flush()
-        steps, quakes = (last.step_index, last.cumulative_quakes) if last else (0, 0)
         sys.stderr.write(f"steps={steps} quakes={quakes} seed={cfg.seed}\n")
         raise
     sys.stderr.write(f"steps={summary.total_steps} quakes={summary.total_quakes} seed={cfg.seed}\n")

@@ -4,11 +4,11 @@ The rasterizer oracles deliberately avoid the incremental error-accumulator
 formulations in the package: segments are computed by direct nearest-cell
 rounding per major-axis column, circles by exact integer square roots per
 octant column. The step oracle draws each cell through its own `randint`
-call, where the engine draws up to 1,024 cells in one block. `strip_ansi`
-removes the renderer's colour codes, so a coloured frame can be checked
-against a plain one. `fault_cells`, `fault_count`, `is_fault`, `copy_grid`
-and `stress_map` read, copy and build maps for the tests; the program itself
-never needs them.
+call, where the engine draws up to `engine._CHUNK` (2,048) cells in one
+block. `strip_ansi` removes the renderer's colour codes, so a coloured frame
+can be checked against a plain one. `fault_cells`, `fault_count`,
+`is_fault`, `copy_grid` and `stress_map` read, copy and build maps for the
+tests; the program itself never needs them.
 """
 
 from __future__ import annotations

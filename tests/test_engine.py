@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from faultsim.engine import SimConfig, SplitMix64, _residues, iter_steps, run, step
+from faultsim.engine import _CHUNK, SimConfig, SplitMix64, _residues, iter_steps, run, step
 from faultsim.grid import FaultMap, GridDims, StressMap
 from oracles import copy_grid, step_oracle, stress_map
 
@@ -74,14 +75,41 @@ class TestSplitMix64:
         assert SplitMix64(0).randint(0, 10) == SEED0_FIRST % 11 == 1
 
     def test_draws_match_scalar_stream(self):
+        # block sizes up to the largest block step draws, and past it
         for seed in (0, 1, 2**64 - 1, GAMMA):
-            for n in (1, 2, 1023, 1024, 1025, 4097):
+            for n in (1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1):
                 block, scalar = SplitMix64(seed), SplitMix64(seed)
                 assert list(block.draws(n)) == [scalar.next_u64() for _ in range(n)], (seed, n)
                 assert block.state == scalar.state, (seed, n)
+        # a size straight after the same size carries the lane counter; another
+        # size, a next_u64 or a state set from outside makes the next call rebuild it
+        n, m = _CHUNK, _CHUNK - 1
+        sequences = (
+            [("mix", n), ("mix", n), ("mix", m), ("next", 1), ("draws", 5), ("mix", n), ("mix", n)],
+            [("mix", m), ("mix", m), ("mix", n), ("next", 1), ("next", 1), ("mix", n), ("draws", n), ("mix", n)],
+            [("mix", 1), ("mix", 1), ("next", 1), ("mix", 1), ("draws", 1), ("mix", 1), ("mix", 2), ("mix", 2)],
+            [("mix", n), ("mix", n), ("rewind", 0), ("mix", n), ("mix", n)],
+        )
+        for seed in (0, 1, 2**64 - 1, GAMMA):
+            for calls in sequences:
+                block, scalar = SplitMix64(seed), SplitMix64(seed)
+                for kind, k in calls:
+                    if kind == "rewind":  # both states set back to the seed from outside
+                        block.state = scalar.state = seed
+                        continue
+                    if kind == "next":
+                        got = [block.next_u64()]
+                    elif kind == "draws":
+                        got = list(block.draws(k))
+                    else:
+                        buf = block._mix(k)
+                        got = [int.from_bytes(buf[i:i + 8], "little") for i in range(0, len(buf), 16)]
+                    assert got == [scalar.next_u64() for _ in range(k)], (seed, calls, kind, k)
+                    assert block.state == scalar.state, (seed, calls, kind, k)
 
-    # chunk lengths on both sides of a 1,024-cell chunk, every span byte lanes hold
-    @pytest.mark.parametrize("n", [1, 7, 400, 1023, 1024])
+    # block lengths step draws, up to the largest (a 1024x1 grid is one block of
+    # 1,024), and every span byte lanes hold
+    @pytest.mark.parametrize("n", sorted({1, 7, 400, 1023, 1024, _CHUNK - 1, _CHUNK}))
     def test_residues_match_modulo_of_draws(self, n):
         seeds = random.Random(n)
         for span in range(1, 129):
@@ -311,8 +339,17 @@ class TestStep:
             assert max(values) < cfg.quake_threshold  # survivors stay below
 
 
-# areas on both sides of the 1,024-cell block draw, and a multiple of it
-ORACLE_DIMS = [(1, 1), (31, 33), (32, 32), (25, 41), (3, 683), (1024, 3)]
+def _dims_of(area: int) -> tuple[int, int]:
+    """The squarest grid of exactly this many cells with no side over 1,024."""
+    return next((w, area // w) for w in range(math.isqrt(area), 0, -1) if area % w == 0 and area // w <= 1024)
+
+
+# step cuts a grid into the fewest blocks of at most _CHUNK cells, as equal as they
+# come. Areas: one cell; one block a cell short of _CHUNK; one full block; _CHUNK + 1
+# and 2*_CHUNK + 1, which split into blocks that differ by one cell; three full blocks
+ORACLE_DIMS = [_dims_of(area) for area in (1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1, 3 * _CHUNK)]
+# an odd area just over one block: two blocks that differ by one cell
+TWO_BLOCKS = GridDims(41, _CHUNK // 41 + 1 | 1)
 # thresholds on both sides of the largest that byte lanes hold, and far beyond it in the per-cell chunk
 LANE_EDGE_THRESHOLDS = [1, 100, *range(112, 131), 255, 256, 32_767, 32_768, 2**31, 2**63, 10**30]
 
@@ -372,15 +409,17 @@ class TestStepOracle:
             cumulative = report.cumulative_quakes
 
     # stock deltas and threshold use byte lanes (guard bit 128): a cell that could
-    # reach 128 with the largest delta (10), or one past 255, makes its chunk a per-cell chunk
+    # reach 128 with the largest delta (10), or one past 255, makes its chunk a per-cell
+    # chunk; the cells set here lie in both of TWO_BLOCKS' chunks
     @pytest.mark.parametrize("value", [99, 100, 117, 118, 127, 128, 255, 256, 32_757, 32_758, 65_536, 2**63, 10**30, 10**60])
     def test_large_starting_cell_matches_oracle(self, value):
-        cfg = SimConfig(dims=GridDims(40, 30), seed=5, delay_ms=0)
+        cfg = SimConfig(dims=TWO_BLOCKS, seed=5, delay_ms=0)
         faults = FaultMap.empty(cfg.dims)
         faults.cells[::3] = [1] * len(faults.cells[::3])
         values = [0] * cfg.dims.area
-        for x, y in ((0, 0), (1, 0), (39, 25), (39, 29)):
-            values[y * 40 + x] = value
+        w, h = cfg.dims.width, cfg.dims.height
+        for x, y in ((0, 0), (1, 0), (w - 1, h - 5), (w - 1, h - 1)):
+            values[y * w + x] = value
         stress = stress_map(cfg.dims, values)
         expected = copy_grid(stress)
         rng, oracle_rng = SplitMix64(cfg.seed), SplitMix64(cfg.seed)
@@ -388,26 +427,29 @@ class TestStepOracle:
             assert step(stress, faults, cfg, rng, 0, i) == step_oracle(expected, faults, cfg, oracle_rng, 0, i)
             assert list(stress.cells) == list(expected.cells)
 
-    # chunk 0 (cells 0..1023) quakes; chunk 1 holds one cell that does not fit byte
-    # lanes. With 118 or 250 the map stays in bytes, so chunk 0 steps on byte lanes;
-    # a map holding 256 or 10**30 is a list, and a list steps per cell in every
-    # chunk. 118 drifts by at most 5, below chunk 0's 127, so chunk 0 sets
+    # chunk 0 (the first half of TWO_BLOCKS) quakes; chunk 1 holds one cell that does
+    # not fit byte lanes. With 118 or 250 the map stays in bytes, so chunk 0 steps on
+    # byte lanes; a map holding 256 or 10**30 is a list, and a list steps per cell in
+    # every chunk. 118 drifts by at most 5, below chunk 0's 127, so chunk 0 sets
     # max_stress; the larger values set it from chunk 1.
     @pytest.mark.parametrize("value,max_from_chunk_1", [(118, False), (250, True), (256, True), (10**30, True)])
     def test_byte_lane_chunk_beside_per_cell_chunk(self, value, max_from_chunk_1):
-        cfg = SimConfig(dims=GridDims(40, 30), seed=5, delay_ms=0)
+        cfg = SimConfig(dims=TWO_BLOCKS, seed=5, delay_ms=0)
         faults = FaultMap.empty(cfg.dims)
         faults.cells[::3] = [1] * len(faults.cells[::3])
         values = [0] * cfg.dims.area
         for x, start in ((0, 99), (3, 99), (6, 117), (9, 117)):  # fault cells
             values[x] = start
-        values[29 * 40 + 38] = value  # a non-fault cell
+        k = cfg.dims.area - 2  # a non-fault cell in chunk 1
+        assert not faults.cells[k]
+        values[k] = value
         stress = stress_map(cfg.dims, values)
         expected = copy_grid(stress)
         rng, oracle_rng = SplitMix64(cfg.seed), SplitMix64(cfg.seed)
         report = step(stress, faults, cfg, rng, 0)
         assert report == step_oracle(expected, faults, cfg, oracle_rng, 0)
-        assert report.quaked_cells[0] == (0, 0) and report.quaked_cells[-1] == (38, 29)
+        w = cfg.dims.width
+        assert report.quaked_cells[0] == (0, 0) and report.quaked_cells[-1] == (k % w, k // w)
         if max_from_chunk_1:
             assert report.max_stress > 127  # more than any byte lane holds
         else:
@@ -418,7 +460,7 @@ class TestStepOracle:
     def test_list_backed_map_that_fits_matches_oracle(self):
         # stock config and cells that fit byte lanes, but held in a list: every
         # chunk is stepped per cell, with the same reports, cells and draws
-        cfg = SimConfig(dims=GridDims(40, 30), seed=5, delay_ms=0)
+        cfg = SimConfig(dims=TWO_BLOCKS, seed=5, delay_ms=0)
         faults = FaultMap.empty(cfg.dims)
         faults.cells[::3] = [1] * len(faults.cells[::3])
         starts = random.Random(5).choices(range(100), k=cfg.dims.area)
@@ -439,10 +481,10 @@ class TestStepOracle:
     # engine's map becomes a list too.
     @pytest.mark.parametrize("threshold,widened", [(250, False), (1000, True)])
     def test_per_cell_chunk_widens_past_255(self, threshold, widened):
-        cfg = _cfg(dims=GridDims(40, 30), quake_threshold=threshold,
+        cfg = _cfg(dims=TWO_BLOCKS, quake_threshold=threshold,
                    fault_delta_min=100, fault_delta_max=100, nonfault_delta_min=0, nonfault_delta_max=1)
         faults = FaultMap.empty(cfg.dims)
-        faults.mark(39, 29)  # in the second chunk
+        faults.mark(cfg.dims.width - 1, cfg.dims.height - 1)  # the last cell, in the second chunk
         stress = StressMap.empty(cfg.dims)
         expected = copy_grid(stress)
         rng, oracle_rng = SplitMix64(cfg.seed), SplitMix64(cfg.seed)
@@ -450,7 +492,7 @@ class TestStepOracle:
             assert step(stress, faults, cfg, rng, 0, i) == step_oracle(expected, faults, cfg, oracle_rng, 0, i)
             assert isinstance(stress.cells, list if widened and i == 3 else bytearray)
             assert list(stress.cells) == list(expected.cells)
-        assert stress.cells[29 * 40 + 39] == (300 if widened else 0)
+        assert stress.cells[-1] == (300 if widened else 0)
 
     # spans above 32 need the residues reduced between byte-lane sums; spans that
     # differ draw once and pick each cell's residue by its fault flag; a span of 129
@@ -461,8 +503,7 @@ class TestStepOracle:
         ((-64, 64), (0, 19), 70),  # spans 129 and 20
     ])
     def test_wide_and_differing_spans_match_oracle(self, nonfault, fault, threshold):
-        # 40x30 is one full chunk and one partial one
-        cfg = SimConfig(dims=GridDims(40, 30), seed=11, quake_threshold=threshold, delay_ms=0,
+        cfg = SimConfig(dims=TWO_BLOCKS, seed=11, quake_threshold=threshold, delay_ms=0,
                         nonfault_delta_min=nonfault[0], nonfault_delta_max=nonfault[1],
                         fault_delta_min=fault[0], fault_delta_max=fault[1])
         faults = FaultMap.empty(cfg.dims)

@@ -116,6 +116,15 @@ CASES = {
         0,
         "steps=160 quakes=20 seed=2\n",
     ),
+    # 5,000 cells: the engine's blocks differ in size, so the mixer's lane counter
+    # is rebuilt at each size change within a step and across steps
+    "uneven-blocks": (
+        ["--width", "1000", "--height", "5", "--seed", "3", "--quakes", "50"],
+        "bca7c5d423e17df2136ea1616acbacda0cf7ab2c5c1fa1171787de71259c9a89",
+        2269,
+        0,
+        "steps=134 quakes=50 seed=3\n",
+    ),
     "negative-lows": (
         ["--scenario", "{scenario}"],
         "4defad148ab7a343164cc214d218b8d2be9bb65bcd8003b61bd298c2ded5821b",

@@ -3,9 +3,10 @@
 engine.iter_steps is the only step loop: run folds it into a summary,
 headless mode writes one CSV row per step as it completes, and interactive
 mode draws one frame per step. These tests pin that rows really leave as
-steps complete, that --out is opened before the first step and replaced
-atomically, that a closed stdout stops the run, and that the table-driven
-stress renderer matches a per-cell reference.
+steps complete, that each report is freed before the next step, that --out
+is opened before the first step and replaced atomically, that a closed
+stdout stops the run, and that the table-driven stress renderer matches a
+per-cell reference.
 """
 
 import errno
@@ -19,6 +20,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -120,6 +122,22 @@ class TestHeadlessStreaming:
         # header before step 1, then each row before the next step starts
         assert lines_before_step == [1, 2, 3, 4, 5, 6]
         assert buf.getvalue().count("\n") == 7
+
+    def test_each_report_is_freed_before_the_next_step(self, monkeypatch):
+        # on a large grid one step's quake list is megabytes; none may live through the next step
+        monkeypatch.setattr(sys, "stdout", io.StringIO())
+        reports, alive = [], []
+        real_step = engine.step
+
+        def spy(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in reports))
+            report = real_step(*args, **kwargs)
+            reports.append(weakref.ref(report))
+            return report
+
+        monkeypatch.setattr(engine, "step", spy)
+        assert main(LONG_RUN + ["--max-steps", "6"]) == 2
+        assert alive == [0] * 6
 
     def test_closed_stdout_stops_the_run(self):
         # the full 20000-step run takes several seconds; a reader that leaves
