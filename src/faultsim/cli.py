@@ -20,7 +20,6 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import fields, replace
 from typing import IO, Callable, Iterator
 
 # step is not called here but stays importable from this module, where
@@ -113,9 +112,9 @@ def _resolve_state(opts: argparse.Namespace) -> tuple[SimConfig, FaultMap]:
         dims = GridDims(opts.width or 20, opts.height or 20)
         cfg = SimConfig(dims=dims, seed=_wall_clock_seed())
         faults = FaultMap.empty(dims)
-    overrides = {f.name: getattr(opts, f.name) for f in fields(SimConfig)
-                 if getattr(opts, f.name, None) is not None}
-    return replace(cfg, **overrides), faults
+    values = {name: getattr(cfg, name) for name in SimConfig._FIELDS}
+    overrides = {name: value for name in values if (value := getattr(opts, name, None)) is not None}
+    return SimConfig(**values | overrides), faults
 
 
 def _stress_bands(threshold: int) -> StressBands:
@@ -243,6 +242,7 @@ def _animate(faults: FaultMap, cfg: SimConfig, style: RenderStyle, stdout: IO[st
             stdout.write("".join([clear, frame, *quake_lines]))  # the whole frame in one write
             stdout.flush()
             steps, quakes = report.step_index, report.cumulative_quakes
+            del report  # freed before the next step runs, as in iter_steps
     except KeyboardInterrupt:
         stdout.write(f"Interrupted after {steps} steps with {quakes} earthquakes (seed {cfg.seed}).\n")
         stdout.flush()

@@ -11,12 +11,10 @@ is what makes scenario files and recorded statistics trustworthy.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, fields
-from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterator
 
-from .grid import Cell, FaultMap, GridDims, StressMap, require_int
+from .grid import Cell, FaultMap, GridDims, StressMap, Value, require_int
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -146,24 +144,23 @@ class SplitMix64:
         return lo + self.next_u64() % (hi - lo + 1)
 
 
-@dataclass(frozen=True)
-class SimConfig:
-    """All tunable simulation constants."""
+class SimConfig(Value):
+    """All tunable simulation constants; _FIELDS lists them in scenario-file order."""
 
-    dims: GridDims = GridDims(20, 20)
-    seed: int = 0
-    quake_threshold: int = 100
-    target_quakes: int = 3
-    nonfault_delta_min: int = -5
-    nonfault_delta_max: int = 5
-    fault_delta_min: int = 0
-    fault_delta_max: int = 10
-    delay_ms: int = 1000
-    max_steps: int = 100_000
+    __slots__ = _FIELDS = ("dims", "seed", "quake_threshold", "target_quakes", "nonfault_delta_min",
+                           "nonfault_delta_max", "fault_delta_min", "fault_delta_max", "delay_ms",
+                           "max_steps")
 
-    def __post_init__(self) -> None:
-        for field in fields(self)[1:]:  # every field after dims
-            require_int(field.name, getattr(self, field.name))
+    def __init__(self, dims: GridDims = GridDims(20, 20), seed: int = 0, quake_threshold: int = 100,
+                 target_quakes: int = 3, nonfault_delta_min: int = -5, nonfault_delta_max: int = 5,
+                 fault_delta_min: int = 0, fault_delta_max: int = 10, delay_ms: int = 1000,
+                 max_steps: int = 100_000) -> None:
+        super().__init__(dims, seed, quake_threshold, target_quakes, nonfault_delta_min,
+                         nonfault_delta_max, fault_delta_min, fault_delta_max, delay_ms, max_steps)
+        if not isinstance(dims, GridDims):
+            raise ValueError(f"dims must be a GridDims, got {dims!r}")
+        for name in self._FIELDS[1:]:  # every field after dims
+            require_int(name, getattr(self, name))
         if not 0 <= self.seed <= _MASK64:
             raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
         for name in ("quake_threshold", "target_quakes", "max_steps"):
@@ -177,37 +174,32 @@ class SimConfig:
             raise ValueError("fault delta range is empty")
 
 
-@dataclass(frozen=True)
-class StepReport:
+class StepReport(Value):
     """Outcome of one simulation step.
 
     quaked_cells is in row-major scan order; max_stress is read before the
-    quake reset, mean_stress after it.
+    quake reset, stress_total (the sum over the map's area cells) after it.
+    The mean is stress_total / area, kept as two ints: no fraction is built.
     """
 
-    step_index: int
-    quaked_cells: tuple[Cell, ...]
-    cumulative_quakes: int
-    max_stress: int
-    mean_stress: Fraction
+    __slots__ = _FIELDS = ("step_index", "quaked_cells", "cumulative_quakes", "max_stress",
+                           "stress_total", "area")
+
+    def __init__(self, step_index: int, quaked_cells: tuple[Cell, ...], cumulative_quakes: int,
+                 max_stress: int, stress_total: int, area: int) -> None:
+        super().__init__(step_index, quaked_cells, cumulative_quakes, max_stress, stress_total, area)
 
 
-@dataclass
-class SimSummary:
-    total_steps: int
-    total_quakes: int
-    final_stress: StressMap
-    hit_step_limit: bool = False
+class SimSummary(Value):
+    __slots__ = _FIELDS = ("total_steps", "total_quakes", "final_stress", "hit_step_limit")
+
+    def __init__(self, total_steps: int, total_quakes: int, final_stress: StressMap,
+                 hit_step_limit: bool = False) -> None:
+        super().__init__(total_steps, total_quakes, final_stress, hit_step_limit)
 
 
-def step(
-    stress: StressMap,
-    faults: FaultMap,
-    cfg: SimConfig,
-    rng: SplitMix64,
-    cumulative_quakes: int,
-    step_index: int = 1,
-) -> StepReport:
+def step(stress: StressMap, faults: FaultMap, cfg: SimConfig, rng: SplitMix64,
+         cumulative_quakes: int, step_index: int = 1) -> StepReport:
     """Advance the stress map by one step, mutating it in place.
 
     Exactly one rng draw per cell, row-major: cell i gets the same value
@@ -225,7 +217,8 @@ def step(
     cell at a time, and switches a map held in bytes to a list of ints the
     first time it must store a value above 255. Each test uses only the
     cell's own post-update value, never a neighbour's. A negative cell
-    raises ValueError, with the chunks before it already stepped.
+    raises ValueError, with the chunks before it already stepped. The
+    report's mean is two ints, the map's sum after the resets and its area.
     """
     if not (stress.dims == faults.dims == cfg.dims):
         raise ValueError("stress, faults and config must share one grid")
@@ -297,13 +290,7 @@ def step(
                 i = flags.find(0x80, i + 1)
         cells[a:b] = v.to_bytes(n, "little")
 
-    return StepReport(
-        step_index=step_index,
-        quaked_cells=tuple(quaked),
-        cumulative_quakes=cumulative_quakes + len(quaked),
-        max_stress=top,
-        mean_stress=Fraction(sum(cells), area),
-    )
+    return StepReport(step_index, tuple(quaked), cumulative_quakes + len(quaked), top, sum(cells), area)
 
 
 def iter_steps(stress: StressMap, faults: FaultMap, cfg: SimConfig) -> Iterator[StepReport]:
@@ -325,11 +312,8 @@ def iter_steps(stress: StressMap, faults: FaultMap, cfg: SimConfig) -> Iterator[
             return
 
 
-def run(
-    faults: FaultMap,
-    cfg: SimConfig,
-    observer: Callable[[StepReport], None] | None = None,
-) -> SimSummary:
+def run(faults: FaultMap, cfg: SimConfig,
+        observer: Callable[[StepReport], None] | None = None) -> SimSummary:
     """Run from an all-zero stress map until target_quakes or max_steps.
 
     Each report goes to the observer and is dropped before the next step

@@ -1,4 +1,4 @@
-"""Grid coordinate system and the two map types everything else operates on.
+"""Grid coordinate system, the two map types everything else operates on, and Value.
 
 Convention used across the whole package: row-major storage, origin at the
 top-left, x grows rightward (column index), y grows downward (row index).
@@ -6,7 +6,7 @@ top-left, x grows rightward (column index), y grows downward (row index).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import TypeVar
 
 MAX_DIM = 1024
@@ -14,6 +14,7 @@ MAX_DIM = 1024
 Cell = tuple[int, int]  # (x, y)
 
 _G = TypeVar("_G", bound="_Grid")
+_set = object.__setattr__  # how Value.__init__ stores a field past Value.__setattr__
 
 
 def require_int(name: str, value: object) -> None:
@@ -22,18 +23,55 @@ def require_int(name: str, value: object) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-@dataclass(frozen=True)
-class GridDims:
+class Value:
+    """A record of the fields named in _FIELDS, one slot each, set once by __init__.
+
+    Equal, and hash equal, when the classes and fields are; weakly referable.
+    A subclass whose fields change restores __setattr__ and drops __hash__.
+    """
+
+    __slots__ = ("__weakref__",)
+    _FIELDS: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._key = attrgetter(*cls._FIELDS)  # what compares and hashes, read in one C call
+
+    def __init__(self, *values: object) -> None:
+        for name, value in zip(self._FIELDS, values):
+            _set(self, name, value)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return other is self or self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._FIELDS)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:  # copy and pickle rebuild through __init__, which validates
+        return type(self), tuple(getattr(self, name) for name in self._FIELDS)
+
+
+class GridDims(Value):
     """Validated grid dimensions, 1..1024 cells per side."""
 
-    width: int
-    height: int
+    __slots__ = _FIELDS = ("width", "height")
 
-    def __post_init__(self) -> None:
-        for name, value in (("width", self.width), ("height", self.height)):
+    def __init__(self, width: int, height: int) -> None:
+        for name, value in (("width", width), ("height", height)):
             require_int(name, value)
             if not 1 <= value <= MAX_DIM:
                 raise ValueError(f"{name} must be in [1, {MAX_DIM}], got {value}")
+        super().__init__(width, height)
 
     def contains(self, x: int, y: int) -> bool:
         """True iff (x, y) indexes a cell of this grid. Accepts any integers."""
@@ -44,17 +82,18 @@ class GridDims:
         return self.width * self.height
 
 
-@dataclass
-class _Grid:
+class _Grid(Value):
     """Row-major cells of one grid, addressed by bounds-checked (x, y)."""
 
-    dims: GridDims
-    cells: list | bytearray
+    __slots__ = _FIELDS = ("dims", "cells")
+    __setattr__, __delattr__ = object.__setattr__, object.__delattr__  # step may swap cells
+    __hash__ = None  # type: ignore[assignment]
 
-    def __post_init__(self) -> None:
-        if len(self.cells) != self.dims.area:
-            raise ValueError(f"{len(self.cells)} cells given for a "
-                             f"{self.dims.width}x{self.dims.height} grid of {self.dims.area}")
+    def __init__(self, dims: GridDims, cells: list | bytearray) -> None:
+        super().__init__(dims, cells)
+        if len(cells) != dims.area:
+            raise ValueError(f"{len(cells)} cells given for a "
+                             f"{dims.width}x{dims.height} grid of {dims.area}")
 
     @classmethod
     def empty(cls: type[_G], dims: GridDims) -> _G:
@@ -72,10 +111,8 @@ class FaultMap(_Grid):
 
     cells: bytearray
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.cells, bytearray):
-            self.cells = bytearray(map(bool, self.cells))
-        super().__post_init__()
+    def __init__(self, dims: GridDims, cells: bytearray | list[int]) -> None:
+        super().__init__(dims, cells if isinstance(cells, bytearray) else bytearray(map(bool, cells)))
 
     def mark(self, x: int, y: int) -> bool:
         """Set (x, y) to fault; returns True if the cell was newly set."""

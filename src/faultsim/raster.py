@@ -71,14 +71,7 @@ def circle_cells(cx: int, cy: int, r: int) -> set[Cell]:
 
     def plot(px: int, py: int) -> None:
         for ox, oy in ((px, py), (py, px)):
-            cells.update(
-                (
-                    (cx + ox, cy + oy),
-                    (cx - ox, cy + oy),
-                    (cx + ox, cy - oy),
-                    (cx - ox, cy - oy),
-                )
-            )
+            cells.update(((cx + ox, cy + oy), (cx - ox, cy + oy), (cx + ox, cy - oy), (cx - ox, cy - oy)))
 
     x, y, d = 0, r, 1 - r
     plot(x, y)
@@ -118,9 +111,7 @@ def draw_segment(fault_map: FaultMap, x0: int, y0: int, x1: int, y1: int) -> int
     dims = fault_map.dims
     for px, py in ((x0, y0), (x1, y1)):
         if not dims.contains(px, py):
-            raise OutOfRangeError(
-                f"endpoint ({px}, {py}) outside {dims.width}x{dims.height} grid"
-            )
+            raise OutOfRangeError(f"endpoint ({px}, {py}) outside {dims.width}x{dims.height} grid")
     return sum(fault_map.mark(x, y) for x, y in segment_cells(x0, y0, x1, y1))
 
 

@@ -7,11 +7,10 @@ is byte-identical to the colored output with escape sequences stripped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
-from .grid import FaultMap, StressMap
+from .grid import FaultMap, StressMap, Value, require_int
 
 RED = "\x1b[31m"
 GREEN = "\x1b[32m"
@@ -24,21 +23,24 @@ STRESS_CELL_WIDTH = 3
 _STRESS_DISPLAY_CAP = 999
 
 
-@dataclass(frozen=True)
-class StressBands:
+class StressBands(Value):
     """Band boundaries: Low = [0, low_max], Medium = (low_max, med_max]."""
 
-    low_max: int = 33
-    med_max: int = 66
+    __slots__ = _FIELDS = ("low_max", "med_max")
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.low_max < self.med_max:
-            raise ValueError(f"need 0 <= low_max < med_max, got {self.low_max}, {self.med_max}")
+    def __init__(self, low_max: int = 33, med_max: int = 66) -> None:
+        require_int("low_max", low_max)
+        require_int("med_max", med_max)
+        if not 0 <= low_max < med_max:
+            raise ValueError(f"need 0 <= low_max < med_max, got {low_max}, {med_max}")
+        super().__init__(low_max, med_max)
 
 
-@dataclass(frozen=True)
-class RenderStyle:
-    color_enabled: bool = True
+class RenderStyle(Value):
+    __slots__ = _FIELDS = ("color_enabled",)
+
+    def __init__(self, color_enabled: bool = True) -> None:
+        super().__init__(color_enabled)
 
 
 def stress_color(value: int, bands: StressBands, threshold: int) -> str:

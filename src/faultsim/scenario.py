@@ -23,19 +23,17 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass, fields
-from fractions import Fraction
 from functools import partial
 from typing import IO, Iterable
 
 from .engine import SimConfig, StepReport
-from .grid import FaultMap, GridDims
+from .grid import FaultMap, GridDims, Value
 
 MAGIC = "FAULTSIM 1"
 STATS_HEADER = "step,quakes,cumulative_quakes,max_stress,mean_stress"
 
 # the keys in file order: SimConfig's fields, its first (dims) given as width and height
-_CONFIG_KEYS = ("width", "height", *(f.name for f in fields(SimConfig)[1:]))
+_CONFIG_KEYS = ("width", "height", *SimConfig._FIELDS[1:])
 
 # canonical decimal integers only: no leading zeros, plus signs or "-0"
 _INT_RE = re.compile(r"-?(0|[1-9][0-9]*)$")
@@ -49,21 +47,20 @@ class ScenarioError(ValueError):
     """A scenario parse failure; the message names the check that failed."""
 
 
-@dataclass
-class Scenario:
-    cfg: SimConfig
-    faults: FaultMap
+class Scenario(Value):
+    __slots__ = _FIELDS = ("cfg", "faults")
 
-    def __post_init__(self) -> None:
-        if self.cfg.dims != self.faults.dims:
+    def __init__(self, cfg: SimConfig, faults: FaultMap) -> None:
+        if cfg.dims != faults.dims:
             raise ValueError("config and fault map disagree on grid dimensions")
+        super().__init__(cfg, faults)
 
 
 def format_scenario(scenario: Scenario) -> str:
     cfg = scenario.cfg
-    values = vars(cfg.dims) | vars(cfg)  # width and height from dims, the rest from SimConfig
+    values = (cfg.dims.width, cfg.dims.height, *(getattr(cfg, key) for key in _CONFIG_KEYS[2:]))
     lines = [MAGIC]
-    lines.extend(f"{key} {values[key]}" for key in _CONFIG_KEYS)
+    lines.extend(f"{key} {value}" for key, value in zip(_CONFIG_KEYS, values))
     lines.append("map")
     glyphs = scenario.faults.cells.translate(_CELLS_TO_GLYPHS).decode("ascii")
     width = cfg.dims.width
@@ -157,17 +154,20 @@ def load_scenario(fp: IO[str] | IO[bytes]) -> Scenario:
     return parse_scenario(fp.read())
 
 
-def _format_mean(mean: Fraction) -> str:
-    """Two decimal places, rounding halves up; step clamps cells at 0, so a mean is never negative."""
-    num, den = mean.numerator, mean.denominator
-    cents = (200 * num + den) // (2 * den)
+def _format_mean(total: int, area: int) -> str:
+    """total / area to two decimals, half up: floor(100 * total / area + 1/2) in ints alone.
+
+    Scaling both by one factor leaves that unchanged, so the pair need not be
+    reduced; step clamps cells at 0, so a mean is never negative.
+    """
+    cents = (200 * total + area) // (2 * area)
     return f"{cents // 100}.{cents % 100:02d}"
 
 
 def format_stats_row(r: StepReport) -> str:
     """One step's CSV row, newline included, ready to write as the step completes."""
     return (f"{r.step_index},{len(r.quaked_cells)},{r.cumulative_quakes},"
-            f"{r.max_stress},{_format_mean(r.mean_stress)}\n")
+            f"{r.max_stress},{_format_mean(r.stress_total, r.area)}\n")
 
 
 def format_stats(reports: Iterable[StepReport]) -> str:

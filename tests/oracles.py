@@ -6,7 +6,9 @@ rounding per major-axis column, circles by exact integer square roots per
 octant column. The step oracle draws each cell through its own `randint`
 call, where the engine draws up to `engine._CHUNK` (2,048) cells in one
 block. `strip_ansi` removes the renderer's colour codes, so a coloured frame
-can be checked against a plain one. `fault_cells`, `fault_count`,
+can be checked against a plain one. `format_mean` rounds an exact
+`Fraction` mean, where the CSV writer rounds the two ints of a report in
+integer arithmetic. `fault_cells`, `fault_count`,
 `is_fault`, `copy_grid` and `stress_map` read, copy and build maps for the
 tests; the program itself never needs them.
 """
@@ -26,6 +28,12 @@ _ANSI_RE = re.compile(r"\x1b\[[0-9;]*[A-Za-z]")
 def strip_ansi(text: str) -> str:
     """Remove ANSI escape sequences."""
     return _ANSI_RE.sub("", text)
+
+
+def format_mean(total: int, area: int) -> str:
+    """total / area to two decimals, half up: the Fraction floored after adding half a cent."""
+    cents = math.floor(Fraction(total, area) * 100 + Fraction(1, 2))
+    return f"{cents // 100}.{cents % 100:02d}"
 
 
 def fault_cells(fmap: FaultMap) -> set[Cell]:
@@ -154,5 +162,6 @@ def step_oracle(
         quaked_cells=tuple(quaked),
         cumulative_quakes=cumulative_quakes + len(quaked),
         max_stress=max_stress,
-        mean_stress=Fraction(sum(cells), len(cells)),
+        stress_total=sum(cells),
+        area=len(cells),
     )

@@ -1,7 +1,9 @@
 import io
+import re
 import subprocess
 import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -233,9 +235,8 @@ class TestHeadless:
         faults = FaultMap.empty(cfg.dims)
         for x in range(4):
             faults.mark(x, 1)
-        from dataclasses import replace
-
-        want = format_stats(iter_steps(StressMap.empty(cfg.dims), faults, replace(cfg, seed=7)))
+        seed7 = SimConfig(dims=GridDims(4, 4), seed=7, target_quakes=1, delay_ms=0)
+        want = format_stats(iter_steps(StressMap.empty(cfg.dims), faults, seed7))
         assert captured.out == want
 
     def test_flag_overrides_apply(self, tmp_path, capsys):
@@ -598,3 +599,27 @@ class TestMain:
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
         assert set(proc.stdout.split()) - sys.stdlib_module_names == {"faultsim"}
+
+    def test_start_up_loads_no_heavy_standard_modules(self):
+        # dataclasses (with inspect, ast and dis) and fractions (with decimal and numbers)
+        # once took half the CLI's import time. As above, modules loaded at start-up do
+        # not count; nor do those the package's own standard-library imports load on a
+        # Python whose argparse or typing pulls one in, so only the package is judged
+        banned = {"dataclasses", "fractions", "decimal", "numbers", "inspect", "ast", "dis"}
+        package = Path(cli.__file__).parent
+        stdlib = sorted({name for path in package.glob("*.py")
+                         for name in re.findall(r"^(?:from|import) (\w+)", path.read_text(), re.M)}
+                        - banned - {"__future__"})
+        code = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            f"import {', '.join(stdlib)}\n"
+            "by_stdlib = set(sys.modules) - before\n"
+            "import faultsim.cli\n"
+            "print(*sorted(set(sys.modules) - before - by_stdlib))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        loaded = set(proc.stdout.split())
+        assert {"argparse", "typing", "re"} <= set(stdlib)
+        assert "faultsim.cli" in loaded
+        assert loaded & banned == set()

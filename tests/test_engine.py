@@ -1,7 +1,7 @@
 import math
 import random
+import re
 import tracemalloc
-from fractions import Fraction
 from itertools import repeat
 from operator import mod
 
@@ -169,6 +169,12 @@ class TestSimConfig:
         with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
             SimConfig(**{name: value})
 
+    @pytest.mark.parametrize("dims", [(20, 20), None, "20x20"])
+    def test_dims_must_be_grid_dims(self, dims):
+        # a tuple used to pass, then fail inside StressMap.empty with an AttributeError
+        with pytest.raises(ValueError, match=re.escape(f"dims must be a GridDims, got {dims!r}")):
+            SimConfig(dims=dims)
+
     def test_delay_up_to_one_day_accepted(self):
         assert SimConfig(delay_ms=86_400_000).delay_ms == 86_400_000
 
@@ -200,14 +206,14 @@ class TestStep:
         first = step(stress, faults, cfg, rng, 0, step_index=1)
         assert first.quaked_cells == ()
         assert first.max_stress == 5
-        assert first.mean_stress == Fraction(5)
+        assert (first.stress_total, first.area) == (5, 1)
         assert stress.cells[0] == 5
 
         second = step(stress, faults, cfg, rng, 0, step_index=2)
         assert second.quaked_cells == ((0, 0),)
         assert second.cumulative_quakes == 1
         assert second.max_stress == 10  # read before the reset
-        assert second.mean_stress == Fraction(0)  # read after it
+        assert (second.stress_total, second.area) == (0, 1)  # read after it
         assert stress.cells[0] == 0
 
     def test_clamps_at_zero(self):
@@ -239,7 +245,7 @@ class TestStep:
         report = step(stress, faults, cfg, rng, 0, step_index=3)
         assert report.quaked_cells == ((0, 0),)
         assert report.max_stress == 9
-        assert report.mean_stress == Fraction(6, 2)
+        assert (report.stress_total, report.area) == (6, 2)
         assert (stress.cells[0], stress.cells[1]) == (0, 6)
 
     def test_quaked_cells_row_major_order(self):
@@ -267,7 +273,7 @@ class TestStep:
         faults.mark(0, 0)
         stress = StressMap.empty(cfg.dims)
         report = step(stress, faults, cfg, SplitMix64(0), 0)
-        assert report.mean_stress == Fraction(3, 2)
+        assert (report.stress_total, report.area) == (3, 2)
 
     def test_dims_mismatch_rejected(self):
         cfg = _cfg()

@@ -1,8 +1,14 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from faultsim.engine import SimConfig, StepReport
 from faultsim.grid import MAX_DIM, FaultMap, GridDims, StressMap
+from faultsim.render import RenderStyle, StressBands
+from faultsim.scenario import Scenario
 from oracles import copy_grid, fault_cells, fault_count, is_fault
 
 
@@ -60,6 +66,93 @@ class TestGridDims:
     )
     def test_contains_matches_definition(self, w, h, x, y):
         assert GridDims(w, h).contains(x, y) == (0 <= x < w and 0 <= y < h)
+
+
+# one value of each frozen class, and a field of it to try to change
+FROZEN = [
+    (GridDims(4, 4), "width"),
+    (SimConfig(), "seed"),
+    (StressBands(), "low_max"),
+    (RenderStyle(), "color_enabled"),
+    (StepReport(3, ((1, 2),), 5, 40, 123, 400), "stress_total"),
+]
+
+
+def _rebuilt(value):
+    """An equal value built separately from the same field values."""
+    return type(value)(*(getattr(value, name) for name in value._FIELDS))
+
+
+class TestValueSemantics:
+    @pytest.mark.parametrize("value,field", FROZEN)
+    def test_frozen(self, value, field):
+        before = getattr(value, field)
+        with pytest.raises(AttributeError):
+            setattr(value, field, 1)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+        with pytest.raises(AttributeError):
+            value.extra = 1  # no field of that name, and no __dict__ to put it in
+        assert getattr(value, field) == before
+
+    @pytest.mark.parametrize("value,field", FROZEN)
+    def test_equal_values_hash_equal(self, value, field):
+        twin = _rebuilt(value)
+        assert twin is not value
+        assert twin == value and not twin != value
+        assert hash(twin) == hash(value)
+        assert len({value, twin}) == 1
+
+    @pytest.mark.parametrize("a,b", [
+        (GridDims(4, 4), GridDims(4, 5)),
+        (SimConfig(), SimConfig(seed=1)),
+        (SimConfig(), SimConfig(dims=GridDims(20, 21))),
+        (StressBands(), StressBands(low_max=32)),
+        (RenderStyle(), RenderStyle(color_enabled=False)),
+        (StepReport(3, (), 5, 40, 123, 400), StepReport(3, (), 5, 40, 246, 800)),
+    ])
+    def test_different_values_differ(self, a, b):
+        assert a != b and not a == b
+
+    def test_other_types_never_equal(self):
+        assert GridDims(4, 4) != (4, 4)
+        assert StressBands(33, 66) != (33, 66)
+        assert FaultMap.empty(GridDims(2, 2)) != StressMap.empty(GridDims(2, 2))
+
+    def test_keyword_construction_and_defaults(self):
+        assert SimConfig(dims=GridDims(20, 20), seed=0) == SimConfig()
+        assert StressBands(low_max=33, med_max=66) == StressBands()
+        assert RenderStyle(color_enabled=True) == RenderStyle()
+        report = StepReport(step_index=1, quaked_cells=(), cumulative_quakes=0, max_stress=0,
+                            stress_total=0, area=1)
+        assert report == StepReport(1, (), 0, 0, 0, 1)
+
+    @pytest.mark.parametrize("value", [v for v, _ in FROZEN] + [FaultMap(GridDims(2, 2), [1, 0, 0, 1])])
+    def test_copies_and_pickles_are_equal(self, value):
+        for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert twin == value and type(twin) is type(value)
+
+    def test_repr_names_the_fields(self):
+        assert repr(GridDims(3, 4)) == "GridDims(width=3, height=4)"
+        assert repr(StressBands()) == "StressBands(low_max=33, med_max=66)"
+
+    def test_maps_and_scenarios_compare_by_value(self):
+        dims = GridDims(3, 2)
+        a, b = FaultMap.empty(dims), FaultMap.empty(dims)
+        assert a == b and a is not b
+        a.mark(1, 1)
+        assert a != b
+        b.mark(1, 1)
+        assert a == b
+        cfg = SimConfig(dims=dims)
+        assert Scenario(cfg, a) == Scenario(SimConfig(dims=GridDims(3, 2)), b)
+        assert Scenario(cfg, a) != Scenario(cfg, FaultMap.empty(dims))
+        assert Scenario(cfg, a) != Scenario(SimConfig(dims=dims, seed=1), a)
+
+    @pytest.mark.parametrize("value", [FaultMap.empty(GridDims(1, 1)), StressMap.empty(GridDims(1, 1))])
+    def test_maps_do_not_hash(self, value):
+        with pytest.raises(TypeError):
+            hash(value)
 
 
 class TestCellCount:

@@ -59,6 +59,12 @@ class TestClassifyStress:
         with pytest.raises(ValueError):
             StressBands(low, med)
 
+    @pytest.mark.parametrize("low,med", [(1.5, 2), (1, 2.0), (True, 5), (0, "66")])
+    def test_non_integer_bands_rejected(self, low, med):
+        # StressBands(low_max=1.5, med_max=2) used to be accepted
+        with pytest.raises(ValueError, match="must be an integer"):
+            StressBands(low_max=low, med_max=med)
+
 
 class TestStripAnsi:
     def test_removes_sgr_codes(self):

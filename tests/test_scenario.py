@@ -1,7 +1,6 @@
 import random
 import re
 import sys
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -14,12 +13,14 @@ from faultsim.scenario import (
     STATS_HEADER,
     Scenario,
     ScenarioError,
+    _format_mean,
     format_scenario,
     format_stats,
     load_scenario,
     parse_scenario,
     save_scenario,
 )
+from oracles import format_mean
 
 GOLDEN = """\
 FAULTSIM 1
@@ -262,13 +263,14 @@ class TestParseNeverCrashes:
                 pass
 
 
-def report(step_index, quakes, cum, max_stress, mean) -> StepReport:
+def report(step_index, quakes, cum, max_stress, total, area) -> StepReport:
     return StepReport(
         step_index=step_index,
         quaked_cells=tuple((x, 0) for x in range(quakes)),
         cumulative_quakes=cum,
         max_stress=max_stress,
-        mean_stress=mean,
+        stress_total=total,
+        area=area,
     )
 
 
@@ -278,8 +280,8 @@ class TestStats:
 
     def test_rows(self):
         rows = [
-            report(1, 0, 0, 5, Fraction(5)),
-            report(2, 1, 1, 10, Fraction(0)),
+            report(1, 0, 0, 5, 5, 1),
+            report(2, 1, 1, 10, 0, 1),
         ]
         assert format_stats(rows) == (
             "step,quakes,cumulative_quakes,max_stress,mean_stress\n"
@@ -289,15 +291,30 @@ class TestStats:
 
     @pytest.mark.parametrize(
         "mean,text",
-        [
-            (Fraction(0), "0.00"),
-            (Fraction(9, 2), "4.50"),
-            (Fraction(801, 200), "4.01"),  # exact half rounds away from zero
-            (Fraction(799, 200), "4.00"),
-            (Fraction(10, 3), "3.33"),
-            (Fraction(12344, 100), "123.44"),
+        [  # a mean as a report carries it: (stress_total, area)
+            ((0, 1), "0.00"),
+            ((9, 2), "4.50"),
+            ((801, 200), "4.01"),  # exact half rounds away from zero
+            ((799, 200), "4.00"),
+            ((10, 3), "3.33"),
+            ((12344, 100), "123.44"),
         ],
     )
     def test_mean_rounding(self, mean, text):
-        line = format_stats([report(1, 0, 0, 0, mean)]).splitlines()[1]
-        assert line == f"1,0,0,0,{text}"
+        total, area = mean
+        for k in (1, 7):  # the pair need not be reduced
+            line = format_stats([report(1, 0, 0, 0, k * total, k * area)]).splitlines()[1]
+            assert line == f"1,0,0,0,{text}"
+
+    @settings(max_examples=500)
+    @given(
+        area=st.integers(1, MAX_DIM * MAX_DIM),
+        cap=st.integers(1, 1_000_000),  # threshold + room: no cell holds more after a step
+        k=st.integers(1, 10_000),
+        data=st.data(),
+    )
+    def test_integer_mean_matches_fraction_reference(self, area, cap, k, data):
+        total = data.draw(st.integers(0, area * cap), label="total")
+        want = format_mean(total, area)
+        assert _format_mean(total, area) == want
+        assert _format_mean(k * total, k * area) == want  # an unreduced pair reads the same

@@ -123,9 +123,9 @@ class TestHeadlessStreaming:
         assert lines_before_step == [1, 2, 3, 4, 5, 6]
         assert buf.getvalue().count("\n") == 7
 
-    def test_each_report_is_freed_before_the_next_step(self, monkeypatch):
-        # on a large grid one step's quake list is megabytes; none may live through the next step
-        monkeypatch.setattr(sys, "stdout", io.StringIO())
+    @staticmethod
+    def _reports_alive_at_each_step(monkeypatch) -> list[int]:
+        """Spy on engine.step: before each step, how many earlier reports are still alive."""
         reports, alive = [], []
         real_step = engine.step
 
@@ -136,8 +136,25 @@ class TestHeadlessStreaming:
             return report
 
         monkeypatch.setattr(engine, "step", spy)
+        return alive
+
+    def test_each_report_is_freed_before_the_next_step(self, monkeypatch):
+        # on a large grid one step's quake list is megabytes; none may live through the next step
+        monkeypatch.setattr(sys, "stdout", io.StringIO())
+        alive = self._reports_alive_at_each_step(monkeypatch)
         assert main(LONG_RUN + ["--max-steps", "6"]) == 2
         assert alive == [0] * 6
+
+    def test_each_report_is_freed_before_the_next_step_interactive(self, monkeypatch):
+        # the animation's twin of the test above: no frame's report lives through the next step
+        stdout = io.StringIO()
+        monkeypatch.setattr(sys, "stdin", io.StringIO("5\n"))
+        monkeypatch.setattr(sys, "stdout", stdout)
+        alive = self._reports_alive_at_each_step(monkeypatch)
+        interactive = [arg for arg in LONG_RUN if arg != "--headless"]
+        assert main(interactive + ["--no-color", "--delay-ms", "0", "--max-steps", "6"]) == 2
+        assert alive == [0] * 6
+        assert stdout.getvalue().endswith("Step limit reached after 6 steps with 0 earthquakes (seed 1).\n")
 
     def test_closed_stdout_stops_the_run(self):
         # the full 20000-step run takes several seconds; a reader that leaves
