@@ -2,30 +2,32 @@
 
 Interactive mode walks the shape menu, reprints the fault map after every
 successful draw, then animates the stress simulation with a timed screen
-refresh. Headless mode loads or builds a scenario, runs at full speed with
-no rendering, and emits the per-step statistics CSV.
+refresh; without a scenario, a missing --width or --height is 20 and a
+missing --seed comes from the clock. Headless mode loads or builds a scenario,
+runs at full speed with no rendering, and emits the per-step statistics CSV.
 
 `main` owns the exit codes of both modes: it resolves the run once and
-turns every failure into one line on stderr. Exit codes: 0 on success, 1 for
-usage or I/O errors (a closed stdin, or a closed or full stdout, included), 2
-when the step limit was exhausted before reaching the quake target, 130 when
-interrupted (Ctrl-C).
+turns every failure into one line on stderr; SimConfig and GridDims judge a
+flag's value as they judge a scenario file's, with the same line. Exit codes:
+0 on success, 1 for usage, input or I/O errors (a closed stdin, or a closed
+or full stdout, included), 2 when the step limit was exhausted before
+reaching the quake target, 130 when interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import os
+import stat
 import sys
 import time
 from contextlib import contextmanager
-from typing import IO, Callable, Iterator
+from typing import IO, Iterator
 
 # step is not called here but stays importable from this module, where
 # bench/traced.py wraps it by name
-from .engine import _MASK64, MAX_DELAY_MS, SimConfig, StepReport, iter_steps, run, step  # noqa: F401
-from .grid import MAX_DIM, FaultMap, GridDims, StressMap
+from .engine import _MASK64, SimConfig, StepReport, iter_steps, run, step  # noqa: F401
+from .grid import FaultMap, GridDims, StressMap
 from .raster import OutOfRangeError, draw_circle, draw_horizontal, draw_segment, draw_vertical
 from .render import RenderStyle, StressBands, render_fault_map, render_stress_map
 from .scenario import Scenario, format_stats, format_stats_row, load_scenario, save_scenario
@@ -51,51 +53,26 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _int_range(name: str, error: str, lo: int, hi: float = math.inf) -> Callable[[str], int]:
-    """An argparse type for integers in [lo, hi]; argparse calls it `name` in its errors."""
-    def parse(text: str) -> int:
-        value = int(text)
-        if not lo <= value <= hi:
-            raise argparse.ArgumentTypeError(error)
-        return value
-
-    parse.__name__ = name
-    return parse
-
-
-def build_parser() -> argparse.ArgumentParser:
-    dimension = _int_range("dimension", f"must be in [1, {MAX_DIM}]", 1, MAX_DIM)
-    positive = _int_range("positive_int", "must be >= 1", 1)
+def parse_args(argv: list[str]) -> argparse.Namespace:
     p = _Parser(prog="faultsim", description="Fault-line stress simulator on a 2D grid")
     p.add_argument("--headless", action="store_true", help="run without menu or rendering")
     p.add_argument("--scenario", metavar="PATH", dest="scenario_path", help="scenario file to load")
     p.add_argument("--out", metavar="PATH", dest="out_path", help="stats CSV path (default stdout)")
-    p.add_argument("--seed", type=_int_range("seed64", "must be an unsigned 64-bit integer", 0, _MASK64),
-                   help="64-bit RNG seed (default: scenario, else clock)")
-    p.add_argument("--width", type=dimension, help="grid width in cells")
-    p.add_argument("--height", type=dimension, help="grid height in cells")
-    # dests named after the SimConfig fields they override (see _resolve_state)
-    p.add_argument("--quakes", type=positive, dest="target_quakes", metavar="QUAKES",
+    p.add_argument("--seed", type=int, help="64-bit RNG seed (default: scenario, else clock)")
+    p.add_argument("--width", type=int, help="grid width in cells")
+    p.add_argument("--height", type=int, help="grid height in cells")
+    # dests named after the SimConfig fields they override; SimConfig judges the values
+    p.add_argument("--quakes", type=int, dest="target_quakes", metavar="QUAKES",
                    help="stop after this many earthquakes")
-    p.add_argument("--threshold", type=positive, dest="quake_threshold", metavar="THRESHOLD",
+    p.add_argument("--threshold", type=int, dest="quake_threshold", metavar="THRESHOLD",
                    help="stress level that triggers a quake")
-    p.add_argument("--delay-ms", type=_int_range("delay_ms", f"must be in [0, {MAX_DELAY_MS}]", 0, MAX_DELAY_MS),
-                   help="pause between frames")
-    p.add_argument("--max-steps", type=positive, help="step safety cap")
+    p.add_argument("--delay-ms", type=int, help="pause between frames")
+    p.add_argument("--max-steps", type=int, help="step safety cap")
     p.add_argument("--no-color", action="store_true", help="plain ASCII output, no escapes")
-    return p
-
-
-def parse_args(argv: list[str]) -> argparse.Namespace:
-    parser = build_parser()
-    opts = parser.parse_args(argv)
+    opts = p.parse_args(argv)
     if opts.headless and opts.scenario_path is None and (opts.width is None or opts.height is None):
-        parser.error("headless mode needs --scenario or both --width and --height")
+        p.error("headless mode needs --scenario or both --width and --height")
     return opts
-
-
-def _wall_clock_seed() -> int:
-    return time.time_ns() & _MASK64
 
 
 def _resolve_state(opts: argparse.Namespace) -> tuple[SimConfig, FaultMap]:
@@ -109,8 +86,9 @@ def _resolve_state(opts: argparse.Namespace) -> tuple[SimConfig, FaultMap]:
                 raise ValueError(f"--{name} {value} conflicts with scenario grid "
                                  f"{cfg.dims.width}x{cfg.dims.height}")
     else:
-        dims = GridDims(opts.width or 20, opts.height or 20)
-        cfg = SimConfig(dims=dims, seed=_wall_clock_seed())
+        # a missing side is 20; "is None", not "or", so --width 0 fails in GridDims
+        dims = GridDims(*(20 if side is None else side for side in (opts.width, opts.height)))
+        cfg = SimConfig(dims=dims, seed=time.time_ns() & _MASK64)
         faults = FaultMap.empty(dims)
     values = {name: getattr(cfg, name) for name in SimConfig._FIELDS}
     overrides = {name: value for name in values if (value := getattr(opts, name, None)) is not None}
@@ -128,10 +106,11 @@ def _output_file(path: str | None) -> Iterator[IO[str]]:
     """Where a CSV or a saved scenario goes: stdout, or a file that only ever appears complete.
 
     A regular file is written under a temporary name beside its target and
-    renamed over it when the block succeeds; on any failure the temporary
-    file is removed and the target is left as it was. Targets that are not
-    regular files (/dev/null, a FIFO) are written directly. Opening happens
-    on entry, so a bad path fails before the first step.
+    renamed over it, with the target's permission bits but not its owner,
+    when the block succeeds; on any failure the temporary file is removed and
+    the target is left as it was. Targets that are not regular files
+    (/dev/null, a FIFO) are written directly. Opening happens on entry, so a
+    bad path fails before the first step.
     """
     if path is None:
         out = sys.stdout
@@ -141,7 +120,11 @@ def _output_file(path: str | None) -> Iterator[IO[str]]:
         out.flush()
         return
     target = os.path.realpath(path)
-    if os.path.exists(target) and not os.path.isfile(target):
+    try:
+        mode = os.stat(target).st_mode
+    except OSError:  # no target, as os.path.exists would say
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
         with open(path, "w", newline="") as fp:
             yield fp
         return
@@ -149,12 +132,14 @@ def _output_file(path: str | None) -> Iterator[IO[str]]:
     # the random part: a killed run leaves its file behind, and pids repeat
     tmp = os.path.join(directory, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
     try:
-        # 0o666 less the umask: the mode open(path, "w") would give the target
+        # 0o666 less the umask: the mode open(path, "w") would give a new target
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "w", newline="") as fp:
+            if mode is not None:  # a replaced file keeps its permission bits
+                os.fchmod(fd, mode & 0o777)
             yield fp
         os.replace(tmp, target)
     except BaseException:

@@ -71,26 +71,21 @@ def format_scenario(scenario: Scenario) -> str:
 
 def parse_scenario(data: str | bytes) -> Scenario:
     """Parse canonical scenario text; raises ScenarioError otherwise."""
-    if isinstance(data, bytes):
-        try:
-            text = data.decode("ascii")
-        except UnicodeDecodeError as exc:
-            raise ScenarioError(f"scenario is not ASCII: {exc}") from None
-    else:
-        text = data
+    try:
+        text = data.decode("ascii") if isinstance(data, bytes) else data
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"scenario is not ASCII: {exc}") from None
 
     # only newline-terminated lines count; tail is "" when the text ends cleanly
     *lines, tail = text.split("\n")
     take = partial(next, iter(lines), None)
 
-    magic = take()
-    if magic != MAGIC:
+    if (magic := take()) != MAGIC:
         raise ScenarioError(f"expected {MAGIC!r} header, got {magic!r}")
 
     values: dict[str, int] = {}
     for key in _CONFIG_KEYS:
-        line = take()
-        if line is None or not line.startswith(key + " "):
+        if (line := take()) is None or not line.startswith(key + " "):
             raise ScenarioError(f"expected '{key} <value>' line, got {line!r}")
         token = line[len(key) + 1 :]
         if not _INT_RE.fullmatch(token):
@@ -107,43 +102,27 @@ def parse_scenario(data: str | bytes) -> Scenario:
     except ValueError as exc:
         raise ScenarioError(str(exc)) from None
 
-    line = take()
-    if line != "map":
+    if (line := take()) != "map":
         raise ScenarioError(f"expected 'map' line, got {line!r}")
 
-    rows: list[str] = []
-    for _ in range(dims.height):
-        row = take()
-        if row is None or len(row) != dims.width:
-            break
-        rows.append(row)
-    # the whole map is checked for glyphs and converted in one pass each; a
-    # non-ASCII glyph becomes "?", so it fails the glyph check like any other
-    block = bytearray("".join(rows), "ascii", "replace")
-    if len(rows) < dims.height or block.translate(None, b"01"):
-        raise _map_error(rows, row, dims.height)
-    cells = block.translate(_GLYPHS_TO_CELLS)
+    # each row is checked as it is read, so the first bad row is the one named;
+    # a non-ASCII glyph becomes "?", so it fails the glyph check like any other
+    block = bytearray()
+    for index in range(dims.height):
+        if (row := take()) is None:
+            raise ScenarioError(f"map ended after {index} of {dims.height} rows")
+        glyphs = row.encode("ascii", "replace")
+        if len(glyphs) != dims.width or glyphs.translate(None, b"01"):
+            raise ScenarioError(f"map row {index}: {row!r}")
+        block += glyphs
 
-    line = take()
-    if line != "end":
+    if (line := take()) != "end":
         raise ScenarioError(f"expected 'end' after {dims.height} map rows, got {line!r}")
 
     if take() is not None or tail:
         raise ScenarioError("content after 'end'")
 
-    return Scenario(cfg=cfg, faults=FaultMap(dims, cells))
-
-
-def _map_error(rows: list[str], stop: str | None, height: int) -> ScenarioError:
-    """The error for a map that failed the block check: the first bad row wins,
-    whether bad by glyph (any of rows) or by length (stop, the row that ended
-    the scan); only a map free of both ended early."""
-    for index, row in enumerate(rows):
-        if not set(row) <= {"0", "1"}:
-            return ScenarioError(f"map row {index}: {row!r}")
-    if stop is None:
-        return ScenarioError(f"map ended after {len(rows)} of {height} rows")
-    return ScenarioError(f"map row {len(rows)}: {stop!r}")
+    return Scenario(cfg=cfg, faults=FaultMap(dims, block.translate(_GLYPHS_TO_CELLS)))
 
 
 def save_scenario(scenario: Scenario, fp: IO[str]) -> None:

@@ -1,5 +1,7 @@
 import io
+import os
 import re
+import stat
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -49,6 +51,11 @@ def one_cell_cfg(**kwargs) -> SimConfig:
     return SimConfig(**base)
 
 
+# each flag that SimConfig or GridDims bounds -> the scenario-file key it overrides
+FLAG_KEYS = {"--width": "width", "--height": "height", "--seed": "seed", "--quakes": "target_quakes",
+             "--threshold": "quake_threshold", "--delay-ms": "delay_ms", "--max-steps": "max_steps"}
+
+
 def run_script(script: str, argv: list[str]) -> tuple[int, str]:
     out = io.StringIO()
     with mock.patch.object(sys, "stdin", io.StringIO(script)), redirect_stdout(out):
@@ -92,6 +99,7 @@ class TestParseArgs:
         assert parse_args(["--headless", "--scenario", "x"]).headless
         assert parse_args(["--headless", "--width", "5", "--height", "5"]).headless
 
+    # each flag that SimConfig or GridDims bounds, with a value out of range
     @pytest.mark.parametrize(
         "argv",
         [
@@ -106,14 +114,36 @@ class TestParseArgs:
             ["--delay-ms", "100000000000000000000"],
             ["--delay-ms", str(10**400)],
             ["--max-steps", "0"],
-            ["--bogus"],
+            ["--height", "0"],
         ],
     )
-    def test_usage_errors_exit_1(self, argv, capsys):
+    def test_usage_errors_exit_1(self, argv, tmp_path, capsys):
+        """Through main, headless and interactive: exit 1, nothing on stdout, and on
+        stderr exactly the line the same value gives from a scenario file."""
+        flag, value = argv
+        key = FLAG_KEYS[flag]
+        text = format_scenario(Scenario(cfg=SimConfig(dims=GridDims(5, 5)), faults=FaultMap.empty(GridDims(5, 5))))
+        path = tmp_path / "bad.txt"
+        path.write_text(re.sub(rf"^{key} .*$", f"{key} {value}", text, count=1, flags=re.M))
+        assert main(["--headless", "--scenario", str(path)]) == 1
+        line = capsys.readouterr().err
+        assert line.startswith(f"faultsim: {key} ") and line.count("\n") == 1  # names the field
+        # headless: the later --width wins over the 5x5 grid given first
+        for run_argv in (argv, ["--headless", "--width", "5", "--height", "5", *argv]):
+            with mock.patch.object(sys, "stdin", io.StringIO("7\n")):
+                assert main(run_argv) == 1
+            assert capsys.readouterr() == ("", line)
+
+    @pytest.mark.parametrize("argv", [["--bogus"], ["--width", "x"], ["--seed", "9" * 5000]])
+    def test_malformed_flags_exit_1(self, argv, capsys):
+        # not an integer, or more digits than int() converts: argparse's usage error
         with pytest.raises(SystemExit) as exc:
             parse_args(argv)
         assert exc.value.code == 1
-        assert "error" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: faultsim ")
+        assert captured.err.splitlines()[-1].startswith("faultsim: error: ")
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -218,6 +248,12 @@ class TestHeadless:
         captured = capsys.readouterr()
         assert rc == 1
         assert "conflicts" in captured.err
+
+    def test_zero_width_with_scenario_is_a_conflict(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, one_cell_cfg())
+        rc = main(["--headless", "--scenario", path, "--width", "0"])
+        assert rc == 1
+        assert capsys.readouterr() == ("", "faultsim: --width 0 conflicts with scenario grid 1x1\n")
 
     def test_matching_dims_accepted(self, tmp_path, capsys):
         path = write_scenario(tmp_path, one_cell_cfg(), [(0, 0)])
@@ -370,6 +406,32 @@ class TestInteractiveMenu:
         assert scenario.cfg.dims == GridDims(4, 3)
         assert scenario.cfg.seed == 11
         assert fault_cells(scenario.faults) == {(2, y) for y in range(3)}
+
+    def test_save_keeps_a_private_files_mode(self, tmp_path):
+        target = tmp_path / "saved.txt"
+        target.write_text("old scenario\n")
+        target.chmod(0o600)
+        old_mask = os.umask(0o022)
+        try:
+            rc, out = run_script(f"6\n{target}\n7\n", ["--width", "2", "--height", "2", "--no-color"])
+        finally:
+            os.umask(old_mask)
+        assert rc == 0
+        assert f"Saved {target}\n" in out
+        assert parse_scenario(target.read_text()).cfg.dims == GridDims(2, 2)
+        assert stat.S_IMODE(target.stat().st_mode) == 0o600
+
+    def test_missing_height_defaults_to_20(self, tmp_path):
+        target = tmp_path / "saved.txt"
+        rc, _ = run_script(f"6\n{target}\n7\n", ["--width", "7", "--no-color"])
+        assert rc == 0
+        assert parse_scenario(target.read_text()).cfg.dims == GridDims(7, 20)
+
+    def test_zero_width_alone_fails_rather_than_defaulting(self, capsys):
+        with mock.patch.object(sys, "stdin", io.StringIO("7\n")):
+            rc = main(["--width", "0", "--no-color"])
+        assert rc == 1
+        assert capsys.readouterr() == ("", "faultsim: width must be in [1, 1024], got 0\n")
 
     def test_save_failure_keeps_session(self, tmp_path):
         argv = ["--width", "2", "--height", "2", "--seed", "1", "--no-color"]

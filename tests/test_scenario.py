@@ -231,6 +231,56 @@ class TestParseErrors:
         rejects(GOLDEN.replace("map\n", "map\n\n"), "map row 0: ''")
 
 
+@st.composite
+def map_texts(draw) -> tuple[GridDims, list[str], bool]:
+    """A map's rows, each valid, the wrong length or holding one bad glyph, and
+    whether the text ends after them in place of an 'end' line."""
+    dims = GridDims(draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    rows = []
+    for _ in range(dims.height):
+        row = draw(st.text("01", min_size=dims.width, max_size=dims.width))
+        kind = draw(st.sampled_from(["valid", "valid", "valid", "length", "glyph"]))
+        if kind == "length":
+            row = draw(st.text("01", max_size=dims.width + 2).filter(lambda r: len(r) != dims.width))
+        elif kind == "glyph":
+            at = draw(st.integers(0, dims.width - 1))
+            row = row[:at] + draw(st.sampled_from(["2", " ", "\r", "\u00e9"])) + row[at + 1 :]
+        rows.append(row)
+    cut = draw(st.booleans())
+    if cut:
+        rows = rows[: draw(st.integers(0, dims.height - 1))]
+    return dims, rows, cut
+
+
+def first_map_error(dims: GridDims, rows: list[str]) -> str | None:
+    """The reference: the first row bad by length or glyph, else an early end."""
+    for index, row in enumerate(rows):
+        if len(row) != dims.width or not set(row) <= {"0", "1"}:
+            return f"map row {index}: {row!r}"
+    if len(rows) < dims.height:
+        return f"map ended after {len(rows)} of {dims.height} rows"
+    return None
+
+
+class TestMapReader:
+    @given(map_texts())
+    @settings(max_examples=300)
+    def test_first_bad_row_or_early_end_is_named(self, case):
+        dims, rows, cut = case
+        head = format_scenario(Scenario(cfg=SimConfig(dims=dims), faults=FaultMap.empty(dims)))
+        text = head[: head.index("map\n") + 4] + "".join(row + "\n" for row in rows) + ("" if cut else "end\n")
+        message = first_map_error(dims, rows)
+        if message is not None:
+            rejects(text, message)
+            return
+        want = FaultMap.empty(dims)
+        for y, row in enumerate(rows):
+            for x, glyph in enumerate(row):
+                if glyph == "1":
+                    want.mark(x, y)
+        assert parse_scenario(text).faults == want
+
+
 class TestParseNeverCrashes:
     @given(st.text(max_size=400))
     @settings(max_examples=200)

@@ -404,17 +404,30 @@ class TestOutFile:
         assert out.read_text() == "previous\n"
         assert list(tmp_path.iterdir()) == [out]
 
-    def test_success_replaces_file_with_umask_mode(self, tmp_path, capsys):
-        out = tmp_path / "stats.csv"
-        out.write_text("previous\n")
-        old_mask = os.umask(0o027)
+    def _run_with_umask(self, out, mask):
+        old_mask = os.umask(mask)
         try:
-            rc = main(LONG_RUN + ["--max-steps", "4", "--out", str(out)])
+            return main(LONG_RUN + ["--max-steps", "4", "--out", str(out)])
         finally:
             os.umask(old_mask)
+
+    def test_success_replaces_file_keeping_its_mode(self, tmp_path, capsys):
+        out = tmp_path / "stats.csv"
+        out.write_text("previous\n")
+        out.chmod(0o600)
+        rc = self._run_with_umask(out, 0o022)
         capsys.readouterr()
         assert rc == 2
         assert out.read_text().splitlines()[0] == STATS_HEADER
+        assert len(out.read_text().splitlines()) == 5
+        assert stat.S_IMODE(out.stat().st_mode) == 0o600
+        assert list(tmp_path.iterdir()) == [out]
+
+    def test_new_file_gets_umask_mode(self, tmp_path, capsys):
+        out = tmp_path / "stats.csv"
+        rc = self._run_with_umask(out, 0o027)
+        capsys.readouterr()
+        assert rc == 2
         assert len(out.read_text().splitlines()) == 5
         assert stat.S_IMODE(out.stat().st_mode) == 0o640
         assert list(tmp_path.iterdir()) == [out]
