@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import stat
 import sys
 import time
@@ -27,7 +28,7 @@ from typing import IO, Iterator
 # step is not called here but stays importable from this module, where
 # bench/traced.py wraps it by name
 from .engine import _MASK64, SimConfig, StepReport, iter_steps, run, step  # noqa: F401
-from .grid import FaultMap, GridDims, StressMap
+from .grid import FaultMap, GridDims, StressMap, digits
 from .raster import OutOfRangeError, draw_circle, draw_horizontal, draw_segment, draw_vertical
 from .render import RenderStyle, StressBands, render_fault_map, render_stress_map
 from .scenario import Scenario, format_stats, format_stats_row, load_scenario, save_scenario
@@ -49,6 +50,7 @@ class _Parser(argparse.ArgumentParser):
     # usage errors exit 1; code 2 is reserved for exhausted step limits
     def error(self, message: str) -> None:
         self.print_usage(sys.stderr)
+        message = re.sub(r"\d+", lambda m: digits(m[0]), message)  # long numbers by length
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(1)
 

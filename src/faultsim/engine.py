@@ -13,8 +13,9 @@ from __future__ import annotations
 import struct
 from functools import lru_cache
 from typing import Callable, Iterator
+from zlib import adler32
 
-from .grid import Cell, FaultMap, GridDims, StressMap, Value, require_int
+from .grid import Cell, FaultMap, GridDims, StressMap, Value, digits, require_int
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -162,7 +163,7 @@ class SimConfig(Value):
         for name in self._FIELDS[1:]:  # every field after dims
             require_int(name, getattr(self, name))
         if not 0 <= self.seed <= _MASK64:
-            raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
+            raise ValueError(f"seed must fit in 64 bits, got {digits(str(self.seed))}")
         for name in ("quake_threshold", "target_quakes", "max_steps"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -174,19 +175,51 @@ class SimConfig(Value):
             raise ValueError("fault delta range is empty")
 
 
+class QuakedCells(Value):
+    """One step's quaked cells: a mask with 0x80 in byte i where cell i quaked, the grid
+    width and their count. They act as the tuple of their (x, y) in row-major order
+    (len, iteration, indexing, ==, hash, repr), decoded from the mask only when iterated."""
+
+    __slots__ = _FIELDS = ("mask", "width", "count")
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self) -> Iterator[Cell]:
+        mask, width = self.mask, self.width
+        i = mask.find(0x80)
+        while i >= 0:
+            yield i % width, i // width
+            i = mask.find(0x80, i + 1)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (tuple, QuakedCells)):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __getitem__(self, k: int) -> Cell:
+        return tuple(self)[k]
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 class StepReport(Value):
     """Outcome of one simulation step.
 
-    quaked_cells is in row-major scan order; max_stress is read before the
-    quake reset, stress_total (the sum over the map's area cells) after it.
-    The mean is stress_total / area, kept as two ints: no fraction is built.
+    quaked_cells acts as the tuple of the quaked (x, y) in row-major order;
+    max_stress is read before the quake reset, stress_total (the sum over the
+    map's area cells) after it. The mean is stress_total / area, as two ints.
     """
 
     __slots__ = _FIELDS = ("step_index", "quaked_cells", "cumulative_quakes", "max_stress",
                            "stress_total", "area")
 
-    def __init__(self, step_index: int, quaked_cells: tuple[Cell, ...], cumulative_quakes: int,
-                 max_stress: int, stress_total: int, area: int) -> None:
+    def __init__(self, step_index: int, quaked_cells: QuakedCells | tuple[Cell, ...],
+                 cumulative_quakes: int, max_stress: int, stress_total: int, area: int) -> None:
         super().__init__(step_index, quaked_cells, cumulative_quakes, max_stress, stress_total, area)
 
 
@@ -217,8 +250,9 @@ def step(stress: StressMap, faults: FaultMap, cfg: SimConfig, rng: SplitMix64,
     cell at a time, and switches a map held in bytes to a list of ints the
     first time it must store a value above 255. Each test uses only the
     cell's own post-update value, never a neighbour's. A negative cell
-    raises ValueError, with the chunks before it already stepped. The
-    report's mean is two ints, the map's sum after the resets and its area.
+    raises ValueError, with the chunks before it already stepped. Quakes go
+    into one mask of the map's size, stored and counted in C by a byte-lane
+    chunk, marked cell by cell by a per-cell chunk; no (x, y) is built here.
     """
     if not (stress.dims == faults.dims == cfg.dims):
         raise ValueError("stress, faults and config must share one grid")
@@ -233,10 +267,9 @@ def step(stress: StressMap, faults: FaultMap, cfg: SimConfig, rng: SplitMix64,
     # a map in bytes under a config that fits them only a chunk with a larger cell goes per cell
     fits = (isinstance(cells, bytearray)
             and max(-min(f_lo, n_lo), max(spans) - 1, threshold - 1 + room) < 0x80)
-    width = cfg.dims.width
-    quaked: list[Cell] = []
-    top = 0
+    top = count = 0
     area = len(cells)
+    mask = bytearray(area)
     size = -(-area // -(-area // _CHUNK))  # the fewest blocks of at most _CHUNK, as equal as they come
     for a in range(0, area, size):
         b = min(a + size, area)
@@ -256,8 +289,8 @@ def step(stress: StressMap, faults: FaultMap, cfg: SimConfig, rng: SplitMix64,
             if high >= threshold:
                 for i, v in enumerate(chunk):
                     if v >= threshold:
-                        k = a + i
-                        quaked.append((k % width, k // width))
+                        mask[a + i] = 0x80
+                        count += 1
                         chunk[i] = 0
             try:
                 cells[a:b] = chunk
@@ -282,15 +315,20 @@ def step(stress: StressMap, faults: FaultMap, cfg: SimConfig, rng: SplitMix64,
         q = (v + ones * (0x80 - threshold)) & guards  # guard bit set where v >= threshold
         if q:
             v ^= v & (q - (q >> 7))
-            flags = q.to_bytes(n, "little")
-            i = flags.find(0x80)
-            while i >= 0:
-                k = a + i
-                quaked.append((k % width, k // width))
-                i = flags.find(0x80, i + 1)
+            mask[a:b] = flags = q.to_bytes(n, "little")
+            count += flags.count(0x80)
         cells[a:b] = v.to_bytes(n, "little")
 
-    return StepReport(step_index, tuple(quaked), cumulative_quakes + len(quaked), top, sum(cells), area)
+    return StepReport(step_index, QuakedCells(mask, cfg.dims.width, count),
+                      cumulative_quakes + count, top, _total(cells), area)
+
+
+def _total(cells: bytearray | list[int]) -> int:
+    """sum(cells); on bytes, summed in C from 256-byte pieces: with a start value of 0,
+    adler32's low half is a piece's byte sum mod 65,521, and 256 * 255 = 65,280 is less."""
+    if not isinstance(cells, bytearray):
+        return sum(cells)
+    return sum(adler32(cells[i : i + 256], 0) & 0xFFFF for i in range(0, len(cells), 256))
 
 
 def iter_steps(stress: StressMap, faults: FaultMap, cfg: SimConfig) -> Iterator[StepReport]:

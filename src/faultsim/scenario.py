@@ -71,13 +71,12 @@ def format_scenario(scenario: Scenario) -> str:
 
 def parse_scenario(data: str | bytes) -> Scenario:
     """Parse canonical scenario text; raises ScenarioError otherwise."""
+    # only newline-terminated lines count; tail is "" when the text ends cleanly. The
+    # decoded text is split at once, so no copy of it is held while the map is built
     try:
-        text = data.decode("ascii") if isinstance(data, bytes) else data
+        *lines, tail = (data.decode("ascii") if isinstance(data, bytes) else data).split("\n")
     except UnicodeDecodeError as exc:
         raise ScenarioError(f"scenario is not ASCII: {exc}") from None
-
-    # only newline-terminated lines count; tail is "" when the text ends cleanly
-    *lines, tail = text.split("\n")
     take = partial(next, iter(lines), None)
 
     if (magic := take()) != MAGIC:

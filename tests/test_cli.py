@@ -115,6 +115,10 @@ class TestParseArgs:
             ["--delay-ms", str(10**400)],
             ["--max-steps", "0"],
             ["--height", "0"],
+            # named by their digit count, not echoed
+            ["--seed", "9" * 4000],
+            ["--width", "9" * 4000],
+            ["--height", "-" + "9" * 4000],
         ],
     )
     def test_usage_errors_exit_1(self, argv, tmp_path, capsys):
@@ -128,13 +132,15 @@ class TestParseArgs:
         assert main(["--headless", "--scenario", str(path)]) == 1
         line = capsys.readouterr().err
         assert line.startswith(f"faultsim: {key} ") and line.count("\n") == 1  # names the field
+        assert len(line) < 300 and "9" * 21 not in line
         # headless: the later --width wins over the 5x5 grid given first
         for run_argv in (argv, ["--headless", "--width", "5", "--height", "5", *argv]):
             with mock.patch.object(sys, "stdin", io.StringIO("7\n")):
                 assert main(run_argv) == 1
             assert capsys.readouterr() == ("", line)
 
-    @pytest.mark.parametrize("argv", [["--bogus"], ["--width", "x"], ["--seed", "9" * 5000]])
+    @pytest.mark.parametrize("argv", [["--bogus"], ["--width", "x"], ["--seed", "9" * 5000],
+                                      ["--width", "12x" + "9" * 5000], ["9" * 4000]])
     def test_malformed_flags_exit_1(self, argv, capsys):
         # not an integer, or more digits than int() converts: argparse's usage error
         with pytest.raises(SystemExit) as exc:
@@ -143,7 +149,17 @@ class TestParseArgs:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("usage: faultsim ")
-        assert captured.err.splitlines()[-1].startswith("faultsim: error: ")
+        line = captured.err.splitlines()[-1]
+        assert line.startswith("faultsim: error: ")
+        # a long number is named by its digit count, so the line stays short
+        assert len(line) < 300 and "9" * 21 not in line
+        if len(argv[-1]) > 20:
+            assert f"<{argv[-1].count('9')} digits>" in line
+
+    def test_short_numbers_in_usage_errors_are_echoed(self, capsys):
+        with pytest.raises(SystemExit):
+            parse_args(["--seed", "12345678901234567890x"])
+        assert capsys.readouterr().err.endswith("invalid int value: '12345678901234567890x'\n")
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 import re
 import tracemalloc
@@ -9,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from faultsim.engine import _CHUNK, SimConfig, SplitMix64, _residues, iter_steps, run, step
+from faultsim.engine import (_CHUNK, QuakedCells, SimConfig, SplitMix64, StepReport, _residues, _total,
+                             iter_steps, run, step)
 from faultsim.grid import FaultMap, GridDims, StressMap
 from oracles import copy_grid, step_oracle, stress_map
 
@@ -525,6 +528,100 @@ class TestStepOracle:
             assert rng.state == oracle_rng.state
             cumulative = report.cumulative_quakes
         assert cumulative > 0
+
+
+class TestTotal:
+    # runs of one byte value, 255 among them, fill whole 256-byte pieces: 256 * 255 is the
+    # most a piece sums to, still below adler32's modulus of 65,521
+    @given(st.one_of(
+        st.binary(max_size=1000).map(bytearray),
+        st.lists(st.tuples(st.sampled_from([0, 1, 254, 255]), st.integers(1, 600)), max_size=4).map(
+            lambda runs: bytearray(b"".join(bytes([v]) * n for v, n in runs)[:1000])),
+        st.lists(st.integers(0, 2**70), max_size=300),
+    ))
+    def test_total_is_the_sum(self, cells):
+        assert _total(cells) == sum(cells)
+
+    def test_full_map_of_255(self):
+        cells = bytearray(b"\xff" * (1024 * 1024))
+        assert _total(cells) == 255 * 1024 * 1024
+
+
+class TestQuakedCells:
+    """A step's QuakedCells act as the tuple of the oracle's quaked (x, y)."""
+
+    @staticmethod
+    def _check(report, expected):
+        quaked, cells = report.quaked_cells, expected.quaked_cells
+        assert isinstance(quaked, QuakedCells) and type(cells) is tuple
+        assert len(quaked) == len(cells) and list(quaked) == list(cells)
+        assert quaked == cells and cells == quaked and not quaked != cells
+        assert hash(quaked) == hash(cells) and repr(quaked) == repr(cells)
+        assert bool(quaked) == bool(cells)
+        assert quaked.__eq__(list(cells)) is NotImplemented and quaked != list(cells)
+        if cells:
+            assert (quaked[0], quaked[-1]) == (cells[0], cells[-1])
+            assert quaked != cells[1:]
+        for clone in (copy.copy(report), copy.deepcopy(report), pickle.loads(pickle.dumps(report))):
+            assert clone == report == expected and hash(clone) == hash(expected)
+            assert clone.quaked_cells == quaked
+
+    # byte lanes in every chunk (a map in bytes) or per cell in every chunk (a list)
+    @given(dims=st.sampled_from(ORACLE_DIMS), seed=st.integers(0, 2**64 - 1), threshold=st.integers(1, 20),
+           in_bytes=st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_match_the_oracle(self, dims, seed, threshold, in_bytes):
+        cfg = _cfg(dims=GridDims(*dims), seed=seed, quake_threshold=threshold, fault_delta_min=0,
+                   fault_delta_max=10, nonfault_delta_min=-5, nonfault_delta_max=5)
+        faults = FaultMap.empty(cfg.dims)
+        faults.cells[::3] = [1] * len(faults.cells[::3])
+        values = random.Random(seed).choices(range(threshold), k=cfg.dims.area)
+        stress = StressMap(cfg.dims, bytearray(values) if in_bytes else values)
+        expected = copy_grid(stress)
+        rng, oracle_rng = SplitMix64(seed), SplitMix64(seed)
+        for i in (1, 2):
+            self._check(step(stress, faults, cfg, rng, 0, i), step_oracle(expected, faults, cfg, oracle_rng, 0, i))
+
+    # TWO_BLOCKS with a cell of 250 in chunk 1: chunk 0 on byte lanes, chunk 1 per cell
+    def test_match_the_oracle_on_mixed_chunks(self):
+        cfg = SimConfig(dims=TWO_BLOCKS, seed=5, quake_threshold=12, delay_ms=0)
+        faults = FaultMap.empty(cfg.dims)
+        faults.cells[::3] = [1] * len(faults.cells[::3])
+        values = random.Random(5).choices(range(12), k=cfg.dims.area)
+        values[-2] = 250
+        stress = stress_map(cfg.dims, values)
+        expected = copy_grid(stress)
+        rng, oracle_rng = SplitMix64(cfg.seed), SplitMix64(cfg.seed)
+        report = step(stress, faults, cfg, rng, 0)
+        self._check(report, step_oracle(expected, faults, cfg, oracle_rng, 0))
+        k = cfg.dims.area - 2
+        assert report.quaked_cells[0][1] == 0  # chunk 0 quakes
+        assert (k % cfg.dims.width, k // cfg.dims.width) in report.quaked_cells
+
+    def test_a_step_without_quakes_is_empty(self):
+        cfg = _cfg(dims=GridDims(3, 2))
+        report = step(StressMap.empty(cfg.dims), FaultMap.empty(cfg.dims), cfg, SplitMix64(0), 0)
+        self._check(report, StepReport(1, (), 0, 0, 0, 6))
+        assert not report.quaked_cells and repr(report.quaked_cells) == "()"
+
+    def test_large_step_keeps_its_quakes_as_a_mask(self):
+        # 1024x1024 at threshold 10: over 100,000 quakes in step 2 cost one byte per cell,
+        # not an (x, y) tuple each (those put this step 14.7 MB above its maps)
+        cfg = _cfg(dims=GridDims(1024, 1024), quake_threshold=10, fault_delta_min=0,
+                   fault_delta_max=10, nonfault_delta_min=-5, nonfault_delta_max=5)
+        faults = FaultMap.empty(cfg.dims)
+        faults.cells[::4] = b"\1" * len(faults.cells[::4])
+        stress = StressMap.empty(cfg.dims)
+        rng = SplitMix64(cfg.seed)
+        step(stress, faults, cfg, rng, 0)
+        tracemalloc.start()
+        try:
+            report = step(stress, faults, cfg, rng, 0, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(report.quaked_cells) > 20_000
+        assert peak < 2 * 2**20, f"peak {peak} B"
 
 
 class TestRun:

@@ -17,6 +17,8 @@ from pathlib import Path
 import pytest
 
 import faultsim
+from faultsim.cli import main
+from faultsim.engine import QuakedCells
 
 SRC_DIR = str(Path(faultsim.__file__).resolve().parents[1])
 
@@ -164,15 +166,19 @@ CASES = {
 }
 
 
-def run_cli(tmp_path, name, extra=()):
+def case_args(tmp_path, name):
+    """The case's arguments, with its scenario file, if it has one, written under tmp_path."""
     scenario = tmp_path / "case.scn"
     if name in SCENARIOS:
         scenario.write_text(SCENARIOS[name])
-    args = [a.replace("{scenario}", str(scenario)) for a in CASES[name][0]]
+    return ["--headless", *(a.replace("{scenario}", str(scenario)) for a in CASES[name][0])]
+
+
+def run_cli(tmp_path, name, extra=()):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC_DIR, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "faultsim", "--headless", *args, *extra],
+        [sys.executable, "-m", "faultsim", *case_args(tmp_path, name), *extra],
         capture_output=True,
         env=env,
         timeout=120,
@@ -198,3 +204,17 @@ def test_out_file_matches_pin(tmp_path, name):
     assert (hashlib.sha256(data).hexdigest(), len(data), proc.returncode) == (digest, length, code)
     assert proc.stdout == b""
     assert proc.stderr.decode() == err
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_headless_run_never_decodes_quaked_cells(tmp_path, name, monkeypatch, capsys):
+    """The CSV counts each step's quakes; a headless run never builds their (x, y)."""
+    def refuse(self):
+        raise AssertionError("a headless run decoded its quaked cells")
+
+    monkeypatch.setattr(QuakedCells, "__iter__", refuse)
+    _, digest, length, code, err = CASES[name]
+    assert main(case_args(tmp_path, name)) == code
+    out, captured_err = capsys.readouterr()
+    assert (hashlib.sha256(out.encode()).hexdigest(), len(out)) == (digest, length)
+    assert captured_err == err

@@ -200,6 +200,12 @@ class TestFaultMap:
         assert fmap.cells == b"\0\1\1\0"
         assert fault_cells(fmap) == {(1, 0), (0, 1)}
 
+    # step's byte lanes add a fault byte as a 1: a 2 would double a fault cell's delta
+    @pytest.mark.parametrize("cells", [bytearray([0, 2]), bytearray([1, 255])])
+    def test_fault_bytes_other_than_0_and_1_rejected(self, cells):
+        with pytest.raises(ValueError, match="^fault cells must be 0 or 1$"):
+            FaultMap(GridDims(2, 1), cells)
+
     def test_mark_idempotent(self, fmap):
         assert fmap.mark(1, 1) is True
         assert fmap.mark(1, 1) is False  # already set: not newly marked
