@@ -85,7 +85,7 @@ def _resolve_state(opts: argparse.Namespace) -> tuple[SimConfig, FaultMap]:
         cfg, faults = scenario.cfg, scenario.faults
         for name, value in (("width", opts.width), ("height", opts.height)):
             if value is not None and value != getattr(cfg.dims, name):
-                raise ValueError(f"--{name} {value} conflicts with scenario grid "
+                raise ValueError(f"--{name} {digits(value)} conflicts with scenario grid "
                                  f"{cfg.dims.width}x{cfg.dims.height}")
     else:
         # a missing side is 20; "is None", not "or", so --width 0 fails in GridDims
@@ -157,7 +157,7 @@ def _discard_stdout() -> None:
 
 
 def run_headless(cfg: SimConfig, faults: FaultMap, out_path: str | None) -> int:
-    steps = quakes = 0  # of the last row written; the report itself is not kept
+    steps = quakes = 0  # of the last row written, for the closing line; no report is kept
 
     def write_row(report: StepReport) -> None:
         nonlocal steps, quakes
@@ -169,15 +169,15 @@ def run_headless(cfg: SimConfig, faults: FaultMap, out_path: str | None) -> int:
     try:
         with _output_file(out_path) as out:
             out.write(format_stats(()))  # the header: the CSV of a run with no steps
-            summary = run(faults, cfg, observer=write_row)
+            run(faults, cfg, observer=write_row)
     except KeyboardInterrupt:
-        # the rows written so far stay; the summary counts the steps they cover
+        # the rows written so far stay; the closing line counts the steps they cover
         if out_path is None:  # with --out, stdout may have been closed at start-up
             sys.stdout.flush()
         sys.stderr.write(f"steps={steps} quakes={quakes} seed={cfg.seed}\n")
         raise
-    sys.stderr.write(f"steps={summary.total_steps} quakes={summary.total_quakes} seed={cfg.seed}\n")
-    return 2 if summary.hit_step_limit else 0
+    sys.stderr.write(f"steps={steps} quakes={quakes} seed={cfg.seed}\n")
+    return 2 if quakes < cfg.target_quakes else 0  # the step limit came first, as in _animate
 
 
 def _read_line(stdin: IO[str], stdout: IO[str], prompt: str) -> str | None:

@@ -6,6 +6,7 @@ top-left, x grows rightward (column index), y grows downward (row index).
 
 from __future__ import annotations
 
+import sys
 from operator import attrgetter
 from typing import TypeVar
 
@@ -23,14 +24,18 @@ def require_int(name: str, value: object) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def digits(text: str) -> str:
-    """A number's text for an error line; past 20 digits (a 64-bit value's most), its length."""
+def digits(number: int | str) -> str:
+    """A number or its text for an error line; past 20 digits (a 64-bit value's most), its length."""
+    limit = sys.get_int_max_str_digits()  # 0 for none; str() raises on an int of more digits
+    if isinstance(number, int) and limit and abs(number) >= 10**limit:
+        return f"{'-' if number < 0 else ''}<more than {limit} digits>"
+    text = str(number)
     n = len(text.lstrip("-"))
     return text if n <= 20 else f"{text[: len(text) - n]}<{n} digits>"  # the sign stays
 
 
 class Value:
-    """A record of the fields named in _FIELDS, one slot each, set once by __init__.
+    """A record of _FIELDS, one slot each, set once by __init__ from one value each, else TypeError.
 
     Equal, and hash equal, when the classes and fields are; weakly referable.
     A subclass whose fields change restores __setattr__ and drops __hash__.
@@ -43,6 +48,8 @@ class Value:
         cls._key = attrgetter(*cls._FIELDS)  # what compares and hashes, read in one C call
 
     def __init__(self, *values: object) -> None:
+        if len(values) != (n := len(self._FIELDS)):
+            raise TypeError(f"{type(self).__name__} takes {n} values, got {len(values)}")
         for name, value in zip(self._FIELDS, values):
             _set(self, name, value)
 
@@ -76,7 +83,7 @@ class GridDims(Value):
         for name, value in (("width", width), ("height", height)):
             require_int(name, value)
             if not 1 <= value <= MAX_DIM:
-                raise ValueError(f"{name} must be in [1, {MAX_DIM}], got {digits(str(value))}")
+                raise ValueError(f"{name} must be in [1, {MAX_DIM}], got {digits(value)}")
         super().__init__(width, height)
 
     def contains(self, x: int, y: int) -> bool:

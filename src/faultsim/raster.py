@@ -12,7 +12,7 @@ radius and a center on the grid, but the circle itself may crop at the edges
 
 from __future__ import annotations
 
-from .grid import Cell, FaultMap
+from .grid import Cell, FaultMap, digits
 
 
 class OutOfRangeError(ValueError):
@@ -66,7 +66,7 @@ def circle_cells(cx: int, cy: int, r: int) -> set[Cell]:
     cell alone.
     """
     if r < 0:
-        raise ValueError(f"radius must be non-negative, got {r}")
+        raise ValueError(f"radius must be non-negative, got {digits(r)}")
     cells: set[Cell] = set()
 
     def plot(px: int, py: int) -> None:
@@ -90,7 +90,7 @@ def draw_vertical(fault_map: FaultMap, x: int) -> int:
     """Mark the full column at x; returns the number of newly set cells."""
     dims = fault_map.dims
     if not 0 <= x < dims.width:
-        raise OutOfRangeError(f"x={x} outside [0, {dims.width})")
+        raise OutOfRangeError(f"x={digits(x)} outside [0, {dims.width})")
     return sum(fault_map.mark(x, y) for y in range(dims.height))
 
 
@@ -98,7 +98,7 @@ def draw_horizontal(fault_map: FaultMap, y: int) -> int:
     """Mark the full row at y; returns the number of newly set cells."""
     dims = fault_map.dims
     if not 0 <= y < dims.height:
-        raise OutOfRangeError(f"y={y} outside [0, {dims.height})")
+        raise OutOfRangeError(f"y={digits(y)} outside [0, {dims.height})")
     return sum(fault_map.mark(x, y) for x in range(dims.width))
 
 
@@ -111,7 +111,8 @@ def draw_segment(fault_map: FaultMap, x0: int, y0: int, x1: int, y1: int) -> int
     dims = fault_map.dims
     for px, py in ((x0, y0), (x1, y1)):
         if not dims.contains(px, py):
-            raise OutOfRangeError(f"endpoint ({px}, {py}) outside {dims.width}x{dims.height} grid")
+            raise OutOfRangeError(f"endpoint ({digits(px)}, {digits(py)}) outside "
+                                  f"{dims.width}x{dims.height} grid")
     return sum(fault_map.mark(x, y) for x, y in segment_cells(x0, y0, x1, y1))
 
 
@@ -125,7 +126,8 @@ def draw_circle(fault_map: FaultMap, cx: int, cy: int, r: int) -> int:
         raise OutOfRangeError("radius must be non-negative.")
     dims = fault_map.dims
     if not dims.contains(cx, cy):
-        raise OutOfRangeError(f"center ({cx}, {cy}) outside {dims.width}x{dims.height} grid")
+        raise OutOfRangeError(f"center ({digits(cx)}, {digits(cy)}) outside "
+                              f"{dims.width}x{dims.height} grid")
     # every cell the midpoint circle plots lies above squared distance r*r - r - 1 from its
     # center: past the farthest corner none lands, and circle_cells would still grow with r
     if max(cx, dims.width - 1 - cx) ** 2 + max(cy, dims.height - 1 - cy) ** 2 <= r * r - r - 1:

@@ -157,11 +157,5 @@ def step_oracle(
             quaked.append((i % width, i // width))
             cells[i] = 0
 
-    return StepReport(
-        step_index=step_index,
-        quaked_cells=tuple(quaked),
-        cumulative_quakes=cumulative_quakes + len(quaked),
-        max_stress=max_stress,
-        stress_total=sum(cells),
-        area=len(cells),
-    )
+    return StepReport(step_index, tuple(quaked), cumulative_quakes + len(quaked), max_stress,
+                      sum(cells), len(cells))

@@ -271,6 +271,11 @@ class TestHeadless:
         assert rc == 1
         assert capsys.readouterr() == ("", "faultsim: --width 0 conflicts with scenario grid 1x1\n")
 
+    def test_long_conflicting_dimension_is_named_by_length(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, one_cell_cfg())
+        assert main(["--headless", "--scenario", path, "--width", "9" * 3000]) == 1
+        assert capsys.readouterr() == ("", "faultsim: --width <3000 digits> conflicts with scenario grid 1x1\n")
+
     def test_matching_dims_accepted(self, tmp_path, capsys):
         path = write_scenario(tmp_path, one_cell_cfg(), [(0, 0)])
         rc = main(["--headless", "--scenario", path, "--width", "1", "--height", "1"])
@@ -310,9 +315,11 @@ class TestHeadless:
             dims=GridDims(3, 2), seed=5, target_quakes=1, max_steps=40
         )
         seen = []
-        summary = run(FaultMap.empty(cfg.dims), cfg, observer=seen.append)
+        run(FaultMap.empty(cfg.dims), cfg, observer=seen.append)
+        last = seen[-1]
         assert captured.out == format_stats(seen)
-        assert rc == (2 if summary.hit_step_limit else 0)
+        assert captured.err == f"steps={last.step_index} quakes={last.cumulative_quakes} seed=5\n"
+        assert rc == (2 if last.cumulative_quakes < cfg.target_quakes else 0)
 
     def test_csv_never_contains_escapes(self, tmp_path, capsys):
         path = write_scenario(tmp_path, one_cell_cfg(), [(0, 0)])
@@ -361,6 +368,18 @@ class TestInteractiveMenu:
         # failed draw: the map is not reprinted
         assert "0 0 0 0 0 0 0 0 0 0\n" not in out
         assert out.count(MENU) == 2
+
+    # menu numbers pass int() up to its 4,300-digit limit; an error names them by length
+    @pytest.mark.parametrize("script,line", [
+        ("1\n" + "9" * 3000, "Error: x=<3000 digits> outside [0, 3)\n"),
+        ("2\n-" + "9" * 3000, "Error: y=-<3000 digits> outside [0, 2)\n"),
+        ("4\n0\n0\n" + "9" * 3000 + "\n1", "Error: endpoint (<3000 digits>, 1) outside 3x2 grid\n"),
+        ("3\n" + "9" * 25 + "\n0\n1", "Error: center (<25 digits>, 0) outside 3x2 grid\n"),
+    ], ids=["vertical", "horizontal", "segment", "circle"])
+    def test_long_numbers_in_draw_errors_are_named_by_length(self, script, line):
+        rc, out = run_script(script + "\n7\n", ["--width", "3", "--height", "2", "--no-color"])
+        assert rc == 0
+        assert line in out and "9" * 21 not in out
 
     def test_negative_radius_message(self):
         argv = ["--width", "10", "--height", "10", "--seed", "1", "--no-color"]

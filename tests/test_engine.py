@@ -458,7 +458,8 @@ class TestStepOracle:
         report = step(stress, faults, cfg, rng, 0)
         assert report == step_oracle(expected, faults, cfg, oracle_rng, 0)
         w = cfg.dims.width
-        assert report.quaked_cells[0] == (0, 0) and report.quaked_cells[-1] == (k % w, k // w)
+        quaked = tuple(report.quaked_cells)
+        assert quaked[0] == (0, 0) and quaked[-1] == (k % w, k // w)
         if max_from_chunk_1:
             assert report.max_stress > 127  # more than any byte lane holds
         else:
@@ -502,6 +503,29 @@ class TestStepOracle:
             assert isinstance(stress.cells, list if widened and i == 3 else bytearray)
             assert list(stress.cells) == list(expected.cells)
         assert stress.cells[-1] == (300 if widened else 0)
+
+    # a byte other than 0 or 1 written into faults.cells after construction passes
+    # FaultMap's check; both chunk kinds read it by truth, as the per-cell oracle does
+    @pytest.mark.parametrize("in_bytes", [True, False])
+    @pytest.mark.parametrize("flag", [2, 255])
+    def test_fault_bytes_are_read_by_truth(self, flag, in_bytes):
+        cfg = _cfg(dims=TWO_BLOCKS, seed=5, quake_threshold=20, fault_delta_min=3, fault_delta_max=8,
+                   nonfault_delta_min=-5, nonfault_delta_max=5)
+        ones = FaultMap.empty(cfg.dims)
+        ones.cells[::3] = b"\1" * len(ones.cells[::3])
+        others = copy_grid(ones)
+        others.cells[::3] = bytes([flag]) * len(others.cells[::3])
+        area = cfg.dims.area
+        maps = [StressMap(cfg.dims, bytearray(area) if in_bytes else [0] * area) for _ in range(3)]
+        rngs = [SplitMix64(cfg.seed) for _ in range(3)]
+        cumulative = 0
+        for i in range(1, 31):
+            report = step(maps[0], others, cfg, rngs[0], cumulative, i)
+            assert report == step(maps[1], ones, cfg, rngs[1], cumulative, i)
+            assert report == step_oracle(maps[2], others, cfg, rngs[2], cumulative, i)
+            assert list(maps[0].cells) == list(maps[1].cells) == list(maps[2].cells)
+            cumulative = report.cumulative_quakes
+        assert cumulative > 0
 
     # spans above 32 need the residues reduced between byte-lane sums; spans that
     # differ draw once and pick each cell's residue by its fault flag; a span of 129
@@ -556,14 +580,17 @@ class TestQuakedCells:
         assert isinstance(quaked, QuakedCells) and type(cells) is tuple
         assert len(quaked) == len(cells) and list(quaked) == list(cells)
         assert quaked == cells and cells == quaked and not quaked != cells
-        assert hash(quaked) == hash(cells) and repr(quaked) == repr(cells)
+        assert repr(quaked) == repr(cells)
         assert bool(quaked) == bool(cells)
         assert quaked.__eq__(list(cells)) is NotImplemented and quaked != list(cells)
+        for unhashable in (quaked, report):  # as the maps: nothing keys a dict or set by them
+            with pytest.raises(TypeError):
+                hash(unhashable)
         if cells:
-            assert (quaked[0], quaked[-1]) == (cells[0], cells[-1])
+            assert (tuple(quaked)[0], tuple(quaked)[-1]) == (cells[0], cells[-1])
             assert quaked != cells[1:]
         for clone in (copy.copy(report), copy.deepcopy(report), pickle.loads(pickle.dumps(report))):
-            assert clone == report == expected and hash(clone) == hash(expected)
+            assert clone == report == expected
             assert clone.quaked_cells == quaked
 
     # byte lanes in every chunk (a map in bytes) or per cell in every chunk (a list)
@@ -595,7 +622,7 @@ class TestQuakedCells:
         report = step(stress, faults, cfg, rng, 0)
         self._check(report, step_oracle(expected, faults, cfg, oracle_rng, 0))
         k = cfg.dims.area - 2
-        assert report.quaked_cells[0][1] == 0  # chunk 0 quakes
+        assert tuple(report.quaked_cells)[0][1] == 0  # chunk 0 quakes
         assert (k % cfg.dims.width, k // cfg.dims.width) in report.quaked_cells
 
     def test_a_step_without_quakes_is_empty(self):
@@ -631,9 +658,7 @@ class TestRun:
         faults.mark(0, 0)
         seen = []
         summary = run(faults, cfg, observer=seen.append)
-        assert summary.total_steps == 2
-        assert summary.total_quakes == 1
-        assert not summary.hit_step_limit
+        assert seen[-1].cumulative_quakes == 1
         assert summary.final_stress.cells[0] == 0
         assert [r.step_index for r in seen] == [1, 2]
 
@@ -654,17 +679,18 @@ class TestRun:
         faults = FaultMap.empty(cfg.dims)
         for x in range(3):
             faults.mark(x, 0)
-        summary = run(faults, cfg)
+        seen = []
+        run(faults, cfg, observer=seen.append)
         # all three quake on the same step: target may be exceeded
-        assert summary.total_steps == 1
-        assert summary.total_quakes == 3
+        assert len(seen) == 1
+        assert seen[-1].cumulative_quakes == 3
 
     def test_step_limit(self):
         cfg = _cfg(max_steps=25)  # no fault cells, deltas all 0: never quakes
-        summary = run(FaultMap.empty(cfg.dims), cfg)
-        assert summary.hit_step_limit
-        assert summary.total_steps == 25
-        assert summary.total_quakes == 0
+        seen = []
+        run(FaultMap.empty(cfg.dims), cfg, observer=seen.append)
+        assert [r.step_index for r in seen] == list(range(1, 26))
+        assert seen[-1].cumulative_quakes == 0
 
     def test_deterministic_replay(self):
         cfg = SimConfig(dims=GridDims(6, 6), seed=42, target_quakes=2, delay_ms=0)
@@ -675,7 +701,6 @@ class TestRun:
         a = run(faults, cfg, observer=seen_a.append)
         b = run(copy_grid(faults), cfg, observer=seen_b.append)
         assert seen_a == seen_b
-        assert a.total_steps == b.total_steps
         cells_a = list(a.final_stress.cells)
         cells_b = list(b.final_stress.cells)
         assert cells_a == cells_b
@@ -700,18 +725,23 @@ class TestRun:
         # 20,000 steps that never quake: nothing per step may be kept
         cfg = _cfg(max_steps=20_000)
         faults = FaultMap.empty(cfg.dims)
+        last = []
+
+        def keep_index(report):
+            last[:] = [report.step_index]
+
         tracemalloc.start()
         try:
-            summary = run(faults, cfg)
+            run(faults, cfg, observer=keep_index)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert summary.total_steps == 20_000
+        assert last == [20_000]
         assert peak < 256 * 1024, f"peak {peak} B"
 
     def test_dims_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            run(FaultMap.empty(GridDims(2, 2)), _cfg())
+            run(FaultMap.empty(GridDims(2, 2)), _cfg(), observer=lambda report: None)
 
     def test_cumulative_counts_are_running_totals(self):
         cfg = SimConfig(
@@ -727,9 +757,9 @@ class TestRun:
         for x in range(4):
             faults.mark(x, 1)
         seen = []
-        summary = run(faults, cfg, observer=seen.append)
+        run(faults, cfg, observer=seen.append)
         total = 0
         for report in seen:
             total += len(report.quaked_cells)
             assert report.cumulative_quakes == total
-        assert total == summary.total_quakes >= 5
+        assert total == seen[-1].cumulative_quakes >= 5

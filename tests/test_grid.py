@@ -1,12 +1,13 @@
 import copy
 import pickle
+import sys
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from faultsim.engine import SimConfig, StepReport
-from faultsim.grid import MAX_DIM, FaultMap, GridDims, StressMap
+from faultsim.engine import QuakedCells, SimConfig, SimSummary, StepReport
+from faultsim.grid import MAX_DIM, FaultMap, GridDims, StressMap, digits
 from faultsim.render import RenderStyle, StressBands
 from faultsim.scenario import Scenario
 from oracles import copy_grid, fault_cells, fault_count, is_fault
@@ -123,9 +124,17 @@ class TestValueSemantics:
         assert SimConfig(dims=GridDims(20, 20), seed=0) == SimConfig()
         assert StressBands(low_max=33, med_max=66) == StressBands()
         assert RenderStyle(color_enabled=True) == RenderStyle()
-        report = StepReport(step_index=1, quaked_cells=(), cumulative_quakes=0, max_stress=0,
-                            stress_total=0, area=1)
-        assert report == StepReport(1, (), 0, 0, 0, 1)
+        with pytest.raises(TypeError):  # a record without its own __init__ takes positions only
+            StepReport(step_index=1, quaked_cells=(), cumulative_quakes=0, max_stress=0,
+                       stress_total=0, area=1)
+
+    # the records with no __init__ of their own get Value's check of the value count
+    @pytest.mark.parametrize("cls", [QuakedCells, StepReport, SimSummary])
+    def test_wrong_number_of_values_rejected(self, cls):
+        n = len(cls._FIELDS)
+        for count in (n - 1, n + 1):
+            with pytest.raises(TypeError, match=f"^{cls.__name__} takes {n} values, got {count}$"):
+                cls(*range(count))
 
     @pytest.mark.parametrize("value", [v for v, _ in FROZEN] + [FaultMap(GridDims(2, 2), [1, 0, 0, 1])])
     def test_copies_and_pickles_are_equal(self, value):
@@ -153,6 +162,40 @@ class TestValueSemantics:
     def test_maps_do_not_hash(self, value):
         with pytest.raises(TypeError):
             hash(value)
+
+
+class TestDigits:
+    def test_numbers_past_20_digits_are_named_by_length(self):
+        assert digits(10**19) == digits(str(10**19)) == "10000000000000000000"
+        assert digits(-(10**20)) == digits(str(-(10**20))) == "-<21 digits>"
+
+    # the limit of str() on an int: up to it a value is counted, past it named by it
+    def test_ints_past_the_str_limit_are_named_by_it(self):
+        limit = sys.get_int_max_str_digits()
+        assert digits(10**limit - 1) == f"<{limit} digits>"
+        assert digits(-(10**limit) + 1) == f"-<{limit} digits>"
+        assert digits(10**limit) == f"<more than {limit} digits>"
+        assert digits(-(10**limit)) == f"-<more than {limit} digits>"
+        assert digits(10 ** (2 * limit)) == f"<more than {limit} digits>"
+
+    def test_without_a_limit_every_int_is_counted(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert digits(10 ** (limit + 100)) == f"<{limit + 101} digits>"
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    @pytest.mark.parametrize("build,message", [
+        (lambda n: SimConfig(seed=n), "seed must fit in 64 bits, got {}"),
+        (lambda n: GridDims(n, 1), "width must be in [1, 1024], got {}"),
+        (lambda n: GridDims(1, -n), "height must be in [1, 1024], got -{}"),
+    ])
+    def test_values_past_the_str_limit_get_the_field_message(self, build, message):
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(ValueError) as exc:
+            build(10 ** (limit + 700))
+        assert str(exc.value) == message.format(f"<more than {limit} digits>")
 
 
 class TestCellCount:

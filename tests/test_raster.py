@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -172,6 +174,29 @@ class TestDrawLines:
         n = draw_segment(fmap, x0, y0, x1, y1)
         assert n == len(segment_oracle(x0, y0, x1, y1))
         assert fault_cells(fmap) == segment_oracle(x0, y0, x1, y1)
+
+
+class TestLongNumbers:
+    """A number past 20 digits in an error is named by its length; past str()'s limit, by it."""
+
+    @pytest.mark.parametrize("draw,args,message", [
+        (draw_vertical, (10**30,), "x=<31 digits> outside [0, 10)"),
+        (draw_horizontal, (-(10**30),), "y=-<31 digits> outside [0, 10)"),
+        (draw_segment, (0, 0, 10**30, 1), "endpoint (<31 digits>, 1) outside 10x10 grid"),
+        (draw_circle, (1, -(10**25), 2), "center (1, -<26 digits>) outside 10x10 grid"),
+        (draw_vertical, (10**5000,), "x=<more than {limit} digits> outside [0, 10)"),
+        (draw_circle, (10**5000, 1, 2), "center (<more than {limit} digits>, 1) outside 10x10 grid"),
+    ])
+    def test_out_of_range_numbers(self, grid10, draw, args, message):
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(OutOfRangeError) as exc:
+            draw(grid10, *args)
+        assert str(exc.value) == message.format(limit=limit)
+        assert fault_count(grid10) == 0
+
+    def test_negative_radius(self):
+        with pytest.raises(ValueError, match=r"^radius must be non-negative, got -<31 digits>$"):
+            circle_cells(0, 0, -(10**30))
 
 
 class TestDrawCircle:

@@ -330,14 +330,7 @@ class TestParseNeverCrashes:
 
 
 def report(step_index, quakes, cum, max_stress, total, area) -> StepReport:
-    return StepReport(
-        step_index=step_index,
-        quaked_cells=tuple((x, 0) for x in range(quakes)),
-        cumulative_quakes=cum,
-        max_stress=max_stress,
-        stress_total=total,
-        area=area,
-    )
+    return StepReport(step_index, tuple((x, 0) for x in range(quakes)), cum, max_stress, total, area)
 
 
 class TestStats:
