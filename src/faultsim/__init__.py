@@ -5,5 +5,3 @@ from .grid import FaultMap, GridDims
 from .raster import draw_circle, draw_segment, draw_vertical
 from .render import RenderStyle, StressBands, render_stress_map
 from .scenario import Scenario, load_scenario, save_scenario
-
-__version__ = "0.1.0"

@@ -28,7 +28,7 @@ from typing import IO, Iterator
 # step is not called here but stays importable from this module, where
 # bench/traced.py wraps it by name
 from .engine import _MASK64, SimConfig, StepReport, iter_steps, run, step  # noqa: F401
-from .grid import FaultMap, GridDims, StressMap, digits
+from .grid import FaultMap, GridDims, StressMap, chars, digits
 from .raster import OutOfRangeError, draw_circle, draw_horizontal, draw_segment, draw_vertical
 from .render import RenderStyle, StressBands, render_fault_map, render_stress_map
 from .scenario import Scenario, format_stats, format_stats_row, load_scenario, save_scenario
@@ -51,6 +51,8 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:
         self.print_usage(sys.stderr)
         message = re.sub(r"\d+", lambda m: digits(m[0]), message)  # long numbers by length
+        # then any other long word, inside the quotes argparse put round a value
+        message = re.sub(r"""(['"]?)(\S+?)\1(?!\S)""", lambda m: f"{m[1]}{chars(m[2])}{m[1]}", message)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(1)
 
@@ -107,19 +109,15 @@ def _stress_bands(threshold: int) -> StressBands:
 def _output_file(path: str | None) -> Iterator[IO[str]]:
     """Where a CSV or a saved scenario goes: stdout, or a file that only ever appears complete.
 
-    A regular file is written under a temporary name beside its target and
-    renamed over it, with the target's permission bits but not its owner,
-    when the block succeeds; on any failure the temporary file is removed and
-    the target is left as it was. Targets that are not regular files
-    (/dev/null, a FIFO) are written directly. Opening happens on entry, so a
-    bad path fails before the first step.
+    stdout is yielded as main left it, line-buffered. A regular file is
+    written under a temporary name beside its target and renamed over it, with
+    the target's permission bits but not its owner, when the block succeeds;
+    on any failure the temporary file is removed and the target is left as it
+    was. Targets that are not regular files (/dev/null, a FIFO) are written
+    directly. Opening happens on entry, so a bad path fails before the first step.
     """
     if path is None:
-        out = sys.stdout
-        if hasattr(out, "reconfigure"):  # a pipe gets each row as its step completes
-            out.reconfigure(line_buffering=True)
-        yield out
-        out.flush()
+        yield sys.stdout
         return
     target = os.path.realpath(path)
     try:
@@ -220,29 +218,23 @@ def _animate(faults: FaultMap, cfg: SimConfig, style: RenderStyle, stdout: IO[st
     try:
         stdout.write(render_fault_map(faults, style))
         stdout.write(render_stress_map(stress, bands, cfg.quake_threshold, style))
-        stdout.flush()
         for report in iter_steps(stress, faults, cfg):
             if steps and cfg.delay_ms > 0:  # between step frames; none before step 1's
                 time.sleep(cfg.delay_ms / 1000)
             frame = render_stress_map(stress, bands, cfg.quake_threshold, style)
             quake_lines = [f"EARTHQUAKE at ({x}, {y})!\n" for x, y in report.quaked_cells]
             stdout.write("".join([clear, frame, *quake_lines]))  # the whole frame in one write
-            stdout.flush()
             steps, quakes = report.step_index, report.cumulative_quakes
             del report  # freed before the next step runs, as in iter_steps
     except KeyboardInterrupt:
         stdout.write(f"Interrupted after {steps} steps with {quakes} earthquakes (seed {cfg.seed}).\n")
-        stdout.flush()
         raise
     if quakes < cfg.target_quakes:
         stdout.write(f"Step limit reached after {steps} steps with {quakes} earthquakes "
                      f"(seed {cfg.seed}).\n")
-        code = 2
-    else:
-        stdout.write(f"Done: {quakes} earthquakes in {steps} steps (seed {cfg.seed}).\n")
-        code = 0
-    stdout.flush()
-    return code
+        return 2
+    stdout.write(f"Done: {quakes} earthquakes in {steps} steps (seed {cfg.seed}).\n")
+    return 0
 
 
 def run_interactive(cfg: SimConfig, faults: FaultMap, style: RenderStyle,
@@ -266,7 +258,6 @@ def run_interactive(cfg: SimConfig, faults: FaultMap, style: RenderStyle,
                 stdout.write(f"Error: {exc}\n")
                 continue
             stdout.write(render_fault_map(faults, style))
-            stdout.flush()
         elif choice == 5:
             return _animate(faults, cfg, style, stdout)
         elif choice == 6:
@@ -291,6 +282,9 @@ def main(argv: list[str] | None = None) -> int:
     if output_on_stdout and sys.stdout is None:
         sys.stderr.write("faultsim: stdout closed\n")  # fd 1 was closed at start-up (`>&-`)
         return 1
+    if output_on_stdout and hasattr(sys.stdout, "reconfigure"):
+        # both modes' one buffering rule: each row, menu line and frame leaves as written
+        sys.stdout.reconfigure(line_buffering=True)
     if not opts.headless and sys.stdin is None:
         sys.stderr.write("faultsim: stdin closed\n")  # fd 0 was closed at start-up (`<&-`)
         return 1
@@ -316,6 +310,3 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(f"faultsim: {msg}\n")
         return 1
 
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -156,6 +156,21 @@ class TestParseArgs:
         if len(argv[-1]) > 20:
             assert f"<{argv[-1].count('9')} digits>" in line
 
+    @pytest.mark.parametrize("argv, tail", [
+        (["--seed", "x" * 5000], "argument --seed: invalid int value: '<5000 characters>'"),
+        (["--bogus" + "y" * 5000], "unrecognized arguments: <5007 characters>"),
+        (["--headless=" + "z" * 5000], "argument --headless: ignored explicit argument '<5000 characters>'"),
+        (["--s=" + "w" * 5000], "ambiguous option: <5004 characters> could match --scenario, --seed"),
+        (["--seed", "9x" * 3000], "argument --seed: invalid int value: '<6000 characters>'"),
+        (["--seed", "\U0001f600" * 40], "argument --seed: invalid int value: '<40 characters>'"),
+    ], ids=["value", "option", "explicit", "ambiguous", "digit-runs", "escapes"])
+    def test_long_words_in_usage_errors_are_named_by_length(self, argv, tail, capsys):
+        with pytest.raises(SystemExit):
+            parse_args(argv)
+        line = capsys.readouterr().err.splitlines()[-1]
+        assert line == f"faultsim: error: {tail}"
+        assert len(line.encode()) < 300
+
     def test_short_numbers_in_usage_errors_are_echoed(self, capsys):
         with pytest.raises(SystemExit):
             parse_args(["--seed", "12345678901234567890x"])

@@ -246,6 +246,19 @@ class TestParseErrors:
     def test_blank_line_rejected(self):
         rejects(GOLDEN.replace("map\n", "map\n\n"), "map row 0: ''")
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("FAULTSIM 1", "x" * 3000, "expected 'FAULTSIM 1' header, got '<3000 characters>'"),
+        ("width 2", "wid" + "x" * 3000, "expected 'width <value>' line, got '<3003 characters>'"),
+        ("seed 42", "seed 0" + "9" * 3000, "seed: not a canonical integer: '<3001 characters>'"),
+        ("map\n", "x" * 3000 + "\n", "expected 'map' line, got '<3000 characters>'"),
+        ("map\n01\n", "map\n" + "0" * 3000 + "\n", "map row 0: '<3000 characters>'"),
+        ("end\n", "x" * 3000 + "\n", "expected 'end' after 2 map rows, got '<3000 characters>'"),
+        ("seed 42", "seed " + "\x00" * 20, "seed: not a canonical integer: '<20 characters>'"),
+    ], ids=["header", "key", "integer", "map", "row", "end", "escapes"])
+    def test_long_text_is_named_by_length(self, old, new, message):
+        # a line or token of any length gives a short error line
+        rejects(GOLDEN.replace(old, new, 1), message)
+
 
 @st.composite
 def map_texts(draw) -> tuple[GridDims, list[str], bool]:

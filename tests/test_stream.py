@@ -33,7 +33,8 @@ import faultsim.engine as engine
 from faultsim.cli import MENU, main
 from faultsim.engine import SimConfig, SplitMix64, iter_steps, run, step
 from faultsim.grid import FaultMap, GridDims, StressMap
-from faultsim.render import RESET, RenderStyle, StressBands, render_stress_map, stress_color
+from faultsim.render import (RESET, RenderStyle, StressBands, render_fault_map, render_stress_map,
+                             stress_color)
 from faultsim.scenario import STATS_HEADER, format_stats, format_stats_row
 
 SRC_DIR = str(Path(faultsim.__file__).resolve().parents[1])
@@ -251,14 +252,7 @@ class TestHeadlessStreaming:
         with subprocess.Popen([sys.executable, "-m", "faultsim", *argv], env=env,
                               stdout=subprocess.PIPE, stderr=subprocess.DEVNULL) as proc:
             try:
-                got = b""
-                deadline = time.monotonic() + 10
-                while got.count(b"\n") < 2:
-                    left = deadline - time.monotonic()
-                    assert left > 0 and select.select([proc.stdout], [], [], left)[0], got
-                    chunk = os.read(proc.stdout.fileno(), 4096)
-                    assert chunk, got
-                    got += chunk
+                got = _read_pipe(proc, lambda got: got.count(b"\n") >= 2)
                 assert proc.poll() is None
             finally:
                 proc.kill()
@@ -266,6 +260,18 @@ class TestHeadlessStreaming:
         header, row1 = got.split(b"\n")[:2]
         assert header == STATS_HEADER.encode()
         assert row1.startswith(b"1,0,0,")
+
+
+def _read_pipe(proc: subprocess.Popen, done) -> bytes:
+    """The child's stdout, read as it arrives until done(what was read); fails after 10 s."""
+    got, deadline = b"", time.monotonic() + 10
+    while not done(got):
+        left = deadline - time.monotonic()
+        assert left > 0 and select.select([proc.stdout], [], [], left)[0], got
+        chunk = os.read(proc.stdout.fileno(), 4096)
+        assert chunk, got
+        got += chunk
+    return got
 
 
 def _spawn(*args, preexec_fn=None, **kwargs) -> subprocess.Popen:
@@ -357,6 +363,35 @@ class TestInterrupt:
         steps = len(frames) - quakes - 1  # the first frame is the empty stress map
         assert steps >= 2
         assert summary == f"Interrupted after {steps} steps with {quakes} earthquakes (seed 1)."
+
+    def test_interactive_prompt_and_frames_reach_a_pipe_as_written(self):
+        # a minute's pause after frame 1: a frame held in a buffer would not arrive before it ends
+        cfg = SimConfig(dims=GridDims(4, 3), seed=1, delay_ms=60000, max_steps=5)
+        style, bands = RenderStyle(color_enabled=False), cli._stress_bands(cfg.quake_threshold)
+        stress = StressMap.empty(cfg.dims)
+        maps = render_fault_map(FaultMap.empty(cfg.dims), style) + render_stress_map(
+            stress, bands, cfg.quake_threshold, style)
+        next(iter_steps(stress, FaultMap.empty(cfg.dims), cfg))
+        frame = render_stress_map(stress, bands, cfg.quake_threshold, style)
+
+        def read(proc, want: str) -> None:
+            assert _read_pipe(proc, lambda got: len(got) >= len(want)) == want.encode()
+
+        with _spawn("--no-color", "--width", "4", "--height", "3", "--seed", "1",
+                    "--delay-ms", "60000", "--max-steps", "5",
+                    stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            try:
+                read(proc, MENU + "choice: ")  # before any input is sent
+                proc.stdin.write(b"5\n")
+                proc.stdin.flush()
+                read(proc, maps + frame)
+                assert proc.poll() is None  # in the pause after frame 1
+                proc.send_signal(signal.SIGINT)
+                out, err = proc.communicate(timeout=60)
+            finally:
+                proc.kill()
+        assert proc.returncode == 130 and err == b""
+        assert out == b"Interrupted after 1 steps with 0 earthquakes (seed 1).\n"
 
 
 class TestOutFile:
