@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import re
 import stat
 import sys
 import time
@@ -28,7 +27,7 @@ from typing import IO, Iterator
 # step is not called here but stays importable from this module, where
 # bench/traced.py wraps it by name
 from .engine import _MASK64, SimConfig, StepReport, iter_steps, run, step  # noqa: F401
-from .grid import FaultMap, GridDims, StressMap, chars, digits
+from .grid import FaultMap, GridDims, StressMap, digits
 from .raster import OutOfRangeError, draw_circle, draw_horizontal, draw_segment, draw_vertical
 from .render import RenderStyle, StressBands, render_fault_map, render_stress_map
 from .scenario import Scenario, format_stats, format_stats_row, load_scenario, save_scenario
@@ -50,11 +49,17 @@ class _Parser(argparse.ArgumentParser):
     # usage errors exit 1; code 2 is reserved for exhausted step limits
     def error(self, message: str) -> None:
         self.print_usage(sys.stderr)
-        message = re.sub(r"\d+", lambda m: digits(m[0]), message)  # long numbers by length
-        # then any other long word, inside the quotes argparse put round a value
-        message = re.sub(r"""(['"]?)(\S+?)\1(?!\S)""", lambda m: f"{m[1]}{chars(m[2])}{m[1]}", message)
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
+        sys.stderr.write(_one_line(f"{self.prog}: error: {message}"))
         raise SystemExit(1)
+
+
+def _one_line(message: str) -> str:
+    """An error message as one line under 300 bytes: line breaks escaped and, past 200 characters
+    counted as ascii() writes them (never fewer than any encoding's bytes), its head and length."""
+    n = next(n for n in range(201, 0, -1) if len(ascii(message[:n])) <= 202)  # with ascii()'s quotes
+    if n < len(message):
+        message = f"{message[:n]}...<{len(message)} characters>"
+    return message.replace("\n", r"\n").replace("\r", r"\r") + "\n"
 
 
 def parse_args(argv: list[str]) -> argparse.Namespace:
@@ -122,15 +127,17 @@ def _output_file(path: str | None) -> Iterator[IO[str]]:
     target = os.path.realpath(path)
     try:
         mode = os.stat(target).st_mode
-    except OSError:  # no target, as os.path.exists would say
+    except FileNotFoundError:  # no target yet
         mode = None
+    except OSError as exc:  # a name too long, say: it fails now, as open(path) would, not at the rename
+        raise OSError(exc.errno, exc.strerror, path) from None
     if mode is not None and not stat.S_ISREG(mode):
         with open(path, "w", newline="") as fp:
             yield fp
         return
-    directory, name = os.path.split(target)
-    # the random part: a killed run leaves its file behind, and pids repeat
-    tmp = os.path.join(directory, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    # not named after the target, whose name may leave no room for more; random, as a
+    # killed run's file stays behind and pids repeat
+    tmp = os.path.join(os.path.dirname(target), f".faultsim.{os.getpid()}.{os.urandom(4).hex()}.tmp")
     try:
         # 0o666 less the umask: the mode open(path, "w") would give a new target
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
@@ -255,7 +262,7 @@ def run_interactive(cfg: SimConfig, faults: FaultMap, style: RenderStyle,
             try:
                 draw(faults, *params)
             except OutOfRangeError as exc:
-                stdout.write(f"Error: {exc}\n")
+                stdout.write(_one_line(f"Error: {exc}"))
                 continue
             stdout.write(render_fault_map(faults, style))
         elif choice == 5:
@@ -268,7 +275,7 @@ def run_interactive(cfg: SimConfig, faults: FaultMap, style: RenderStyle,
                 with _output_file(path) as fp:  # an old file stays whole if the save fails
                     save_scenario(Scenario(cfg=cfg, faults=faults), fp)
             except OSError as exc:
-                stdout.write(f"Error: {exc}\n")
+                stdout.write(_one_line(f"Error: {exc}"))
                 continue
             stdout.write(f"Saved {path}\n")
         else:
@@ -292,7 +299,7 @@ def main(argv: list[str] | None = None) -> int:
         try:
             cfg, faults = _resolve_state(opts)
         except (OSError, ValueError) as exc:  # ScenarioError is a ValueError
-            sys.stderr.write(f"faultsim: {exc}\n")
+            sys.stderr.write(_one_line(f"faultsim: {exc}"))
             return 1
         if opts.headless:
             return run_headless(cfg, faults, opts.out_path)
@@ -307,6 +314,6 @@ def main(argv: list[str] | None = None) -> int:
             _discard_stdout()
             if isinstance(exc, BrokenPipeError):  # the reader went away (`| head`)
                 msg = "stdout closed, run stopped"
-        sys.stderr.write(f"faultsim: {msg}\n")
+        sys.stderr.write(_one_line(f"faultsim: {msg}"))
         return 1
 

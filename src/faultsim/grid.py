@@ -34,13 +34,6 @@ def digits(number: int | str) -> str:
     return text if n <= 20 else f"{text[: len(text) - n]}<{n} digits>"  # the sign stays
 
 
-def chars(text: str | None) -> str | None:
-    """Outside text for an error line; past 40 characters, escapes counted, its length."""
-    if text is None or len(ascii(text[:41])) <= 42:  # 40 and the quotes: at most 42 bytes out
-        return text
-    return f"<{len(text)} characters>"
-
-
 class Value:
     """A record of _FIELDS, one slot each, set once by __init__ from one value each, else TypeError.
 

@@ -27,7 +27,7 @@ from functools import partial
 from typing import IO, Iterable
 
 from .engine import SimConfig, StepReport
-from .grid import FaultMap, GridDims, Value, chars
+from .grid import FaultMap, GridDims, Value
 
 MAGIC = "FAULTSIM 1"
 STATS_HEADER = "step,quakes,cumulative_quakes,max_stress,mean_stress"
@@ -80,15 +80,15 @@ def parse_scenario(data: str | bytes) -> Scenario:
     take = partial(next, iter(lines), None)
 
     if (magic := take()) != MAGIC:
-        raise ScenarioError(f"expected {MAGIC!r} header, got {chars(magic)!r}")
+        raise ScenarioError(f"expected {MAGIC!r} header, got {magic!r}")
 
     values: dict[str, int] = {}
     for key in _CONFIG_KEYS:
         if (line := take()) is None or not line.startswith(key + " "):
-            raise ScenarioError(f"expected '{key} <value>' line, got {chars(line)!r}")
+            raise ScenarioError(f"expected '{key} <value>' line, got {line!r}")
         token = line[len(key) + 1 :]
         if not _INT_RE.fullmatch(token):
-            raise ScenarioError(f"{key}: not a canonical integer: {chars(token)!r}")
+            raise ScenarioError(f"{key}: not a canonical integer: {token!r}")
         try:
             values[key] = int(token)
         except ValueError:  # more digits than int() converts (sys.get_int_max_str_digits)
@@ -102,7 +102,7 @@ def parse_scenario(data: str | bytes) -> Scenario:
         raise ScenarioError(str(exc)) from None
 
     if (line := take()) != "map":
-        raise ScenarioError(f"expected 'map' line, got {chars(line)!r}")
+        raise ScenarioError(f"expected 'map' line, got {line!r}")
 
     # each row is checked as it is read, so the first bad row is the one named;
     # a non-ASCII glyph becomes "?", so it fails the glyph check like any other
@@ -112,11 +112,11 @@ def parse_scenario(data: str | bytes) -> Scenario:
             raise ScenarioError(f"map ended after {index} of {dims.height} rows")
         glyphs = row.encode("ascii", "replace")
         if len(glyphs) != dims.width or glyphs.translate(None, b"01"):
-            raise ScenarioError(f"map row {index}: {chars(row)!r}")
+            raise ScenarioError(f"map row {index}: {row!r}")
         block += glyphs
 
     if (line := take()) != "end":
-        raise ScenarioError(f"expected 'end' after {dims.height} map rows, got {chars(line)!r}")
+        raise ScenarioError(f"expected 'end' after {dims.height} map rows, got {line!r}")
 
     if take() is not None or tail:
         raise ScenarioError("content after 'end'")

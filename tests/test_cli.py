@@ -151,25 +151,42 @@ class TestParseArgs:
         assert captured.err.startswith("usage: faultsim ")
         line = captured.err.splitlines()[-1]
         assert line.startswith("faultsim: error: ")
-        # a long number is named by its digit count, so the line stays short
-        assert len(line) < 300 and "9" * 21 not in line
-        if len(argv[-1]) > 20:
-            assert f"<{argv[-1].count('9')} digits>" in line
+        assert len(line) < 300
+        if len(argv[-1]) > 200:  # a long value: the line's first 200 characters, then its length
+            full = "faultsim: error: " + (f"unrecognized arguments: {argv[0]}" if len(argv) == 1
+                                          else f"argument {argv[0]}: invalid int value: '{argv[1]}'")
+            assert line == f"{full[:200]}...<{len(full)} characters>"
 
+    # the line, "faultsim: error: " included, is cut at 200 characters, escapes counted
     @pytest.mark.parametrize("argv, tail", [
-        (["--seed", "x" * 5000], "argument --seed: invalid int value: '<5000 characters>'"),
-        (["--bogus" + "y" * 5000], "unrecognized arguments: <5007 characters>"),
-        (["--headless=" + "z" * 5000], "argument --headless: ignored explicit argument '<5000 characters>'"),
-        (["--s=" + "w" * 5000], "ambiguous option: <5004 characters> could match --scenario, --seed"),
-        (["--seed", "9x" * 3000], "argument --seed: invalid int value: '<6000 characters>'"),
-        (["--seed", "\U0001f600" * 40], "argument --seed: invalid int value: '<40 characters>'"),
+        (["--seed", "x" * 5000], "argument --seed: invalid int value: '" + "x" * 146 + "...<5055 characters>"),
+        (["--bogus" + "y" * 5000], "unrecognized arguments: --bogus" + "y" * 152 + "...<5048 characters>"),
+        (["--headless=" + "z" * 5000],
+         "argument --headless: ignored explicit argument '" + "z" * 135 + "...<5066 characters>"),
+        (["--s=" + "w" * 5000], "ambiguous option: --s=" + "w" * 161 + "...<5070 characters>"),
+        (["--seed", "9x" * 3000], "argument --seed: invalid int value: '" + "9x" * 73 + "...<6055 characters>"),
+        (["--seed", "\U0001f600" * 40],
+         "argument --seed: invalid int value: '" + "\U0001f600" * 14 + "...<95 characters>"),
     ], ids=["value", "option", "explicit", "ambiguous", "digit-runs", "escapes"])
     def test_long_words_in_usage_errors_are_named_by_length(self, argv, tail, capsys):
         with pytest.raises(SystemExit):
             parse_args(argv)
         line = capsys.readouterr().err.splitlines()[-1]
         assert line == f"faultsim: error: {tail}"
-        assert len(line.encode()) < 300
+        assert len(ascii(line)) < 300
+
+    @pytest.mark.parametrize("argv, tail", [
+        (["a\nb"], r"unrecognized arguments: a\nb"),
+        (["a\rb"], r"unrecognized arguments: a\rb"),
+        (["--s=x\ny"], r"ambiguous option: --s=x\ny could match --scenario, --seed"),
+    ], ids=["newline", "return", "ambiguous"])
+    def test_line_breaks_in_usage_errors_are_escaped(self, argv, tail, capsys):
+        # argparse echoes these raw; the error stays one line after the usage
+        with pytest.raises(SystemExit):
+            parse_args(argv)
+        err = capsys.readouterr().err
+        assert err.startswith("usage: faultsim ")
+        assert err.splitlines()[-1] == f"faultsim: error: {tail}"
 
     def test_short_numbers_in_usage_errors_are_echoed(self, capsys):
         with pytest.raises(SystemExit):
@@ -457,6 +474,14 @@ class TestInteractiveMenu:
         assert scenario.cfg.seed == 11
         assert fault_cells(scenario.faults) == {(2, y) for y in range(3)}
 
+    def test_save_to_a_long_file_name(self, tmp_path):
+        target = tmp_path / ("s" * 240)  # 240 bytes, room for no temporary name grown from it
+        rc, out = run_script(f"6\n{target}\n7\n", ["--width", "2", "--height", "2", "--no-color"])
+        assert rc == 0
+        assert f"Saved {target}\n" in out
+        assert parse_scenario(target.read_text()).cfg.dims == GridDims(2, 2)
+        assert list(tmp_path.iterdir()) == [target]
+
     def test_save_keeps_a_private_files_mode(self, tmp_path):
         target = tmp_path / "saved.txt"
         target.write_text("old scenario\n")
@@ -735,3 +760,62 @@ class TestMain:
         assert {"argparse", "typing", "re"} <= set(stdlib)
         assert "faultsim.cli" in loaded
         assert loaded & banned == set()
+
+
+class TestOneLine:
+    def test_text_past_200_characters_is_cut_and_named_by_length(self):
+        assert cli._one_line("x" * 200) == "x" * 200 + "\n"
+        assert cli._one_line("x" * 201) == "x" * 200 + "...<201 characters>\n"
+        assert cli._one_line("") == "\n"
+
+    def test_escapes_count(self):
+        # what ascii() or a backslash-escaping stderr makes of the text is what is bounded
+        assert cli._one_line("é" * 50) == "é" * 50 + "\n"  # 200 characters as escapes
+        assert cli._one_line("é" * 51) == "é" * 50 + "...<51 characters>\n"
+        assert cli._one_line("\U0001f600" * 20) == "\U0001f600" * 20 + "\n"
+        assert cli._one_line("\U0001f600" * 21) == "\U0001f600" * 20 + "...<21 characters>\n"
+        assert cli._one_line("x" * 199 + "\n") == "x" * 199 + "...<200 characters>\n"
+
+    def test_line_breaks_are_escaped(self):
+        assert cli._one_line("a\nb\rc") == "a\\nb\\rc\n"
+
+
+# stands for a scenario file whose first map row has 3,000 glyphs
+BAD_ROW_FILE = "<bad row file>"
+
+
+class TestErrorLines:
+    """Each writer of an error line writes one line under 300 bytes, however long the outside text."""
+
+    @pytest.mark.parametrize("argv, stdin, start, length", [
+        (["a"] * 3000, None, "faultsim: error: unrecognized arguments: a a ", 6040),
+        (["--headless", "--scenario", "s" * 100_000], None,
+         "faultsim: [Errno 36] File name too long: 'sss", 100_043),
+        (["--headless", "--width", "2", "--height", "2", "--out", "o" * 60_000], None,
+         "faultsim: [Errno 36] File name too long: 'ooo", 60_043),
+        (["--width", "2", "--height", "2", "--no-color"], "6\n" + "p" * 1_000_000 + "\n7\n",
+         "choice: path: Error: [Errno 36] File name too long: 'ppp", 1_000_040),
+        (["--headless", "--scenario", BAD_ROW_FILE], None, "faultsim: map row 0: '000", 3023),
+        (["--seed", "é" * 3000], None, "faultsim: error: argument --seed: invalid int value: 'é", 3055),
+        (["--headless", "--scenario", "\U0001f600" * 3000], None,
+         "faultsim: [Errno 36] File name too long: '\U0001f600", 3043),
+    ], ids=["stray-arguments", "scenario-path", "out-path", "save-path", "map-row", "accents", "emoji"])
+    def test_long_outside_text_gives_one_short_line(self, argv, stdin, start, length, tmp_path, capsys):
+        if BAD_ROW_FILE in argv:
+            bad_row = Path(write_scenario(tmp_path, SimConfig(dims=GridDims(2, 2))))
+            bad_row.write_text(bad_row.read_text().replace("map\n00\n", "map\n" + "0" * 3000 + "\n"))
+            argv = [str(bad_row) if arg == BAD_ROW_FILE else arg for arg in argv]
+        with mock.patch.object(sys, "stdin", io.StringIO(stdin or "")):
+            try:
+                rc = main(argv)
+            except SystemExit as exc:  # a usage error
+                rc = exc.code
+        out, err = capsys.readouterr()
+        [line] = [line for line in (out if stdin else err).split("\n") if line.startswith(start)]
+        assert line.endswith(f"...<{length} characters>")  # so the start and the length share one line
+        assert len(ascii(line)) < 300
+        if stdin:  # the menu reports the failed save and carries on until 7
+            assert (rc, err, out.count(MENU)) == (0, "", 2)
+        else:
+            assert (rc, out) == (1, "")
+            assert err.endswith(f"\n{line}\n") or err == f"{line}\n"

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from faultsim.engine import QuakedCells, SimConfig, SimSummary, StepReport
-from faultsim.grid import MAX_DIM, FaultMap, GridDims, StressMap, chars, digits
+from faultsim.grid import MAX_DIM, FaultMap, GridDims, StressMap, digits
 from faultsim.render import RenderStyle, StressBands
 from faultsim.scenario import Scenario
 from oracles import copy_grid, fault_cells, fault_count, is_fault
@@ -162,20 +162,6 @@ class TestValueSemantics:
     def test_maps_do_not_hash(self, value):
         with pytest.raises(TypeError):
             hash(value)
-
-
-class TestChars:
-    def test_text_past_40_characters_is_named_by_length(self):
-        assert chars("x" * 40) == "x" * 40
-        assert chars("x" * 41) == "<41 characters>"
-        assert chars(None) is None and chars("") == ""
-
-    def test_escapes_count(self):
-        # what repr or a backslash-escaping stderr makes of the text is what is bounded
-        assert chars("\u00e9" * 10) == "\u00e9" * 10  # 40 characters as escapes
-        assert chars("\u00e9" * 11) == "<11 characters>"
-        assert chars("\U0001f600" * 4) == "\U0001f600" * 4
-        assert chars("\U0001f600" * 5) == "<5 characters>"
 
 
 class TestDigits:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from faultsim.cli import main
 from faultsim.engine import SimConfig, SplitMix64, StepReport
 from faultsim.grid import MAX_DIM, FaultMap, GridDims
 from faultsim.scenario import (
@@ -246,18 +247,28 @@ class TestParseErrors:
     def test_blank_line_rejected(self):
         rejects(GOLDEN.replace("map\n", "map\n\n"), "map row 0: ''")
 
-    @pytest.mark.parametrize("old, new, message", [
-        ("FAULTSIM 1", "x" * 3000, "expected 'FAULTSIM 1' header, got '<3000 characters>'"),
-        ("width 2", "wid" + "x" * 3000, "expected 'width <value>' line, got '<3003 characters>'"),
-        ("seed 42", "seed 0" + "9" * 3000, "seed: not a canonical integer: '<3001 characters>'"),
-        ("map\n", "x" * 3000 + "\n", "expected 'map' line, got '<3000 characters>'"),
-        ("map\n01\n", "map\n" + "0" * 3000 + "\n", "map row 0: '<3000 characters>'"),
-        ("end\n", "x" * 3000 + "\n", "expected 'end' after 2 map rows, got '<3000 characters>'"),
-        ("seed 42", "seed " + "\x00" * 20, "seed: not a canonical integer: '<20 characters>'"),
-    ], ids=["header", "key", "integer", "map", "row", "end", "escapes"])
-    def test_long_text_is_named_by_length(self, old, new, message):
-        # a line or token of any length gives a short error line
-        rejects(GOLDEN.replace(old, new, 1), message)
+    # parse_scenario quotes the text in full; the CLI's line keeps its head, up to 200
+    # characters with escapes counted, and names the whole line's length
+    @pytest.mark.parametrize("old, new, message, head", [
+        ("FAULTSIM 1", "x" * 3000, "expected 'FAULTSIM 1' header, got '" + "x" * 3000 + "'", 200),
+        ("width 2", "wid" + "x" * 3000, "expected 'width <value>' line, got 'wid" + "x" * 3000 + "'", 200),
+        ("seed 42", "seed 0" + "9" * 3000, "seed: not a canonical integer: '0" + "9" * 3000 + "'", 200),
+        ("map\n", "x" * 3000 + "\n", "expected 'map' line, got '" + "x" * 3000 + "'", 200),
+        ("map\n01\n", "map\n" + "0" * 3000 + "\n", "map row 0: '" + "0" * 3000 + "'", 200),
+        ("end\n", "x" * 3000 + "\n", "expected 'end' after 2 map rows, got '" + "x" * 3000 + "'", 200),
+        # 183 characters, but each \x00 counts 5 as ascii() writes it: cut inside the 32nd
+        ("seed 42", "seed " + "\x00" * 35, "seed: not a canonical integer: '" + "\\x00" * 35 + "'", 168),
+        ("seed 42", "seed " + "\x00" * 20, "seed: not a canonical integer: '" + "\\x00" * 20 + "'", None),
+    ], ids=["header", "key", "integer", "map", "row", "end", "escapes", "escapes-short"])
+    def test_long_text_is_named_by_length(self, old, new, message, head, tmp_path, capsys):
+        text = GOLDEN.replace(old, new, 1)
+        rejects(text, message)
+        path = tmp_path / "long.txt"
+        path.write_text(text)
+        assert main(["--headless", "--scenario", str(path)]) == 1
+        line = f"faultsim: {message}"
+        written = line if head is None else f"{line[:head]}...<{len(line)} characters>"
+        assert capsys.readouterr() == ("", written + "\n")
 
 
 @st.composite

@@ -470,7 +470,7 @@ class TestOutFile:
     def test_stale_temporary_file_is_left_alone(self, tmp_path, capsys):
         # what a run killed by SIGKILL leaves behind, under this process's pid
         out = tmp_path / "stats.csv"
-        stale = tmp_path / f".stats.csv.{os.getpid()}.tmp"
+        stale = tmp_path / f".faultsim.{os.getpid()}.0123abcd.tmp"
         stale.write_text("killed run\n")
         rc = main(LONG_RUN + ["--max-steps", "4", "--out", str(out)])
         capsys.readouterr()
@@ -478,6 +478,15 @@ class TestOutFile:
         assert len(out.read_text().splitlines()) == 5
         assert stale.read_text() == "killed run\n"
         assert sorted(tmp_path.iterdir()) == [stale, out]
+
+    def test_long_file_name_is_written(self, tmp_path, capsys):
+        # 240 bytes: the temporary name beside it does not grow with it, so there is room
+        out = tmp_path / ("s" * 240)
+        rc = main(LONG_RUN + ["--max-steps", "4", "--out", str(out)])
+        capsys.readouterr()
+        assert rc == 2
+        assert len(out.read_text().splitlines()) == 5
+        assert list(tmp_path.iterdir()) == [out]
 
     def test_fifo_is_written_in_place(self, tmp_path, capsys):
         fifo = tmp_path / "pipe"
