@@ -54,12 +54,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _one_line(message: str) -> str:
-    """An error message as one line under 300 bytes: line breaks escaped and, past 200 characters
-    counted as ascii() writes them (never fewer than any encoding's bytes), its head and length."""
+    """An error message as one line under 300 bytes in any encoding: past 200 characters, counted
+    as ascii() writes them, its head and length; a character not printable as its ascii() escape."""
     n = next(n for n in range(201, 0, -1) if len(ascii(message[:n])) <= 202)  # with ascii()'s quotes
     if n < len(message):
         message = f"{message[:n]}...<{len(message)} characters>"
-    return message.replace("\n", r"\n").replace("\r", r"\r") + "\n"
+    return "".join(c if c.isprintable() else ascii(c)[1:-1] for c in message) + "\n"
 
 
 def parse_args(argv: list[str]) -> argparse.Namespace:
@@ -291,10 +291,12 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     if output_on_stdout and hasattr(sys.stdout, "reconfigure"):
         # both modes' one buffering rule: each row, menu line and frame leaves as written
-        sys.stdout.reconfigure(line_buffering=True)
+        sys.stdout.reconfigure(line_buffering=True, errors="surrogateescape")
     if not opts.headless and sys.stdin is None:
         sys.stderr.write("faultsim: stdin closed\n")  # fd 0 was closed at start-up (`<&-`)
         return 1
+    if not opts.headless and hasattr(sys.stdin, "reconfigure"):  # in every locale as under C.UTF-8:
+        sys.stdin.reconfigure(errors="surrogateescape")  # bytes not UTF-8 are read and echoed as they are
     try:
         try:
             cfg, faults = _resolve_state(opts)

@@ -177,9 +177,9 @@ class SimConfig(Value):
 
 
 class QuakedCells(Value):
-    """One step's quaked cells: a mask with 0x80 in byte i where cell i quaked, the grid
-    width and their count. They act as the tuple of their (x, y) in row-major order for
-    len, iteration, == and repr, decoded from the mask only when iterated; they do not hash."""
+    """One step's quaked cells: a mask with 0x80 in byte i where cell i quaked, the grid width
+    and their count. Length is the count; iteration decodes each (x, y) in row-major order.
+    It compares and prints by its fields, and does not hash, as the mask is a bytearray."""
 
     __slots__ = _FIELDS = ("mask", "width", "count")
 
@@ -193,21 +193,13 @@ class QuakedCells(Value):
             yield i % width, i // width
             i = mask.find(0x80, i + 1)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (tuple, QuakedCells)):
-            return NotImplemented
-        return tuple(self) == tuple(other)
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
-
 
 class StepReport(Value):
     """Outcome of one simulation step.
 
-    quaked_cells acts as the tuple of the quaked (x, y) in row-major order;
-    max_stress is read before the quake reset, stress_total (the sum over the
-    map's area cells) after it. The mean is stress_total / area, as two ints.
+    quaked_cells is its QuakedCells; max_stress is read before the quake
+    reset, stress_total (the sum over the map's area cells) after it. The
+    mean is stress_total / area, as two ints.
     """
 
     __slots__ = _FIELDS = ("step_index", "quaked_cells", "cumulative_quakes", "max_stress",

@@ -5,12 +5,12 @@ formulations in the package: segments are computed by direct nearest-cell
 rounding per major-axis column, circles by exact integer square roots per
 octant column. The step oracle draws each cell through its own `randint`
 call, where the engine draws up to `engine._CHUNK` (2,048) cells in one
-block. `strip_ansi` removes the renderer's colour codes, so a coloured frame
-can be checked against a plain one. `format_mean` rounds an exact
-`Fraction` mean, where the CSV writer rounds the two ints of a report in
-integer arithmetic. `fault_cells`, `fault_count`,
-`is_fault`, `copy_grid` and `stress_map` read, copy and build maps for the
-tests; the program itself never needs them.
+block, and returns the engine's own report, quake mask included.
+`strip_ansi` removes the renderer's colour codes, so a coloured frame can be
+checked against a plain one. `format_mean` rounds an exact `Fraction` mean,
+where the CSV writer rounds the two ints of a report in integer arithmetic.
+`fault_cells`, `fault_count`, `is_fault`, `copy_grid` and `stress_map` read,
+copy and build maps for the tests; the program itself never needs them.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import math
 import re
 from fractions import Fraction
 
-from faultsim.engine import SimConfig, SplitMix64, StepReport
+from faultsim.engine import QuakedCells, SimConfig, SplitMix64, StepReport
 from faultsim.grid import Cell, FaultMap, GridDims, StressMap
 
 _ANSI_RE = re.compile(r"\x1b\[[0-9;]*[A-Za-z]")
@@ -128,7 +128,8 @@ def step_oracle(
     cumulative_quakes: int,
     step_index: int = 1,
 ) -> StepReport:
-    """engine.step drawn one cell at a time through rng.randint."""
+    """engine.step drawn one cell at a time through rng.randint, with the same report: its
+    QuakedCells holds a mask with 0x80 where a cell quaked, the width and the mask's count."""
     if not (stress.dims == faults.dims == cfg.dims):
         raise ValueError("stress, faults and config must share one grid")
 
@@ -149,13 +150,13 @@ def step_oracle(
 
     max_stress = max(cells)
 
-    quaked: list[Cell] = []
-    width = cfg.dims.width
+    mask = bytearray(len(cells))
     threshold = cfg.quake_threshold
     for i, value in enumerate(cells):
         if value >= threshold:
-            quaked.append((i % width, i // width))
+            mask[i] = 0x80
             cells[i] = 0
 
-    return StepReport(step_index, tuple(quaked), cumulative_quakes + len(quaked), max_stress,
-                      sum(cells), len(cells))
+    quaked = QuakedCells(mask, cfg.dims.width, mask.count(0x80))
+    return StepReport(step_index, quaked, cumulative_quakes + len(quaked), max_stress, sum(cells),
+                      len(cells))

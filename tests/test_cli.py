@@ -179,7 +179,9 @@ class TestParseArgs:
         (["a\nb"], r"unrecognized arguments: a\nb"),
         (["a\rb"], r"unrecognized arguments: a\rb"),
         (["--s=x\ny"], r"ambiguous option: --s=x\ny could match --scenario, --seed"),
-    ], ids=["newline", "return", "ambiguous"])
+        (["\x1b[2Jx"], r"unrecognized arguments: \x1b[2Jx"),
+        (["--s=\x1b[31mx"], r"ambiguous option: --s=\x1b[31mx could match --scenario, --seed"),
+    ], ids=["newline", "return", "ambiguous", "escape", "ambiguous-escape"])
     def test_line_breaks_in_usage_errors_are_escaped(self, argv, tail, capsys):
         # argparse echoes these raw; the error stays one line after the usage
         with pytest.raises(SystemExit):
@@ -725,6 +727,21 @@ class TestMain:
         assert proc.returncode == 1
         assert "error" in proc.stderr
 
+    def test_input_that_is_not_utf8_is_read_as_bytes(self, tmp_path):
+        # a strict stdin decoder, as a UTF-8 locale other than C.UTF-8 sets, once ended the
+        # run with a UnicodeDecodeError; now a bad choice re-prompts and a path keeps its bytes
+        env = {**os.environ, "PYTHONIOENCODING": "utf-8:strict"}
+        argv = [sys.executable, "-m", "faultsim", "--width", "3", "--height", "2", "--no-color"]
+        proc = subprocess.run(argv, input=b"\xff\n7\n", capture_output=True, env=env)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout.count(b"Please enter an integer.\n") == 1
+        path = os.path.join(os.fsencode(tmp_path), b"\xff.scn")
+        proc = subprocess.run(argv, input=b"6\n" + path + b"\n7\n", capture_output=True, env=env)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert b"Saved " + path + b"\n" in proc.stdout
+        with open(path, "rb") as fp:
+            assert parse_scenario(fp.read()).cfg.dims == GridDims(3, 2)
+
     def test_imports_only_the_standard_library(self):
         # a fresh interpreter, so modules other tests imported do not count;
         # names loaded at start-up (site hooks, .pth files) are not the CLI's
@@ -778,6 +795,12 @@ class TestOneLine:
 
     def test_line_breaks_are_escaped(self):
         assert cli._one_line("a\nb\rc") == "a\\nb\\rc\n"
+
+    def test_characters_that_are_not_printable_are_escaped(self):
+        # tab, ESC, DEL, U+0085 (next line) and U+202E (right-to-left override); é is printable
+        assert cli._one_line("a\tb\x1bc\x7fd\x85e\u202ef é") == r"a\tb\x1bc\x7fd\x85e\u202ef é" + "\n"
+        assert cli._one_line("\x1b" * 50) == r"\x1b" * 50 + "\n"  # 200 characters as escapes
+        assert cli._one_line("\x1b" * 51) == r"\x1b" * 50 + "...<51 characters>\n"
 
 
 # stands for a scenario file whose first map row has 3,000 glyphs

@@ -207,13 +207,13 @@ class TestStep:
         rng = SplitMix64(cfg.seed)
 
         first = step(stress, faults, cfg, rng, 0, step_index=1)
-        assert first.quaked_cells == ()
+        assert tuple(first.quaked_cells) == ()
         assert first.max_stress == 5
         assert (first.stress_total, first.area) == (5, 1)
         assert stress.cells[0] == 5
 
         second = step(stress, faults, cfg, rng, 0, step_index=2)
-        assert second.quaked_cells == ((0, 0),)
+        assert tuple(second.quaked_cells) == ((0, 0),)
         assert second.cumulative_quakes == 1
         assert second.max_stress == 10  # read before the reset
         assert (second.stress_total, second.area) == (0, 1)  # read after it
@@ -244,9 +244,9 @@ class TestStep:
         rng = SplitMix64(0)
         for i in (1, 2):
             report = step(stress, faults, cfg, rng, 0, step_index=i)
-            assert report.quaked_cells == ()
+            assert tuple(report.quaked_cells) == ()
         report = step(stress, faults, cfg, rng, 0, step_index=3)
-        assert report.quaked_cells == ((0, 0),)
+        assert tuple(report.quaked_cells) == ((0, 0),)
         assert report.max_stress == 9
         assert (report.stress_total, report.area) == (6, 2)
         assert (stress.cells[0], stress.cells[1]) == (0, 6)
@@ -262,7 +262,7 @@ class TestStep:
         )
         stress = StressMap.empty(cfg.dims)
         report = step(stress, FaultMap.empty(cfg.dims), cfg, SplitMix64(0), 0)
-        assert report.quaked_cells == ((0, 0), (1, 0), (0, 1), (1, 1))
+        assert tuple(report.quaked_cells) == ((0, 0), (1, 0), (0, 1), (1, 1))
 
     def test_mean_is_exact(self):
         cfg = _cfg(
@@ -319,7 +319,7 @@ class TestStep:
         for starts, quaked in (([0, 1, 2, 3], ()), ([0, threshold - 1, threshold, 1], ((2, 0),))):
             stress = StressMap(cfg.dims, bytearray(starts) if max(starts) < 256 else list(starts))
             report = step(stress, FaultMap.empty(cfg.dims), cfg, SplitMix64(0), 0)
-            assert report.quaked_cells == quaked
+            assert tuple(report.quaked_cells) == quaked
             assert report.max_stress == max(starts)
 
     @given(seed=st.integers(0, 2**64 - 1))
@@ -572,26 +572,28 @@ class TestTotal:
 
 
 class TestQuakedCells:
-    """A step's QuakedCells act as the tuple of the oracle's quaked (x, y)."""
+    """A step's QuakedCells hold the oracle's quake mask and decode it in row-major order."""
 
     @staticmethod
     def _check(report, expected):
         quaked, cells = report.quaked_cells, expected.quaked_cells
-        assert isinstance(quaked, QuakedCells) and type(cells) is tuple
-        assert len(quaked) == len(cells) and list(quaked) == list(cells)
-        assert quaked == cells and cells == quaked and not quaked != cells
-        assert repr(quaked) == repr(cells)
-        assert bool(quaked) == bool(cells)
+        assert isinstance(quaked, QuakedCells) and isinstance(cells, QuakedCells)
+        assert quaked == cells and cells == quaked and not quaked != cells  # mask, width and count
+        assert repr(quaked) == repr(cells) and repr(quaked).startswith("QuakedCells(mask=bytearray(")
+        decoded = list(quaked)
+        assert len(quaked) == len(decoded) == cells.mask.count(0x80) and decoded == list(cells)
+        assert [y * quaked.width + x for x, y in decoded] == [i for i, b in enumerate(cells.mask) if b]
+        assert bool(quaked) == bool(decoded)
         assert quaked.__eq__(list(cells)) is NotImplemented and quaked != list(cells)
+        assert quaked != tuple(cells)  # a record, not a tuple
         for unhashable in (quaked, report):  # as the maps: nothing keys a dict or set by them
             with pytest.raises(TypeError):
                 hash(unhashable)
-        if cells:
-            assert (tuple(quaked)[0], tuple(quaked)[-1]) == (cells[0], cells[-1])
-            assert quaked != cells[1:]
+        if decoded:
+            assert quaked != QuakedCells(bytearray(len(cells.mask)), cells.width, 0)
         for clone in (copy.copy(report), copy.deepcopy(report), pickle.loads(pickle.dumps(report))):
             assert clone == report == expected
-            assert clone.quaked_cells == quaked
+            assert clone.quaked_cells == quaked and list(clone.quaked_cells) == decoded
 
     # byte lanes in every chunk (a map in bytes) or per cell in every chunk (a list)
     @given(dims=st.sampled_from(ORACLE_DIMS), seed=st.integers(0, 2**64 - 1), threshold=st.integers(1, 20),
@@ -628,8 +630,9 @@ class TestQuakedCells:
     def test_a_step_without_quakes_is_empty(self):
         cfg = _cfg(dims=GridDims(3, 2))
         report = step(StressMap.empty(cfg.dims), FaultMap.empty(cfg.dims), cfg, SplitMix64(0), 0)
-        self._check(report, StepReport(1, (), 0, 0, 0, 6))
-        assert not report.quaked_cells and repr(report.quaked_cells) == "()"
+        self._check(report, StepReport(1, QuakedCells(bytearray(6), 3, 0), 0, 0, 0, 6))
+        assert not report.quaked_cells and list(report.quaked_cells) == []
+        assert repr(report.quaked_cells) == f"QuakedCells(mask={bytearray(6)!r}, width=3, count=0)"
 
     def test_large_step_keeps_its_quakes_as_a_mask(self):
         # 1024x1024 at threshold 10: over 100,000 quakes in step 2 cost one byte per cell,
