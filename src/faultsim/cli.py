@@ -34,6 +34,8 @@ from .scenario import Scenario, format_stats, format_stats_row, load_scenario, s
 
 CLEAR_SCREEN = "\x1b[2J\x1b[H"
 
+_MAX_LINE = 1 << 20  # characters in a menu line; a longer one is read no further
+
 MENU = (
     "1) vertical line\n"
     "2) horizontal line\n"
@@ -53,13 +55,18 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _printable(text: str) -> str:
+    """text with each unprintable character (ESC, a line break, a non-UTF-8 byte) escaped."""
+    return "".join(c if c.isprintable() else ascii(c)[1:-1] for c in text)
+
+
 def _one_line(message: str) -> str:
     """An error message as one line under 300 bytes in any encoding: past 200 characters, counted
-    as ascii() writes them, its head and length; a character not printable as its ascii() escape."""
+    as ascii() writes them, its head and length, made _printable."""
     n = next(n for n in range(201, 0, -1) if len(ascii(message[:n])) <= 202)  # with ascii()'s quotes
     if n < len(message):
         message = f"{message[:n]}...<{len(message)} characters>"
-    return "".join(c if c.isprintable() else ascii(c)[1:-1] for c in message) + "\n"
+    return _printable(message) + "\n"
 
 
 def parse_args(argv: list[str]) -> argparse.Namespace:
@@ -186,9 +193,12 @@ def run_headless(cfg: SimConfig, faults: FaultMap, out_path: str | None) -> int:
 
 
 def _read_line(stdin: IO[str], stdout: IO[str], prompt: str) -> str | None:
+    """The next input line, stripped, or None at the end of input; past _MAX_LINE, an OSError."""
     stdout.write(prompt)
     stdout.flush()
-    line = stdin.readline()
+    line = stdin.readline(_MAX_LINE + 1)
+    if len(line) > _MAX_LINE and not line.endswith("\n"):
+        raise OSError(f"input line longer than {_MAX_LINE} characters")
     if line == "":
         return None
     return line.strip()
@@ -221,7 +231,7 @@ def _animate(faults: FaultMap, cfg: SimConfig, style: RenderStyle, stdout: IO[st
     bands = _stress_bands(cfg.quake_threshold)
     clear = CLEAR_SCREEN if style.color_enabled else ""
     stress = StressMap.empty(cfg.dims)
-    steps = quakes = 0  # of the last complete frame
+    steps = quakes = 0  # of the last frame written
     try:
         stdout.write(render_fault_map(faults, style))
         stdout.write(render_stress_map(stress, bands, cfg.quake_threshold, style))
@@ -230,8 +240,9 @@ def _animate(faults: FaultMap, cfg: SimConfig, style: RenderStyle, stdout: IO[st
                 time.sleep(cfg.delay_ms / 1000)
             frame = render_stress_map(stress, bands, cfg.quake_threshold, style)
             quake_lines = [f"EARTHQUAKE at ({x}, {y})!\n" for x, y in report.quaked_cells]
-            stdout.write("".join([clear, frame, *quake_lines]))  # the whole frame in one write
+            # before the write: an interrupt raised just after it counts this frame
             steps, quakes = report.step_index, report.cumulative_quakes
+            stdout.write("".join([clear, frame, *quake_lines]))  # the whole frame in one write
             del report  # freed before the next step runs, as in iter_steps
     except KeyboardInterrupt:
         stdout.write(f"Interrupted after {steps} steps with {quakes} earthquakes (seed {cfg.seed}).\n")
@@ -277,7 +288,7 @@ def run_interactive(cfg: SimConfig, faults: FaultMap, style: RenderStyle,
             except OSError as exc:
                 stdout.write(_one_line(f"Error: {exc}"))
                 continue
-            stdout.write(f"Saved {path}\n")
+            stdout.write(f"Saved {_printable(path)}\n")  # whole: a path that saved is not cut
         else:
             stdout.write("Unknown option.\n")
 

@@ -101,20 +101,14 @@ class SplitMix64:
         self.state = seed & _MASK64
         self._carry: tuple[int, int, int] | None = None  # see _mix
 
-    def next_u64(self) -> int:
-        self.state = (self.state + _GAMMA) & _MASK64
-        z = self.state
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-        return z ^ (z >> 31)
-
     def _mix(self, n: int) -> bytes:
-        """The next n outputs of next_u64, each in the low half of a 16-byte lane.
+        """The next n outputs of the stream, each in the low half of a 16-byte lane.
 
-        Output k is mix(state + (k+1)*gamma). The n inputs sit in the 128-bit
-        lanes of one int, so each mixer operation below acts on every lane
-        at once: a 64x64-bit product fits in its lane, and the mask after
-        each xor-shift drops the bits shifted in from the next lane.
+        Output k is mix(state + (k+1)*gamma), mix being the 30/27/31
+        xor-shift-multiply finaliser. The n inputs sit in the 128-bit lanes
+        of one int, so each mixer operation below acts on every lane at
+        once: a 64x64-bit product fits in its lane, and the mask after each
+        xor-shift drops the bits shifted in from the next lane.
 
         The inputs are kept in `_carry`, tagged with the state and n the next
         block starts from. A call that matches the tag (n draws straight after
@@ -136,14 +130,14 @@ class SplitMix64:
         return z.to_bytes(16 * n, "little")
 
     def draws(self, n: int) -> tuple[int, ...]:
-        """The next n outputs of next_u64 at once; state advances as after n calls."""
+        """The next n outputs of the stream as ints; state moves n gammas."""
         return _lanes(n)[0].unpack(self._mix(n))
 
     def randint(self, lo: int, hi: int) -> int:
-        """Uniform draw from [lo, hi] via modulo reduction; requires lo <= hi."""
+        """lo + the next output mod (hi - lo + 1): one draw, by modulo; requires lo <= hi."""
         if lo > hi:
             raise ValueError(f"empty range [{lo}, {hi}]")
-        return lo + self.next_u64() % (hi - lo + 1)
+        return lo + self.draws(1)[0] % (hi - lo + 1)
 
 
 class SimConfig(Value):

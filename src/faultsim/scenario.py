@@ -35,6 +35,9 @@ STATS_HEADER = "step,quakes,cumulative_quakes,max_stress,mean_stress"
 # the keys in file order: SimConfig's fields, its first (dims) given as width and height
 _CONFIG_KEYS = ("width", "height", *SimConfig._FIELDS[1:])
 
+# 2 MiB: a valid 1024x1024 file whose ints have int()'s default 4,300 digits is ~1.08 MB
+_MAX_BYTES = 2 << 20
+
 # canonical decimal integers only: no leading zeros, plus signs or "-0"
 _INT_RE = re.compile(r"-?(0|[1-9][0-9]*)$")
 
@@ -129,7 +132,10 @@ def save_scenario(scenario: Scenario, fp: IO[str]) -> None:
 
 
 def load_scenario(fp: IO[str] | IO[bytes]) -> Scenario:
-    return parse_scenario(fp.read())
+    """parse_scenario of fp's contents; past _MAX_BYTES it fails, read no further than that."""
+    if len(data := fp.read(_MAX_BYTES + 1)) > _MAX_BYTES:
+        raise ScenarioError(f"scenario is longer than {_MAX_BYTES} bytes")
+    return parse_scenario(data)
 
 
 def _format_mean(total: int, area: int) -> str:

@@ -3,9 +3,11 @@
 The rasterizer oracles deliberately avoid the incremental error-accumulator
 formulations in the package: segments are computed by direct nearest-cell
 rounding per major-axis column, circles by exact integer square roots per
-octant column. The step oracle draws each cell through its own `randint`
-call, where the engine draws up to `engine._CHUNK` (2,048) cells in one
-block, and returns the engine's own report, quake mask included.
+octant column. `next_u64` is SplitMix64 one output at a time, with its own
+constants, where the engine mixes a whole block of draws in the 128-bit
+lanes of one int. The step oracle draws each cell through it, where the
+engine draws up to `engine._CHUNK` (2,048) cells in one block, and returns
+the engine's own report, quake mask included.
 `strip_ansi` removes the renderer's colour codes, so a coloured frame can be
 checked against a plain one. `format_mean` rounds an exact `Fraction` mean,
 where the CSV writer rounds the two ints of a report in integer arithmetic.
@@ -23,6 +25,17 @@ from faultsim.engine import QuakedCells, SimConfig, SplitMix64, StepReport
 from faultsim.grid import Cell, FaultMap, GridDims, StressMap
 
 _ANSI_RE = re.compile(r"\x1b\[[0-9;]*[A-Za-z]")
+
+_MASK64 = (1 << 64) - 1
+
+
+def next_u64(rng: SplitMix64) -> int:
+    """The next output of rng's stream, one at a time: rng.state moves one gamma
+    (0x9E3779B97F4A7C15) and is mixed by the 30/27/31 xor-shift-multiply finaliser."""
+    rng.state = z = (rng.state + 0x9E3779B97F4A7C15) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
 
 
 def strip_ansi(text: str) -> str:
@@ -128,21 +141,20 @@ def step_oracle(
     cumulative_quakes: int,
     step_index: int = 1,
 ) -> StepReport:
-    """engine.step drawn one cell at a time through rng.randint, with the same report: its
+    """engine.step drawn one cell at a time through next_u64, with the same report: its
     QuakedCells holds a mask with 0x80 where a cell quaked, the width and the mask's count."""
     if not (stress.dims == faults.dims == cfg.dims):
         raise ValueError("stress, faults and config must share one grid")
 
     cells = stress.cells
     fault_flags = faults.cells
-    randint = rng.randint
     f_lo, f_hi = cfg.fault_delta_min, cfg.fault_delta_max
     n_lo, n_hi = cfg.nonfault_delta_min, cfg.nonfault_delta_max
     for i in range(len(cells)):
         if fault_flags[i]:
-            delta = randint(f_lo, f_hi)
+            delta = f_lo + next_u64(rng) % (f_hi - f_lo + 1)
         else:
-            delta = randint(n_lo, n_hi)
+            delta = n_lo + next_u64(rng) % (n_hi - n_lo + 1)
         value = max(cells[i] + delta, 0)
         if value > 0xFF and isinstance(cells, bytearray):  # the engine's switch to a list
             stress.cells = cells = list(cells)

@@ -1,6 +1,7 @@
 import io
 import os
 import re
+import resource
 import stat
 import subprocess
 import sys
@@ -484,6 +485,25 @@ class TestInteractiveMenu:
         assert parse_scenario(target.read_text()).cfg.dims == GridDims(2, 2)
         assert list(tmp_path.iterdir()) == [target]
 
+    def test_saved_line_escapes_what_is_not_printable(self, tmp_path):
+        # the typed path is outside text: an ESC in it reaches the terminal escaped, as in an
+        # error line, and the file on disk keeps the name as typed
+        target = tmp_path / "\x1b[2Jx.scn"
+        rc, out = run_script(f"6\n{target}\n7\n", ["--width", "3", "--height", "2", "--no-color"])
+        assert rc == 0
+        assert f"Saved {tmp_path}{os.sep}\\x1b[2Jx.scn\n" in out
+        assert "\x1b" not in out
+        assert parse_scenario(target.read_text()).cfg.dims == GridDims(3, 2)
+
+    def test_a_menu_line_is_read_up_to_a_mebibyte(self):
+        # 2**20 characters are one line like any other; one more is an input error, and main
+        # ends the run with it (TestMain.test_endless_input_fails_at_its_bound)
+        line = "x" * 2**20
+        assert cli._read_line(io.StringIO(line + "\n7\n"), io.StringIO(), "choice: ") == line
+        assert cli._read_line(io.StringIO(line), io.StringIO(), "choice: ") == line
+        with pytest.raises(OSError, match="^input line longer than 1048576 characters$"):
+            cli._read_line(io.StringIO(line + "x\n7\n"), io.StringIO(), "choice: ")
+
     def test_save_keeps_a_private_files_mode(self, tmp_path):
         target = tmp_path / "saved.txt"
         target.write_text("old scenario\n")
@@ -738,9 +758,27 @@ class TestMain:
         path = os.path.join(os.fsencode(tmp_path), b"\xff.scn")
         proc = subprocess.run(argv, input=b"6\n" + path + b"\n7\n", capture_output=True, env=env)
         assert (proc.returncode, proc.stderr) == (0, b"")
-        assert b"Saved " + path + b"\n" in proc.stdout
+        # the Saved line escapes the byte as an error line does; the file name keeps it
+        assert b"Saved " + os.fsencode(tmp_path) + b"/\\udcff.scn\n" in proc.stdout
         with open(path, "rb") as fp:
             assert parse_scenario(fp.read()).cfg.dims == GridDims(3, 2)
+
+    # endless input: each read stops at its bound, so the run fails with one line well inside
+    # a 512 MiB address space, where an unbounded read ended in a MemoryError traceback
+    @pytest.mark.parametrize("argv, stdin, stdout, err", [
+        (["--headless", "--scenario", "/dev/zero"], subprocess.DEVNULL, b"",
+         b"faultsim: scenario is longer than 2097152 bytes\n"),
+        (["--no-color", "--width", "3", "--height", "2"], "/dev/zero", MENU.encode() + b"choice: ",
+         b"faultsim: input line longer than 1048576 characters\n"),
+    ], ids=["scenario", "menu-line"])
+    def test_endless_input_fails_at_its_bound(self, argv, stdin, stdout, err):
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+        with open(os.devnull if stdin is subprocess.DEVNULL else stdin, "rb") as fp:
+            proc = subprocess.run([sys.executable, "-m", "faultsim", *argv], stdin=fp,
+                                  capture_output=True, preexec_fn=cap_memory, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, stdout, err)
 
     def test_imports_only_the_standard_library(self):
         # a fresh interpreter, so modules other tests imported do not count;

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from faultsim.engine import (_CHUNK, QuakedCells, SimConfig, SplitMix64, StepReport, _residues, _total,
                              iter_steps, run, step)
 from faultsim.grid import FaultMap, GridDims, StressMap
-from oracles import copy_grid, step_oracle, stress_map
+from oracles import copy_grid, next_u64, step_oracle, stress_map
 
 GAMMA = 0x9E3779B97F4A7C15
 MASK64 = (1 << 64) - 1
@@ -26,7 +26,7 @@ SEED0_SECOND = 0x6E789E6AA1B965F4
 
 
 def seed_for_first_output(u: int) -> int:
-    """The seed whose first next_u64 is u: the SplitMix64 mixer run backwards."""
+    """The seed whose first output is u: the SplitMix64 mixer run backwards."""
     u ^= u >> 31 ^ u >> 62
     u = u * pow(0x94D049BB133111EB, -1, 1 << 64) & MASK64
     u ^= u >> 27 ^ u >> 54
@@ -38,18 +38,18 @@ def seed_for_first_output(u: int) -> int:
 class TestSplitMix64:
     def test_seed0_reference_values(self):
         rng = SplitMix64(0)
-        assert rng.next_u64() == SEED0_FIRST
-        assert rng.next_u64() == SEED0_SECOND
+        assert next_u64(rng) == SEED0_FIRST
+        assert next_u64(rng) == SEED0_SECOND
 
     def test_outputs_are_64_bit(self):
         rng = SplitMix64(12345)
         for _ in range(1000):
-            assert 0 <= rng.next_u64() < 1 << 64
+            assert 0 <= next_u64(rng) < 1 << 64
 
     def test_same_seed_same_stream(self):
         a, b = SplitMix64(987654321), SplitMix64(987654321)
-        assert [a.next_u64() for _ in range(500)] == [
-            b.next_u64() for _ in range(500)
+        assert [next_u64(a) for _ in range(500)] == [
+            next_u64(b) for _ in range(500)
         ]
 
     def test_seed_wraps_to_64_bits(self):
@@ -82,10 +82,10 @@ class TestSplitMix64:
         for seed in (0, 1, 2**64 - 1, GAMMA):
             for n in (1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1):
                 block, scalar = SplitMix64(seed), SplitMix64(seed)
-                assert list(block.draws(n)) == [scalar.next_u64() for _ in range(n)], (seed, n)
+                assert list(block.draws(n)) == [next_u64(scalar) for _ in range(n)], (seed, n)
                 assert block.state == scalar.state, (seed, n)
         # a size straight after the same size carries the lane counter; another
-        # size, a next_u64 or a state set from outside makes the next call rebuild it
+        # size, a single randint or a state set from outside makes the next call rebuild it
         n, m = _CHUNK, _CHUNK - 1
         sequences = (
             [("mix", n), ("mix", n), ("mix", m), ("next", 1), ("draws", 5), ("mix", n), ("mix", n)],
@@ -100,14 +100,14 @@ class TestSplitMix64:
                     if kind == "rewind":  # both states set back to the seed from outside
                         block.state = scalar.state = seed
                         continue
-                    if kind == "next":
-                        got = [block.next_u64()]
+                    if kind == "next":  # randint over all of 64 bits returns the draw itself
+                        got = [block.randint(0, MASK64)]
                     elif kind == "draws":
                         got = list(block.draws(k))
                     else:
                         buf = block._mix(k)
                         got = [int.from_bytes(buf[i:i + 8], "little") for i in range(0, len(buf), 16)]
-                    assert got == [scalar.next_u64() for _ in range(k)], (seed, calls, kind, k)
+                    assert got == [next_u64(scalar) for _ in range(k)], (seed, calls, kind, k)
                     assert block.state == scalar.state, (seed, calls, kind, k)
 
     # block lengths step draws, up to the largest (a 1024x1 grid is one block of
@@ -127,7 +127,7 @@ class TestSplitMix64:
         for span in range(1, 129):
             u = sum(max(range(256), key=lambda b: b * pow(256, i, span) % span) << 8 * i for i in range(8))
             seed = seed_for_first_output(u)
-            assert SplitMix64(seed).next_u64() == u
+            assert next_u64(SplitMix64(seed)) == u
             table, drawn = SplitMix64(seed), SplitMix64(seed)
             assert _residues(table._mix(2), span) == bytes(map(mod, drawn.draws(2), repeat(span))), span
 
@@ -297,7 +297,7 @@ class TestStep:
         for i in range(1, 5):
             step(stress, FaultMap.empty(cfg.dims), cfg, rng, 0, step_index=i)
         for _ in range(4 * 15):
-            twin.next_u64()
+            next_u64(twin)
         assert rng.state == twin.state == (4 * 15 * GAMMA) & ((1 << 64) - 1)
 
     # a list-backed map is stepped per cell at every threshold, byte lanes or not

@@ -1,3 +1,4 @@
+import io
 import random
 import re
 import sys
@@ -148,6 +149,26 @@ class TestFullSize:
             assert parsed == big
             assert isinstance(parsed.faults.cells, bytearray)
             assert format_scenario(parsed) == text
+
+    def test_the_largest_valid_file_loads(self):
+        # every unbounded field at the 4,300 digits int() converts by default, on the largest
+        # map: about 1.08 MB, well inside the 2 MiB load_scenario reads
+        top = 10**4300 - 1
+        dims = GridDims(MAX_DIM, MAX_DIM)
+        cfg = SimConfig(dims=dims, seed=2**64 - 1, quake_threshold=top, target_quakes=top,
+                        nonfault_delta_min=-top, nonfault_delta_max=top, fault_delta_min=-top,
+                        fault_delta_max=top, delay_ms=86_400_000, max_steps=top)
+        big = Scenario(cfg=cfg, faults=FaultMap(dims, bytearray(b"\1" * dims.area)))
+        data = format_scenario(big).encode()
+        assert 10**6 < len(data) < 2 << 20
+        assert load_scenario(io.BytesIO(data)) == big
+
+    def test_load_reads_at_most_two_mebibytes(self):
+        # at the bound the text is parsed (and fails on its header); one byte more is not
+        with pytest.raises(ScenarioError, match="^expected 'FAULTSIM 1' header"):
+            load_scenario(io.BytesIO(b"x" * (2 << 20)))
+        with pytest.raises(ScenarioError, match="^scenario is longer than 2097152 bytes$"):
+            load_scenario(io.BytesIO(b"x" * ((2 << 20) + 1)))
 
     def test_parse_from_bytes_keeps_no_decoded_copy(self):
         # the map's rows, the block they fill and its translation: with the whole decoded

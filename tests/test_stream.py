@@ -364,6 +364,24 @@ class TestInterrupt:
         assert steps >= 2
         assert summary == f"Interrupted after {steps} steps with {quakes} earthquakes (seed 1)."
 
+    def test_interactive_counts_a_frame_interrupted_just_after_its_write(self):
+        # Ctrl-C can land as a frame's write returns: that frame is on screen, so it counts
+        class InterruptAfterFrame1(io.StringIO):
+            writes = 0
+
+            def write(self, text: str) -> int:
+                n = super().write(text)
+                self.writes += 1
+                if self.writes == 3:  # the fault map, the empty stress map, then frame 1
+                    raise KeyboardInterrupt
+                return n
+
+        cfg = SimConfig(dims=GridDims(4, 3), seed=1, delay_ms=0, max_steps=5)
+        out = InterruptAfterFrame1()
+        with pytest.raises(KeyboardInterrupt):
+            cli._animate(FaultMap.empty(cfg.dims), cfg, RenderStyle(color_enabled=False), out)
+        assert out.getvalue().endswith("\nInterrupted after 1 steps with 0 earthquakes (seed 1).\n")
+
     def test_interactive_prompt_and_frames_reach_a_pipe_as_written(self):
         # a minute's pause after frame 1: a frame held in a buffer would not arrive before it ends
         cfg = SimConfig(dims=GridDims(4, 3), seed=1, delay_ms=60000, max_steps=5)
