@@ -125,19 +125,18 @@ def _output_file(path: str | None) -> Iterator[IO[str]]:
     written under a temporary name beside its target and renamed over it, with
     the target's permission bits but not its owner, when the block succeeds;
     on any failure the temporary file is removed and the target is left as it
-    was. Targets that are not regular files (/dev/null, a FIFO) are written
-    directly. Opening happens on entry, so a bad path fails before the first step.
+    was. A path that, as named, is not a regular file (/dev/null, a FIFO,
+    /dev/stdout on a pipe) is written directly. Opening happens on entry, so a
+    bad path fails before the first step.
     """
     if path is None:
         yield sys.stdout
         return
-    target = os.path.realpath(path)
+    target = os.path.realpath(path)  # only where the rename goes
     try:
-        mode = os.stat(target).st_mode
-    except FileNotFoundError:  # no target yet
-        mode = None
-    except OSError as exc:  # a name too long, say: it fails now, as open(path) would, not at the rename
-        raise OSError(exc.errno, exc.strerror, path) from None
+        mode = os.stat(path).st_mode  # any other error names the path and fails now, not at the rename
+    except FileNotFoundError:  # no target yet; '' or missing/.. resolves to a directory: in place
+        mode = stat.S_IFDIR if os.path.isdir(target) else None
     if mode is not None and not stat.S_ISREG(mode):
         with open(path, "w", newline="") as fp:
             yield fp

@@ -225,7 +225,7 @@ def step(stress: StressMap, faults: FaultMap, cfg: SimConfig, rng: SplitMix64,
     cell at a time, and switches a map held in bytes to a list of ints the
     first time it must store a value above 255. Each test uses only the
     cell's own post-update value, never a neighbour's. A negative cell
-    raises ValueError, with the chunks before it already stepped. Quakes go
+    raises ValueError before any draw, the map left as it was. Quakes go
     into one mask of the map's size, stored and counted in C by a byte-lane
     chunk, marked cell by cell by a per-cell chunk; no (x, y) is built here.
     """
@@ -233,6 +233,8 @@ def step(stress: StressMap, faults: FaultMap, cfg: SimConfig, rng: SplitMix64,
         raise ValueError("stress, faults and config must share one grid")
 
     cells = stress.cells
+    if not isinstance(cells, bytearray) and (low := min(cells)) < 0:  # bytes hold none
+        raise ValueError(f"stress must be non-negative, got {low}")
     fault_flags = faults.cells
     f_lo, n_lo = cfg.fault_delta_min, cfg.nonfault_delta_min
     spans = n_span, f_span = (cfg.nonfault_delta_max - n_lo + 1, cfg.fault_delta_max - f_lo + 1)
@@ -252,12 +254,9 @@ def step(stress: StressMap, faults: FaultMap, cfg: SimConfig, rng: SplitMix64,
         ones, guards = _byte_lanes(n)
         lanes = int.from_bytes(cells[a:b], "little") if fits else guards
         if lanes & guards or (lanes + ones * room) & guards:  # the config or a cell does not fit
-            chunk = cells[a:b]
-            if (low := min(chunk)) < 0:
-                raise ValueError(f"stress must be non-negative, got {low}")
             chunk = [
                 v if (v := cell + (f_lo + u % f_span if f else n_lo + u % n_span)) > 0 else 0
-                for cell, u, f in zip(chunk, rng.draws(n), fault_flags[a:b])
+                for cell, u, f in zip(cells[a:b], rng.draws(n), fault_flags[a:b])
             ]
             if (high := max(chunk)) > top:
                 top = high

@@ -442,6 +442,7 @@ class TestInteractiveMenu:
             ("2\n", "y: "),
             ("3\n1\n1\n", "center x: center y: radius: "),
             ("4\n0\n0\n3\n", "x0: y0: x1: y1: "),
+            ("6\n", "path: "),  # nothing is saved
         ],
     )
     def test_eof_partway_through_prompts(self, script, prompts, monkeypatch):

@@ -311,6 +311,16 @@ class TestStep:
             with pytest.raises(ValueError, match=f"stress must be non-negative, got {value}"):
                 step(stress, FaultMap.empty(cfg.dims), cfg, SplitMix64(0), 0)
 
+    def test_negative_cell_in_the_last_chunk_leaves_map_and_rng_untouched(self):
+        # the check runs before the first draw, not when the negative cell's chunk comes up
+        cfg = SimConfig(dims=TWO_BLOCKS, seed=5, delay_ms=0)
+        values = [1] * (cfg.dims.area - 1) + [-3]
+        stress, rng = StressMap(cfg.dims, list(values)), SplitMix64(cfg.seed)
+        with pytest.raises(ValueError, match="stress must be non-negative, got -3"):
+            step(stress, FaultMap.empty(cfg.dims), cfg, rng, 0)
+        assert stress.cells == values
+        assert rng.state == cfg.seed
+
     # with zero deltas only a cell that starts at the threshold quakes; byte lanes on a
     # map in bytes hold thresholds up to 128, and from 129 on every chunk is stepped per cell
     @pytest.mark.parametrize("threshold", [100, 127, 128, 129, 1000])

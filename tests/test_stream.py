@@ -4,9 +4,10 @@ engine.iter_steps is the only step loop: run folds it into a summary,
 headless mode writes one CSV row per step as it completes, and interactive
 mode draws one frame per step. These tests pin that rows really leave as
 steps complete, that each report is freed before the next step, that --out
-is opened before the first step and replaced atomically, that a closed
-stdout stops the run, and that the table-driven stress renderer matches a
-per-cell reference.
+is opened before the first step and replaced atomically (or written in
+place when the path as named is not a regular file, such as /dev/stdout on
+a pipe), that a closed stdout stops the run, and that the table-driven
+stress renderer matches a per-cell reference.
 """
 
 import errno
@@ -35,7 +36,7 @@ from faultsim.engine import SimConfig, SplitMix64, iter_steps, run, step
 from faultsim.grid import FaultMap, GridDims, StressMap
 from faultsim.render import (RESET, RenderStyle, StressBands, render_fault_map, render_stress_map,
                              stress_color)
-from faultsim.scenario import STATS_HEADER, format_stats, format_stats_row
+from faultsim.scenario import STATS_HEADER, Scenario, format_scenario, format_stats, format_stats_row
 
 SRC_DIR = str(Path(faultsim.__file__).resolve().parents[1])
 
@@ -518,6 +519,63 @@ class TestOutFile:
         assert rc == 2
         assert stat.S_ISFIFO(os.stat(fifo).st_mode)
         assert len(got) == 1 and got[0].count("\n") == 5
+
+    def test_symlink_target_is_replaced_and_the_link_kept(self, tmp_path, capsys):
+        real, link = tmp_path / "real.csv", tmp_path / "link.csv"
+        real.write_text("previous\n")
+        real.chmod(0o600)
+        link.symlink_to("real.csv")
+        rc = main(LONG_RUN + ["--max-steps", "4", "--out", str(link)])
+        capsys.readouterr()
+        assert rc == 2
+        assert link.is_symlink() and os.readlink(link) == "real.csv"
+        assert real.read_text().splitlines()[0] == STATS_HEADER
+        assert len(real.read_text().splitlines()) == 5
+        assert stat.S_IMODE(real.stat().st_mode) == 0o600
+        assert sorted(tmp_path.iterdir()) == [link, real]
+
+    @staticmethod
+    def _run(*args, stdin: bytes = b"", **kwargs) -> tuple[int, bytes, bytes]:
+        with _spawn(*args, stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                    **kwargs) as proc:
+            out, err = proc.communicate(stdin, timeout=60)
+        return proc.returncode, out, err
+
+    # the path is judged as named: /dev/stdout on a pipe is that pipe, not a file to replace
+    def test_dev_stdout_on_a_pipe_is_written_in_place(self):
+        argv = [*LONG_RUN, "--max-steps", "4"]
+        want = self._run(*argv)
+        assert want[0] == 2 and want[1].count(b"\n") == 5
+        assert self._run(*argv, "--out", "/dev/stdout") == want
+
+    def test_dev_fd_on_a_pipe_is_written_in_place(self):
+        argv = [*LONG_RUN, "--max-steps", "4"]
+        _, want, _ = self._run(*argv)
+        read_end, write_end = os.pipe()
+        try:
+            got = self._run(*argv, "--out", f"/dev/fd/{write_end}", pass_fds=(write_end,))
+        finally:
+            os.close(write_end)
+        with open(read_end, "rb") as fp:  # the four rows fit in the pipe's buffer
+            assert got == (2, b"", b"steps=4 quakes=0 seed=1\n") and fp.read() == want
+
+    def test_menu_save_to_dev_stdout_on_a_pipe(self):
+        rc, out, err = self._run("--no-color", "--width", "3", "--height", "2", "--seed", "1",
+                                 stdin=b"6\n/dev/stdout\n7\n")
+        saved = format_scenario(Scenario(cfg=SimConfig(dims=GridDims(3, 2), seed=1),
+                                         faults=FaultMap.empty(GridDims(3, 2))))
+        assert (rc, err) == (0, b"")
+        assert out.decode() == f"{MENU}choice: path: {saved}Saved /dev/stdout\n{MENU}choice: "
+
+    # '' and missing/.. resolve to a directory: they fail at the open, as open(path) does,
+    # with no temporary file made beside the directory they resolve to
+    @pytest.mark.parametrize("path", ["", "missing/.."])
+    def test_path_resolving_to_a_directory_fails_before_first_step(self, path, tmp_path):
+        work = tmp_path / "work"
+        work.mkdir()
+        got = self._run(*LONG_RUN, "--max-steps", "4", "--out", path, cwd=work)
+        assert got == (1, b"", f"faultsim: [Errno 2] No such file or directory: '{path}'\n".encode())
+        assert list(tmp_path.iterdir()) == [work] and list(work.iterdir()) == []
 
 
 @given(
