@@ -126,21 +126,33 @@ def _output_file(path: str | None) -> Iterator[IO[str]]:
     the target's permission bits but not its owner, when the block succeeds;
     on any failure the temporary file is removed and the target is left as it
     was. A path that, as named, is not a regular file (/dev/null, a FIFO,
-    /dev/stdout on a pipe) is written directly. Opening happens on entry, so a
-    bad path fails before the first step.
+    /dev/stdout on a pipe) is written directly, and so is the regular file
+    open on fd 1 or fd 2 (/dev/stdout with stdout sent to a file), through
+    that descriptor. Opening happens on entry, so a bad path fails before the
+    first step.
     """
     if path is None:
         yield sys.stdout
         return
     target = os.path.realpath(path)  # only where the rename goes
     try:
-        mode = os.stat(path).st_mode  # any other error names the path and fails now, not at the rename
+        info = os.stat(path)  # any other error names the path and fails now, not at the rename
+        mode = info.st_mode
     except FileNotFoundError:  # no target yet; '' or missing/.. resolves to a directory: in place
         mode = stat.S_IFDIR if os.path.isdir(target) else None
     if mode is not None and not stat.S_ISREG(mode):
         with open(path, "w", newline="") as fp:
             yield fp
         return
+    for fd in (1, 2) if mode is not None else ():
+        try:
+            same = os.path.samestat(info, os.fstat(fd))
+        except OSError:  # a closed descriptor matches nothing
+            continue
+        if same:  # a rename would drop what the file holds and what fd 1 or 2 writes to it later
+            with open(fd, "w", newline="", closefd=False) as fp:  # at its offset, in its append mode
+                yield fp
+            return
     # not named after the target, whose name may leave no room for more; random, as a
     # killed run's file stays behind and pids repeat
     tmp = os.path.join(os.path.dirname(target), f".faultsim.{os.getpid()}.{os.urandom(4).hex()}.tmp")

@@ -21,7 +21,8 @@ _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
-_TRUTH = b"\0" + b"\1" * 255  # a fault byte's truth, 0 or 1, as a per-cell chunk reads it
+_TRUTH = b"\0" + b"\1" * 255  # a fault byte's truth, 0 or 1, as the per-cell kernel reads it
+_BELOW_GUARD = bytes(range(0x80))  # the byte values below the guard bit, 0x80
 
 # most cells per block draw in step; step cuts the grid into equal blocks of at most this.
 # 2,048 beats 1,024 on speed; 4,096 gains nothing more and raises peak memory
@@ -172,8 +173,8 @@ class SimConfig(Value):
 
 class QuakedCells(Value):
     """One step's quaked cells: a mask with 0x80 in byte i where cell i quaked, the grid width
-    and their count. Length is the count; iteration decodes each (x, y) in row-major order.
-    It compares and prints by its fields, and does not hash, as the mask is a bytearray."""
+    and their count, read from the mask once. Length is the count; iteration decodes each (x, y)
+    in row-major order. It compares and prints by its fields; its bytearray mask makes it unhashable."""
 
     __slots__ = _FIELDS = ("mask", "width", "count")
 
@@ -214,20 +215,20 @@ def step(stress: StressMap, faults: FaultMap, cfg: SimConfig, rng: SplitMix64,
     rng.randint would give it. Cells go in the fewest chunks of at most
     _CHUNK, as equal in size as they come, so most chunks of a run draw the
     same count and the mixer carries its lane counter from one to the next.
-    When the map is held in bytes and every cell of a chunk and the config
-    fit byte lanes, no Python int is built per cell: the residues come from
-    table lookups on the mixer's bytes, and the add, the clamp, the quake
-    test and the reset act on one int that holds each cell in a byte
-    (Lamport's multiple byte processing with full-word instructions). A
-    guard-bit test finds a chunk with a cell above the running max; the new
-    max is the first byte value, from 0x7F down, found in the chunk's bytes.
-    Any other chunk, and every chunk of a list-backed map, is stepped one
-    cell at a time, and switches a map held in bytes to a list of ints the
-    first time it must store a value above 255. Each test uses only the
-    cell's own post-update value, never a neighbour's. A negative cell
-    raises ValueError before any draw, the map left as it was. Quakes go
-    into one mask of the map's size, stored and counted in C by a byte-lane
-    chunk, marked cell by cell by a per-cell chunk; no (x, y) is built here.
+    One kernel, chosen before the first draw, steps every chunk. Byte lanes
+    run when the map is held in bytes, the config fits them and no cell is
+    within the largest delta of 0x80. They build no Python int per cell: the
+    residues come from table lookups on the mixer's bytes, and the add, the
+    clamp, the quake test and the reset act on one int that holds each cell
+    in a byte (Lamport's multiple byte processing with full-word
+    instructions). A guard-bit test finds a chunk with a cell above the
+    running max; the new max is the first byte value, from 0x7F down, found
+    in the chunk's bytes. Otherwise each cell is stepped on its own. A kept
+    cell is below the threshold, so only a threshold above 256 turns a map in
+    bytes into a list of ints, before the first draw. Each test uses only the
+    cell's own post-update value, never a neighbour's. A negative cell raises
+    ValueError before any draw, the map left as it was. Quakes go into one
+    mask of the map's size, counted once in C; no (x, y) is built here.
     """
     if not (stress.dims == faults.dims == cfg.dims):
         raise ValueError("stress, faults and config must share one grid")
@@ -240,20 +241,21 @@ def step(stress: StressMap, faults: FaultMap, cfg: SimConfig, rng: SplitMix64,
     spans = n_span, f_span = (cfg.nonfault_delta_max - n_lo + 1, cfg.fault_delta_max - f_lo + 1)
     threshold = cfg.quake_threshold
     room = max(cfg.fault_delta_max, cfg.nonfault_delta_max, 0)  # the most a cell can gain
-    # byte lanes hold -delta_min, r < span and any cell below the threshold plus room, so on
-    # a map in bytes under a config that fits them only a chunk with a larger cell goes per cell
+    if threshold > 0x100 and isinstance(cells, bytearray):  # a cell kept, below it, may pass 255
+        stress.cells = cells = list(cells)
+    # byte lanes hold -delta_min, r < span and any cell plus room below 0x80; the translate
+    # deletes every cell that fits, so it leaves none exactly when all of them fit
     fits = (isinstance(cells, bytearray)
-            and max(-min(f_lo, n_lo), max(spans) - 1, threshold - 1 + room) < 0x80)
-    top = count = 0
+            and max(-min(f_lo, n_lo), max(spans) - 1, threshold - 1 + room) < 0x80
+            and not cells.translate(None, _BELOW_GUARD[:0x80 - room]))
+    top = 0
     area = len(cells)
     mask = bytearray(area)
     size = -(-area // -(-area // _CHUNK))  # the fewest blocks of at most _CHUNK, as equal as they come
     for a in range(0, area, size):
         b = min(a + size, area)
         n = b - a
-        ones, guards = _byte_lanes(n)
-        lanes = int.from_bytes(cells[a:b], "little") if fits else guards
-        if lanes & guards or (lanes + ones * room) & guards:  # the config or a cell does not fit
+        if not fits:
             chunk = [
                 v if (v := cell + (f_lo + u % f_span if f else n_lo + u % n_span)) > 0 else 0
                 for cell, u, f in zip(cells[a:b], rng.draws(n), fault_flags[a:b])
@@ -264,14 +266,11 @@ def step(stress: StressMap, faults: FaultMap, cfg: SimConfig, rng: SplitMix64,
                 for i, v in enumerate(chunk):
                     if v >= threshold:
                         mask[a + i] = 0x80
-                        count += 1
                         chunk[i] = 0
-            try:
-                cells[a:b] = chunk
-            except ValueError:  # a value above 255 on a map in bytes: a config that fits byte
-                stress.cells = cells = list(cells)  # lanes quakes it first, so `fits` is False here
-                cells[a:b] = chunk
+            cells[a:b] = chunk
             continue
+        ones, guards = _byte_lanes(n)
+        lanes = int.from_bytes(cells[a:b], "little")
         flags = int.from_bytes(fault_flags[a:b].translate(_TRUTH), "little")  # 1 per fault lane
         buf = rng._mix(n)
         r = int.from_bytes(_residues(buf, n_span), "little")
@@ -281,7 +280,7 @@ def step(stress: StressMap, faults: FaultMap, cfg: SimConfig, rng: SplitMix64,
         x = lanes + r + ones * (0x80 + n_lo) + flags * (f_lo - n_lo)
         g = x & guards  # guard bit set where cell + delta >= 0
         v = x & (g - (g >> 7))  # clamped at 0
-        if top < 0x80 and (v + ones * (0x7F - top)) & guards:  # some lane exceeds top
+        if (v + ones * (0x7F - top)) & guards:  # some lane exceeds top
             vb = v.to_bytes(n, "little")
             top = 0x7F  # no lane holds more; search down for the largest byte present
             while top not in vb:
@@ -289,10 +288,10 @@ def step(stress: StressMap, faults: FaultMap, cfg: SimConfig, rng: SplitMix64,
         q = (v + ones * (0x80 - threshold)) & guards  # guard bit set where v >= threshold
         if q:
             v ^= v & (q - (q >> 7))
-            mask[a:b] = flags = q.to_bytes(n, "little")
-            count += flags.count(0x80)
+            mask[a:b] = q.to_bytes(n, "little")
         cells[a:b] = v.to_bytes(n, "little")
 
+    count = mask.count(0x80)
     return StepReport(step_index, QuakedCells(mask, cfg.dims.width, count),
                       cumulative_quakes + count, top, _total(cells), area)
 

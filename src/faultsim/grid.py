@@ -144,7 +144,7 @@ class FaultMap(_Grid):
 class StressMap(_Grid):
     """Per-cell accumulated stress; values are non-negative integers.
 
-    A new map holds its cells in a bytearray, one byte each; engine.step
-    switches them to a list of ints the first time it must store a value
-    above 255.
+    A new map holds its cells in a bytearray, one byte each. A step keeps
+    only cells below the quake threshold, so engine.step switches them to a
+    list of ints, before its first draw, only when the threshold is above 256.
     """

@@ -369,7 +369,7 @@ def _dims_of(area: int) -> tuple[int, int]:
 ORACLE_DIMS = [_dims_of(area) for area in (1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1, 3 * _CHUNK)]
 # an odd area just over one block: two blocks that differ by one cell
 TWO_BLOCKS = GridDims(41, _CHUNK // 41 + 1 | 1)
-# thresholds on both sides of the largest that byte lanes hold, and far beyond it in the per-cell chunk
+# thresholds on both sides of the largest that byte lanes hold, and far beyond it in the per-cell kernel
 LANE_EDGE_THRESHOLDS = [1, 100, *range(112, 131), 255, 256, 32_767, 32_768, 2**31, 2**63, 10**30]
 
 
@@ -428,8 +428,8 @@ class TestStepOracle:
             cumulative = report.cumulative_quakes
 
     # stock deltas and threshold use byte lanes (guard bit 128): a cell that could
-    # reach 128 with the largest delta (10), or one past 255, makes its chunk a per-cell
-    # chunk; the cells set here lie in both of TWO_BLOCKS' chunks
+    # reach 128 with the largest delta (10), or one past 255, makes the whole step go
+    # per cell; the cells set here lie in both of TWO_BLOCKS' chunks
     @pytest.mark.parametrize("value", [99, 100, 117, 118, 127, 128, 255, 256, 32_757, 32_758, 65_536, 2**63, 10**30, 10**60])
     def test_large_starting_cell_matches_oracle(self, value):
         cfg = SimConfig(dims=TWO_BLOCKS, seed=5, delay_ms=0)
@@ -446,31 +446,35 @@ class TestStepOracle:
             assert step(stress, faults, cfg, rng, 0, i) == step_oracle(expected, faults, cfg, oracle_rng, 0, i)
             assert list(stress.cells) == list(expected.cells)
 
-    # chunk 0 (the first half of TWO_BLOCKS) quakes; chunk 1 holds one cell that does
-    # not fit byte lanes. With 118 or 250 the map stays in bytes, so chunk 0 steps on
-    # byte lanes; a map holding 256 or 10**30 is a list, and a list steps per cell in
-    # every chunk. 118 drifts by at most 5, below chunk 0's 127, so chunk 0 sets
-    # max_stress; the larger values set it from chunk 1.
-    @pytest.mark.parametrize("value,max_from_chunk_1", [(118, False), (250, True), (256, True), (10**30, True)])
-    def test_byte_lane_chunk_beside_per_cell_chunk(self, value, max_from_chunk_1):
-        cfg = SimConfig(dims=TWO_BLOCKS, seed=5, delay_ms=0)
+    # one cell in chunk 1 of TWO_BLOCKS does not fit byte lanes, so every chunk of the
+    # step goes per cell, chunk 0's quaking cells too. With 118 or 250 the map stays in
+    # bytes; a map holding 256 or 10**30 is a list. At threshold 100 four fault cells
+    # start near it, and 118 drifts by at most 5, below their 127, so they set
+    # max_stress; the larger values set it. At threshold 12 every other cell starts below it.
+    @pytest.mark.parametrize("threshold,value", [(100, 118), (100, 250), (100, 256), (100, 10**30), (12, 250)])
+    def test_large_cell_beside_quaking_cells_matches_oracle(self, threshold, value):
+        cfg = SimConfig(dims=TWO_BLOCKS, seed=5, quake_threshold=threshold, delay_ms=0)
         faults = FaultMap.empty(cfg.dims)
         faults.cells[::3] = [1] * len(faults.cells[::3])
-        values = [0] * cfg.dims.area
-        for x, start in ((0, 99), (3, 99), (6, 117), (9, 117)):  # fault cells
-            values[x] = start
-        k = cfg.dims.area - 2  # a non-fault cell in chunk 1
+        w, k = cfg.dims.width, cfg.dims.area - 2  # k: a non-fault cell in chunk 1
         assert not faults.cells[k]
+        if threshold == 12:  # the last cell quakes too
+            values = random.Random(5).choices(range(12), k=cfg.dims.area)
+            first, last = (9, 0), (w - 1, cfg.dims.height - 1)
+        else:
+            values = [0] * cfg.dims.area
+            for x, start in ((0, 99), (3, 99), (6, 117), (9, 117)):  # fault cells
+                values[x] = start
+            first, last = (0, 0), (k % w, k // w)
         values[k] = value
         stress = stress_map(cfg.dims, values)
         expected = copy_grid(stress)
         rng, oracle_rng = SplitMix64(cfg.seed), SplitMix64(cfg.seed)
         report = step(stress, faults, cfg, rng, 0)
-        assert report == step_oracle(expected, faults, cfg, oracle_rng, 0)
-        w = cfg.dims.width
+        TestQuakedCells._check(report, step_oracle(expected, faults, cfg, oracle_rng, 0))
         quaked = tuple(report.quaked_cells)
-        assert quaked[0] == (0, 0) and quaked[-1] == (k % w, k // w)
-        if max_from_chunk_1:
+        assert quaked[0] == first and quaked[-1] == last and (k % w, k // w) in quaked
+        if value > 118:
             assert report.max_stress > 127  # more than any byte lane holds
         else:
             assert report.max_stress > value + 5  # more than the chunk 1 cell reaches
@@ -498,7 +502,7 @@ class TestStepOracle:
     # threshold 250 and 1000 step every chunk per cell; the fault cell gains 100 a
     # step, so step 3 takes it to 300. At 250 it quakes and the map stays in bytes
     # (the oracle stores 300 before its reset, so its map becomes a list); at 1000 the
-    # engine's map becomes a list too.
+    # engine's map becomes a list before step 1's first draw.
     @pytest.mark.parametrize("threshold,widened", [(250, False), (1000, True)])
     def test_per_cell_chunk_widens_past_255(self, threshold, widened):
         cfg = _cfg(dims=TWO_BLOCKS, quake_threshold=threshold,
@@ -510,12 +514,30 @@ class TestStepOracle:
         rng, oracle_rng = SplitMix64(cfg.seed), SplitMix64(cfg.seed)
         for i in (1, 2, 3):
             assert step(stress, faults, cfg, rng, 0, i) == step_oracle(expected, faults, cfg, oracle_rng, 0, i)
-            assert isinstance(stress.cells, list if widened and i == 3 else bytearray)
+            assert isinstance(stress.cells, list if widened else bytearray)
             assert list(stress.cells) == list(expected.cells)
         assert stress.cells[-1] == (300 if widened else 0)
 
+    # the cells a step keeps are below the threshold: at 256 each fits a byte, so a map
+    # in bytes that stores 255 stays in bytes; at 257 a kept 256 would not, so the map
+    # is a list from step 1 on. Step 2 quakes every cell.
+    @pytest.mark.parametrize("threshold,kept,storage", [(256, 255, bytearray), (257, 256, list)])
+    def test_a_map_in_bytes_stays_in_bytes_up_to_threshold_256(self, threshold, kept, storage):
+        cfg = _cfg(dims=TWO_BLOCKS, quake_threshold=threshold, fault_delta_min=kept, fault_delta_max=kept,
+                   nonfault_delta_min=kept, nonfault_delta_max=kept)
+        faults = FaultMap.empty(cfg.dims)
+        stress = StressMap.empty(cfg.dims)
+        expected = copy_grid(stress)
+        rng, oracle_rng = SplitMix64(cfg.seed), SplitMix64(cfg.seed)
+        for i, quakes in ((1, 0), (2, cfg.dims.area)):
+            report = step(stress, faults, cfg, rng, 0, i)
+            assert report == step_oracle(expected, faults, cfg, oracle_rng, 0, i)
+            assert len(report.quaked_cells) == quakes
+            assert isinstance(stress.cells, storage)
+            assert list(stress.cells) == list(expected.cells) == [0 if quakes else kept] * cfg.dims.area
+
     # a byte other than 0 or 1 written into faults.cells after construction passes
-    # FaultMap's check; both chunk kinds read it by truth, as the per-cell oracle does
+    # FaultMap's check; both kernels read it by truth, as the per-cell oracle does
     @pytest.mark.parametrize("in_bytes", [True, False])
     @pytest.mark.parametrize("flag", [2, 255])
     def test_fault_bytes_are_read_by_truth(self, flag, in_bytes):
@@ -620,22 +642,6 @@ class TestQuakedCells:
         rng, oracle_rng = SplitMix64(seed), SplitMix64(seed)
         for i in (1, 2):
             self._check(step(stress, faults, cfg, rng, 0, i), step_oracle(expected, faults, cfg, oracle_rng, 0, i))
-
-    # TWO_BLOCKS with a cell of 250 in chunk 1: chunk 0 on byte lanes, chunk 1 per cell
-    def test_match_the_oracle_on_mixed_chunks(self):
-        cfg = SimConfig(dims=TWO_BLOCKS, seed=5, quake_threshold=12, delay_ms=0)
-        faults = FaultMap.empty(cfg.dims)
-        faults.cells[::3] = [1] * len(faults.cells[::3])
-        values = random.Random(5).choices(range(12), k=cfg.dims.area)
-        values[-2] = 250
-        stress = stress_map(cfg.dims, values)
-        expected = copy_grid(stress)
-        rng, oracle_rng = SplitMix64(cfg.seed), SplitMix64(cfg.seed)
-        report = step(stress, faults, cfg, rng, 0)
-        self._check(report, step_oracle(expected, faults, cfg, oracle_rng, 0))
-        k = cfg.dims.area - 2
-        assert tuple(report.quaked_cells)[0][1] == 0  # chunk 0 quakes
-        assert (k % cfg.dims.width, k // cfg.dims.width) in report.quaked_cells
 
     def test_a_step_without_quakes_is_empty(self):
         cfg = _cfg(dims=GridDims(3, 2))

@@ -46,6 +46,31 @@ map
 end
 """
 
+# stock deltas under threshold 200: the config does not fit byte lanes, so every step
+# goes per cell, while the map stays in bytes (the cells a step keeps are below 200)
+THRESHOLD_200_SCENARIO = """\
+FAULTSIM 1
+width 9
+height 6
+seed 200
+quake_threshold 200
+target_quakes 8
+nonfault_delta_min -5
+nonfault_delta_max 5
+fault_delta_min 0
+fault_delta_max 10
+delay_ms 0
+max_steps 5000
+map
+100000001
+010000010
+001111100
+000010000
+000010000
+111111111
+end
+"""
+
 # threshold 1000 with fault cells that gain 20..60 a step: a cell near the
 # threshold plus the largest delta no longer fits a byte
 THRESHOLD_1000_SCENARIO = """\
@@ -98,6 +123,7 @@ end
 # case name -> the scenario file that "{scenario}" in its arguments names
 SCENARIOS = {
     "negative-lows": NEGATIVE_LOWS_SCENARIO,
+    "threshold-200": THRESHOLD_200_SCENARIO,
     "threshold-1000": THRESHOLD_1000_SCENARIO,
     "threshold-1e30": THRESHOLD_1E30_SCENARIO,
 }
@@ -148,6 +174,13 @@ CASES = {
         1861,
         0,
         "steps=114 quakes=3 seed=7\n",
+    ),
+    "threshold-200": (
+        ["--scenario", "{scenario}"],
+        "abc923cbdacd83bd5a1c1d8e6fc8ca52208d685d76a3d94c3cfdbf908a5b40a3",
+        704,
+        0,
+        "steps=40 quakes=9 seed=200\n",
     ),
     "threshold-1000": (
         ["--scenario", "{scenario}"],

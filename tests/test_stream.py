@@ -6,8 +6,8 @@ mode draws one frame per step. These tests pin that rows really leave as
 steps complete, that each report is freed before the next step, that --out
 is opened before the first step and replaced atomically (or written in
 place when the path as named is not a regular file, such as /dev/stdout on
-a pipe), that a closed stdout stops the run, and that the table-driven
-stress renderer matches a per-cell reference.
+a pipe, or is the file behind fd 1 or fd 2), that a closed stdout stops the
+run, and that the table-driven stress renderer matches a per-cell reference.
 """
 
 import errno
@@ -535,9 +535,10 @@ class TestOutFile:
         assert sorted(tmp_path.iterdir()) == [link, real]
 
     @staticmethod
-    def _run(*args, stdin: bytes = b"", **kwargs) -> tuple[int, bytes, bytes]:
-        with _spawn(*args, stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                    **kwargs) as proc:
+    def _run(*args, stdin: bytes = b"", **kwargs) -> tuple[int, bytes | None, bytes | None]:
+        """Exit code, stdout and stderr; a stream that kwargs sends to a file reads as None."""
+        pipes = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE}
+        with _spawn(*args, stdin=subprocess.PIPE, **pipes | kwargs) as proc:
             out, err = proc.communicate(stdin, timeout=60)
         return proc.returncode, out, err
 
@@ -566,6 +567,41 @@ class TestOutFile:
                                          faults=FaultMap.empty(GridDims(3, 2))))
         assert (rc, err) == (0, b"")
         assert out.decode() == f"{MENU}choice: path: {saved}Saved /dev/stdout\n{MENU}choice: "
+
+    # a path naming the regular file that fd 1 or fd 2 writes is written through that
+    # descriptor: a rename would drop what the file held before (`>> f`) and what the
+    # descriptor writes after it (the closing line, the menu)
+    def test_dev_stdout_appended_to_a_file_keeps_its_lines(self, tmp_path):
+        argv = [*LONG_RUN, "--max-steps", "3"]
+        _, want, _ = self._run(*argv)
+        f = tmp_path / "f"
+        f.write_bytes(b"hello\n")
+        with open(f, "ab") as out:  # `>> f`
+            got = self._run(*argv, "--out", "/dev/stdout", stdout=out)
+        assert got == (2, None, b"steps=3 quakes=0 seed=1\n")
+        assert f.read_bytes() == b"hello\n" + want
+        assert list(tmp_path.iterdir()) == [f]
+
+    def test_dev_stderr_sent_to_a_file_keeps_the_closing_line(self, tmp_path):
+        argv = [*LONG_RUN, "--max-steps", "3"]
+        _, want, _ = self._run(*argv)
+        log = tmp_path / "log"
+        with open(log, "wb") as err:  # `2> log`
+            got = self._run(*argv, "--out", "/dev/stderr", stderr=err)
+        assert got == (2, b"", None)
+        assert log.read_bytes() == want + b"steps=3 quakes=0 seed=1\n"
+        assert list(tmp_path.iterdir()) == [log]
+
+    def test_menu_save_to_dev_stdout_sent_to_a_file(self, tmp_path):
+        g = tmp_path / "g"
+        with open(g, "wb") as out:  # `> g`
+            got = self._run("--no-color", "--width", "3", "--height", "2", "--seed", "5",
+                            stdin=b"6\n/dev/stdout\n7\n", stdout=out)
+        saved = format_scenario(Scenario(cfg=SimConfig(dims=GridDims(3, 2), seed=5),
+                                         faults=FaultMap.empty(GridDims(3, 2))))
+        assert got == (0, None, b"")
+        assert g.read_text() == f"{MENU}choice: path: {saved}Saved /dev/stdout\n{MENU}choice: "
+        assert list(tmp_path.iterdir()) == [g]
 
     # '' and missing/.. resolve to a directory: they fail at the open, as open(path) does,
     # with no temporary file made beside the directory they resolve to
