@@ -24,7 +24,7 @@ _MIX2 = 0x94D049BB133111EB
 _TRUTH = b"\0" + b"\1" * 255  # a fault byte's truth, 0 or 1, as the per-cell kernel reads it
 _BELOW_GUARD = bytes(range(0x80))  # the byte values below the guard bit, 0x80
 
-# most cells per block draw in step; step cuts the grid into equal blocks of at most this.
+# most cells per block draw in a step kernel; each cuts the grid into equal blocks of at most this.
 # 2,048 beats 1,024 on speed; 4,096 gains nothing more and raises peak memory
 _CHUNK = 2048
 
@@ -211,24 +211,12 @@ def step(stress: StressMap, faults: FaultMap, cfg: SimConfig, rng: SplitMix64,
          cumulative_quakes: int, step_index: int = 1) -> StepReport:
     """Advance the stress map by one step, mutating it in place.
 
-    Exactly one rng draw per cell, row-major: cell i gets the same value
-    rng.randint would give it. Cells go in the fewest chunks of at most
-    _CHUNK, as equal in size as they come, so most chunks of a run draw the
-    same count and the mixer carries its lane counter from one to the next.
-    One kernel, chosen before the first draw, steps every chunk. Byte lanes
-    run when the map is held in bytes, the config fits them and no cell is
-    within the largest delta of 0x80. They build no Python int per cell: the
-    residues come from table lookups on the mixer's bytes, and the add, the
-    clamp, the quake test and the reset act on one int that holds each cell
-    in a byte (Lamport's multiple byte processing with full-word
-    instructions). A guard-bit test finds a chunk with a cell above the
-    running max; the new max is the first byte value, from 0x7F down, found
-    in the chunk's bytes. Otherwise each cell is stepped on its own. A kept
-    cell is below the threshold, so only a threshold above 256 turns a map in
-    bytes into a list of ints, before the first draw. Each test uses only the
-    cell's own post-update value, never a neighbour's. A negative cell raises
-    ValueError before any draw, the map left as it was. Quakes go into one
-    mask of the map's size, counted once in C; no (x, y) is built here.
+    Exactly one rng draw per cell, row-major: cell i gets the value rng.randint would give it. The
+    kernel is chosen before the first draw: _lane_kernel if the map is in bytes, the config fits
+    byte lanes and no cell is within the largest delta of 0x80, else _cell_kernel. A kept cell is
+    below the threshold, so only a threshold above 256 turns a map in bytes into a list of ints,
+    before the first draw. A negative cell raises ValueError before any draw, the map left as it
+    was. Quakes go into one mask of the map's size, counted once in C; no (x, y) is built here.
     """
     if not (stress.dims == faults.dims == cfg.dims):
         raise ValueError("stress, faults and config must share one grid")
@@ -248,27 +236,61 @@ def step(stress: StressMap, faults: FaultMap, cfg: SimConfig, rng: SplitMix64,
     fits = (isinstance(cells, bytearray)
             and max(-min(f_lo, n_lo), max(spans) - 1, threshold - 1 + room) < 0x80
             and not cells.translate(None, _BELOW_GUARD[:0x80 - room]))
+    area = len(cells)
+    mask = bytearray(area)  # made after fits, whose translate may copy the whole map
+    kernel = _lane_kernel if fits else _cell_kernel
+    top = kernel(cells, fault_flags, mask, rng, f_lo, n_lo, f_span, n_span, threshold)
+    count = mask.count(0x80)
+    return StepReport(step_index, QuakedCells(mask, cfg.dims.width, count),
+                      cumulative_quakes + count, top, _total(cells), area)
+
+
+def _cell_kernel(cells: bytearray | list[int], fault_flags: bytearray, mask: bytearray, rng: SplitMix64,
+                 f_lo: int, n_lo: int, f_span: int, n_span: int, threshold: int) -> int:
+    """Step each cell on its own; return the largest value before the quake reset.
+
+    Cells go in the fewest chunks of at most _CHUNK, as equal in size as they come, so most
+    chunks of a run draw the same count and the mixer carries its lane counter from one to
+    the next. A cell at or above the threshold gets 0x80 in mask and is reset to 0. Each test
+    uses only the cell's own post-update value, never a neighbour's.
+    """
     top = 0
     area = len(cells)
-    mask = bytearray(area)
     size = -(-area // -(-area // _CHUNK))  # the fewest blocks of at most _CHUNK, as equal as they come
     for a in range(0, area, size):
         b = min(a + size, area)
         n = b - a
-        if not fits:
-            chunk = [
-                v if (v := cell + (f_lo + u % f_span if f else n_lo + u % n_span)) > 0 else 0
-                for cell, u, f in zip(cells[a:b], rng.draws(n), fault_flags[a:b])
-            ]
-            if (high := max(chunk)) > top:
-                top = high
-            if high >= threshold:
-                for i, v in enumerate(chunk):
-                    if v >= threshold:
-                        mask[a + i] = 0x80
-                        chunk[i] = 0
-            cells[a:b] = chunk
-            continue
+        chunk = [
+            v if (v := cell + (f_lo + u % f_span if f else n_lo + u % n_span)) > 0 else 0
+            for cell, u, f in zip(cells[a:b], rng.draws(n), fault_flags[a:b])
+        ]
+        if (high := max(chunk)) > top:
+            top = high
+        if high >= threshold:
+            for i, v in enumerate(chunk):
+                if v >= threshold:
+                    mask[a + i] = 0x80
+                    chunk[i] = 0
+        cells[a:b] = chunk
+    return top
+
+
+def _lane_kernel(cells: bytearray, fault_flags: bytearray, mask: bytearray, rng: SplitMix64,
+                 f_lo: int, n_lo: int, f_span: int, n_span: int, threshold: int) -> int:
+    """_cell_kernel's step on byte lanes: the same chunks, mask and result.
+
+    Byte lanes build no Python int per cell: the residues come from table lookups on the
+    mixer's bytes, and the add, the clamp, the quake test and the reset act on one int that
+    holds each cell in a byte (Lamport's multiple byte processing with full-word
+    instructions). A guard-bit test finds a chunk with a cell above the running max; the new
+    max is the first byte value, from 0x7F down, found in the chunk's bytes.
+    """
+    top = 0
+    area = len(cells)
+    size = -(-area // -(-area // _CHUNK))  # the fewest blocks of at most _CHUNK, as equal as they come
+    for a in range(0, area, size):
+        b = min(a + size, area)
+        n = b - a
         ones, guards = _byte_lanes(n)
         lanes = int.from_bytes(cells[a:b], "little")
         flags = int.from_bytes(fault_flags[a:b].translate(_TRUTH), "little")  # 1 per fault lane
@@ -290,10 +312,7 @@ def step(stress: StressMap, faults: FaultMap, cfg: SimConfig, rng: SplitMix64,
             v ^= v & (q - (q >> 7))
             mask[a:b] = q.to_bytes(n, "little")
         cells[a:b] = v.to_bytes(n, "little")
-
-    count = mask.count(0x80)
-    return StepReport(step_index, QuakedCells(mask, cfg.dims.width, count),
-                      cumulative_quakes + count, top, _total(cells), area)
+    return top
 
 
 def _total(cells: bytearray | list[int]) -> int:

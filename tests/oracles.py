@@ -5,9 +5,10 @@ formulations in the package: segments are computed by direct nearest-cell
 rounding per major-axis column, circles by exact integer square roots per
 octant column. `next_u64` is SplitMix64 one output at a time, with its own
 constants, where the engine mixes a whole block of draws in the 128-bit
-lanes of one int. The step oracle draws each cell through it, where the
-engine draws up to `engine._CHUNK` (2,048) cells in one block, and returns
-the engine's own report, quake mask included.
+lanes of one int. The step oracle draws each cell through it, where both
+engine kernels (`engine._lane_kernel` and `engine._cell_kernel`) draw up to
+`engine._CHUNK` (2,048) cells in one block, and it returns the engine's own
+report, quake mask included.
 `strip_ansi` removes the renderer's colour codes, so a coloured frame can be
 checked against a plain one. `format_mean` rounds an exact `Fraction` mean,
 where the CSV writer rounds the two ints of a report in integer arithmetic.
@@ -156,7 +157,7 @@ def step_oracle(
         else:
             delta = n_lo + next_u64(rng) % (n_hi - n_lo + 1)
         value = max(cells[i] + delta, 0)
-        if value > 0xFF and isinstance(cells, bytearray):  # the engine's switch to a list
+        if value > 0xFF and isinstance(cells, bytearray):  # the engine picks a list before any draw
             stress.cells = cells = list(cells)
         cells[i] = value
 

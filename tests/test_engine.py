@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from faultsim import engine
 from faultsim.engine import (_CHUNK, QuakedCells, SimConfig, SplitMix64, StepReport, _residues, _total,
                              iter_steps, run, step)
 from faultsim.grid import FaultMap, GridDims, StressMap
@@ -363,14 +364,17 @@ def _dims_of(area: int) -> tuple[int, int]:
     return next((w, area // w) for w in range(math.isqrt(area), 0, -1) if area % w == 0 and area // w <= 1024)
 
 
-# step cuts a grid into the fewest blocks of at most _CHUNK cells, as equal as they
-# come. Areas: one cell; one block a cell short of _CHUNK; one full block; _CHUNK + 1
-# and 2*_CHUNK + 1, which split into blocks that differ by one cell; three full blocks
+# each step kernel cuts a grid into the fewest blocks of at most _CHUNK cells, as equal
+# as they come. Areas: one cell; one block a cell short of _CHUNK; one full block;
+# _CHUNK + 1 and 2*_CHUNK + 1, which split into blocks that differ by one cell; three full blocks
 ORACLE_DIMS = [_dims_of(area) for area in (1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1, 3 * _CHUNK)]
 # an odd area just over one block: two blocks that differ by one cell
 TWO_BLOCKS = GridDims(41, _CHUNK // 41 + 1 | 1)
 # thresholds on both sides of the largest that byte lanes hold, and far beyond it in the per-cell kernel
 LANE_EDGE_THRESHOLDS = [1, 100, *range(112, 131), 255, 256, 32_767, 32_768, 2**31, 2**63, 10**30]
+# _lane_kernel as step finds it, or patched to _cell_kernel: then every step goes per cell, and
+# the per-cell kernel meets the oracle on the inputs that byte lanes would take too
+LANE_KERNELS = [engine._lane_kernel, engine._cell_kernel]
 
 
 @st.composite
@@ -391,10 +395,12 @@ class TestStepOracle:
         fault_range=delta_range(),
         threshold=st.one_of(st.sampled_from(LANE_EDGE_THRESHOLDS), st.integers(1, 64), st.integers(1, 10**30)),
         fault_every=st.integers(1, 7),
+        lane_kernel=st.sampled_from(LANE_KERNELS),
         data=st.data(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_step_matches_per_cell_oracle(self, dims, seed, fault_range, threshold, fault_every, data):
+    def test_step_matches_per_cell_oracle(self, dims, seed, fault_range, threshold, fault_every, lane_kernel,
+                                          data):
         fault_span = fault_range[1] - fault_range[0] + 1
         nonfault_range = data.draw(st.one_of(delta_range(), delta_range(span=fault_span)), "nonfault_range")
         cfg = SimConfig(
@@ -420,12 +426,14 @@ class TestStepOracle:
         expected = copy_grid(stress)
         rng, oracle_rng = SplitMix64(seed), SplitMix64(seed)
         cumulative = 0
-        for i in range(1, 4):
-            report = step(stress, faults, cfg, rng, cumulative, step_index=i)
-            assert report == step_oracle(expected, faults, cfg, oracle_rng, cumulative, step_index=i)
-            assert list(stress.cells) == list(expected.cells)
-            assert rng.state == oracle_rng.state
-            cumulative = report.cumulative_quakes
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "_lane_kernel", lane_kernel)
+            for i in range(1, 4):
+                report = step(stress, faults, cfg, rng, cumulative, step_index=i)
+                assert report == step_oracle(expected, faults, cfg, oracle_rng, cumulative, step_index=i)
+                assert list(stress.cells) == list(expected.cells)
+                assert rng.state == oracle_rng.state
+                cumulative = report.cumulative_quakes
 
     # stock deltas and threshold use byte lanes (guard bit 128): a cell that could
     # reach 128 with the largest delta (10), or one past 255, makes the whole step go
@@ -500,11 +508,11 @@ class TestStepOracle:
         assert cumulative > 0
 
     # threshold 250 and 1000 step every chunk per cell; the fault cell gains 100 a
-    # step, so step 3 takes it to 300. At 250 it quakes and the map stays in bytes
-    # (the oracle stores 300 before its reset, so its map becomes a list); at 1000 the
-    # engine's map becomes a list before step 1's first draw.
+    # step, so step 3 takes it to 300. At 250 it quakes, reset before it is stored, and
+    # the map stays in bytes (the oracle stores 300 before its reset, so its map becomes
+    # a list); at 1000 the engine's map becomes a list before step 1's first draw.
     @pytest.mark.parametrize("threshold,widened", [(250, False), (1000, True)])
-    def test_per_cell_chunk_widens_past_255(self, threshold, widened):
+    def test_a_cell_past_255_quakes_in_bytes_or_is_kept_in_a_list(self, threshold, widened):
         cfg = _cfg(dims=TWO_BLOCKS, quake_threshold=threshold,
                    fault_delta_min=100, fault_delta_max=100, nonfault_delta_min=0, nonfault_delta_max=1)
         faults = FaultMap.empty(cfg.dims)
@@ -586,6 +594,81 @@ class TestStepOracle:
         assert cumulative > 0
 
 
+class TestStepOracleOnCellKernel:
+    """Oracle comparisons of TestStepOracle again, with _lane_kernel patched to _cell_kernel."""
+
+    @pytest.fixture(autouse=True)
+    def _cell_kernel_only(self, monkeypatch):
+        monkeypatch.setattr(engine, "_lane_kernel", engine._cell_kernel)
+
+    test_fault_bytes_are_read_by_truth = TestStepOracle.test_fault_bytes_are_read_by_truth
+    test_wide_and_differing_spans_match_oracle = TestStepOracle.test_wide_and_differing_spans_match_oracle
+
+
+@pytest.fixture
+def kernels_run(monkeypatch):
+    """The name of each kernel step calls, in call order; each still steps the map."""
+    names = []
+    for name in ("_lane_kernel", "_cell_kernel"):
+        def spy(*args, kernel=getattr(engine, name), name=name):
+            names.append(name)
+            return kernel(*args)
+        monkeypatch.setattr(engine, name, spy)
+    return names
+
+
+class TestKernelChoice:
+    """step picks one kernel per step, before its first draw. With the stock deltas (non-fault
+    -5..5, fault 0..10) a byte lane holds a cell of up to 117 and a threshold of up to 118:
+    117 + 10 is 127, the largest value below the guard bit."""
+
+    LANE, CELL = "_lane_kernel", "_cell_kernel"
+
+    @pytest.mark.parametrize("kwargs,start,in_bytes,kernel", [
+        ({}, 0, True, LANE),  # an empty map in bytes
+        ({}, 0, False, CELL),  # the same cells in a list
+        ({"quake_threshold": 118}, 0, True, LANE),
+        ({"quake_threshold": 119}, 0, True, CELL),
+        ({}, 117, True, LANE),
+        ({}, 118, True, CELL),
+        ({"nonfault_delta_min": -127, "nonfault_delta_max": -1}, 0, True, LANE),  # -delta_min below 0x80
+        ({"nonfault_delta_min": -128, "nonfault_delta_max": -1}, 0, True, CELL),
+        ({"quake_threshold": 10, "nonfault_delta_min": -64, "nonfault_delta_max": 63}, 0, True, LANE),  # span 128
+        ({"quake_threshold": 10, "nonfault_delta_min": -64, "nonfault_delta_max": 64}, 0, True, CELL),  # span 129
+    ], ids=["bytes", "list", "threshold-118", "threshold-119", "cell-117", "cell-118", "low-127", "low-128",
+            "span-128", "span-129"])
+    def test_one_kernel_per_step(self, kernels_run, kwargs, start, in_bytes, kernel):
+        cfg = SimConfig(dims=TWO_BLOCKS, seed=5, delay_ms=0, **kwargs)
+        faults = FaultMap.empty(cfg.dims)
+        faults.cells[::3] = b"\1" * len(faults.cells[::3])
+        values = [0] * cfg.dims.area
+        values[-1] = start  # the last cell, in the second chunk
+        stress = StressMap(cfg.dims, bytearray(values) if in_bytes else values)
+        step(stress, faults, cfg, SplitMix64(cfg.seed), 0)
+        assert kernels_run == [kernel]
+
+    def test_a_threshold_past_256_steps_a_list_per_cell(self, kernels_run):
+        cfg = SimConfig(dims=TWO_BLOCKS, seed=5, quake_threshold=257, delay_ms=0)
+        stress = StressMap.empty(cfg.dims)
+        step(stress, FaultMap.empty(cfg.dims), cfg, SplitMix64(cfg.seed), 0)
+        assert isinstance(stress.cells, list)
+        assert kernels_run == [self.CELL]
+
+    # the benchmark's configs: small-long (20x20, 2,500 steps) and animate (100x100, 60 steps)
+    # at threshold 100, large-grid (1024x1024, 2 steps) at 10, all with the stock deltas
+    @pytest.mark.parametrize("width,height,threshold,steps", [
+        (20, 20, 100, 2_500), (1024, 1024, 10, 2), (100, 100, 100, 60)])
+    def test_benchmark_configs_run_on_byte_lanes(self, kernels_run, width, height, threshold, steps):
+        dims = GridDims(width, height)
+        cfg = SimConfig(dims=dims, seed=1, quake_threshold=threshold, target_quakes=dims.area * steps + 1,
+                        delay_ms=0, max_steps=steps)
+        faults = FaultMap.empty(dims)
+        faults.cells[::4] = b"\1" * len(faults.cells[::4])
+        reports = list(iter_steps(StressMap.empty(dims), faults, cfg))
+        assert len(reports) == steps and sum(len(r.quaked_cells) for r in reports) > 0
+        assert kernels_run == [self.LANE] * steps
+
+
 class TestTotal:
     # runs of one byte value, 255 among them, fill whole 256-byte pieces: 256 * 255 is the
     # most a piece sums to, still below adler32's modulus of 65,521
@@ -627,11 +710,12 @@ class TestQuakedCells:
             assert clone == report == expected
             assert clone.quaked_cells == quaked and list(clone.quaked_cells) == decoded
 
-    # byte lanes in every chunk (a map in bytes) or per cell in every chunk (a list)
+    # byte lanes in every chunk (a map in bytes) or per cell in every chunk (a list), or per
+    # cell on both with _lane_kernel patched to _cell_kernel
     @given(dims=st.sampled_from(ORACLE_DIMS), seed=st.integers(0, 2**64 - 1), threshold=st.integers(1, 20),
-           in_bytes=st.booleans())
+           in_bytes=st.booleans(), lane_kernel=st.sampled_from(LANE_KERNELS))
     @settings(max_examples=30, deadline=None)
-    def test_match_the_oracle(self, dims, seed, threshold, in_bytes):
+    def test_match_the_oracle(self, dims, seed, threshold, in_bytes, lane_kernel):
         cfg = _cfg(dims=GridDims(*dims), seed=seed, quake_threshold=threshold, fault_delta_min=0,
                    fault_delta_max=10, nonfault_delta_min=-5, nonfault_delta_max=5)
         faults = FaultMap.empty(cfg.dims)
@@ -640,8 +724,10 @@ class TestQuakedCells:
         stress = StressMap(cfg.dims, bytearray(values) if in_bytes else values)
         expected = copy_grid(stress)
         rng, oracle_rng = SplitMix64(seed), SplitMix64(seed)
-        for i in (1, 2):
-            self._check(step(stress, faults, cfg, rng, 0, i), step_oracle(expected, faults, cfg, oracle_rng, 0, i))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "_lane_kernel", lane_kernel)
+            for i in (1, 2):
+                self._check(step(stress, faults, cfg, rng, 0, i), step_oracle(expected, faults, cfg, oracle_rng, 0, i))
 
     def test_a_step_without_quakes_is_empty(self):
         cfg = _cfg(dims=GridDims(3, 2))

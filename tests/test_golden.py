@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import faultsim
+from faultsim import engine
 from faultsim.cli import main
 from faultsim.engine import QuakedCells
 
@@ -251,3 +252,11 @@ def test_headless_run_never_decodes_quaked_cells(tmp_path, name, monkeypatch, ca
     out, captured_err = capsys.readouterr()
     assert (hashlib.sha256(out.encode()).hexdigest(), len(out)) == (digest, length)
     assert captured_err == err
+
+
+# with _lane_kernel patched to _cell_kernel, every step of every case goes per cell, and each
+# run must still give its pinned CSV
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_headless_run_on_the_cell_kernel_alone(tmp_path, name, monkeypatch, capsys):
+    monkeypatch.setattr(engine, "_lane_kernel", engine._cell_kernel)
+    test_headless_run_never_decodes_quaked_cells(tmp_path, name, monkeypatch, capsys)
