@@ -33,22 +33,30 @@ MAX_DELAY_MS = 86_400_000
 
 
 @lru_cache(maxsize=4)
-def _lanes(n: int) -> tuple[struct.Struct, int, int, int, int]:
-    """The layout and constants of n 128-bit lanes, each holding a uint64 in its low half.
+def _lanes(n: int) -> tuple[struct.Struct, int, int, int, int, int, int, int, int, int]:
+    """The layout and constants of n 64-bit lanes, lane k holding the uint64 of draw k.
 
-    Returns the packer of that layout and four lane ints: `ones` (1 in every
-    lane), `mask` (the low 64 bits of every lane), `ramp` ((k+1)*gamma
-    mod 2**64 in lane k) and `stride` (n*gamma mod 2**64 in every lane,
-    which takes one block's mixer inputs to the next block's).
+    Returns the packer of that layout and nine lane ints: `top` (bit 63 of
+    every lane), `even` and `odd` (every bit of the even and of the odd lanes,
+    none past lane n-1), `keep30`, `keep27` and `keep31` (the low 64-s bits
+    of every lane, for the mixer's shift by s), `ramp` ((k+1)*gamma mod 2**64
+    in lane k), and `stride` and `stride_top` (the low 63 bits and bit 63 of
+    n*gamma mod 2**64 in every lane, which take one block's mixer inputs to
+    the next block's; `stride_top` is `top` itself or 0).
     """
-    layout = struct.Struct("<" + "Q8x" * n)
+    layout = struct.Struct(f"<{n}Q")
 
     def pack(values: list[int]) -> int:
         return int.from_bytes(layout.pack(*values), "little")
 
     ones = pack([1] * n)
-    ramp = [(k + 1) * _GAMMA & _MASK64 for k in range(n)]
-    return layout, ones, pack([_MASK64] * n), pack(ramp), (n * _GAMMA & _MASK64) * ones
+    top = ones << 63
+    even = pack([_MASK64, 0] * (n // 2) + [_MASK64] * (n % 2))
+    step = n * _GAMMA & _MASK64
+    return (layout, top, even, even ^ ((1 << 64 * n) - 1),
+            *((_MASK64 >> s) * ones for s in (30, 27, 31)),
+            pack([(k + 1) * _GAMMA & _MASK64 for k in range(n)]),
+            (step & _MASK64 >> 1) * ones, top if step >> 63 else 0)
 
 
 @lru_cache(maxsize=8)
@@ -63,7 +71,7 @@ def _residue_tables(span: int) -> tuple[tuple[bytes, ...], bytes, int]:
 
 
 def _residues(buf: bytes, span: int) -> bytes:
-    """u mod span for each 64-bit u in the low half of buf's 16-byte lanes, one byte each.
+    """u mod span for each 64-bit u in buf's 8-byte lanes, one byte each.
 
     u = sum of b_i*256**i over its bytes b_i, so u mod span is the sum of
     table i's entries, mod span. The partial sums add on byte lanes; once
@@ -71,13 +79,13 @@ def _residues(buf: bytes, span: int) -> bytes:
     before the next one is added, so no byte carries into its neighbour.
     """
     tables, reduce, fit = _residue_tables(span)
-    n = len(buf) // 16
+    n = len(buf) // 8
     acc = held = 0
     for i, table in enumerate(tables):
         if held == fit:
             acc = int.from_bytes(acc.to_bytes(n, "little").translate(reduce), "little")
             held = 1
-        acc += int.from_bytes(buf[i::16].translate(table), "little")
+        acc += int.from_bytes(buf[i::8].translate(table), "little")
         held += 1
     return acc.to_bytes(n, "little").translate(reduce)
 
@@ -103,32 +111,41 @@ class SplitMix64:
         self._carry: tuple[int, int, int] | None = None  # see _mix
 
     def _mix(self, n: int) -> bytes:
-        """The next n outputs of the stream, each in the low half of a 16-byte lane.
+        """The next n outputs of the stream, one per 8-byte lane.
 
         Output k is mix(state + (k+1)*gamma), mix being the 30/27/31
-        xor-shift-multiply finaliser. The n inputs sit in the 128-bit lanes
-        of one int, so each mixer operation below acts on every lane at
-        once: a 64x64-bit product fits in its lane, and the mask after each
-        xor-shift drops the bits shifted in from the next lane.
+        xor-shift-multiply finaliser. The n inputs sit in the 64-bit lanes of
+        one int, so each mixer operation below acts on every lane at once:
+        the add carries only into bit 63 of each lane and xors that bit; a
+        mask after each xor-shift drops the bits shifted in from the next
+        lane; and the even and the odd lanes are multiplied apart, so the
+        high half of a 64x64-bit product lands in a lane the mask clears.
 
         The inputs are kept in `_carry`, tagged with the state and n the next
         block starts from. A call that matches the tag (n draws straight after
-        n draws) gets its inputs from them with one add of `stride` and one
-        mask; any other call builds them from the state.
+        n draws) gets its inputs from them with one lane-wise add of `stride`;
+        any other call builds them from the state with one of `ramp`.
         """
-        _, ones, mask, ramp, stride = _lanes(n)
+        _, top, even, odd, keep30, keep27, keep31, ramp, stride, stride_top = _lanes(n)
         state = self.state
         carry = self._carry
         if carry is not None and carry[0] == state and carry[1] == n:
-            z = (carry[2] + stride) & mask
+            z, low, high = carry[2], stride, stride_top
         else:
-            z = (state * ones + ramp) & mask
+            z, high = state * (top >> 63), ramp & top
+            low = ramp ^ high
+        t = z & top  # z + (low | high) mod 2**64 in every lane: the low 63 bits add, bit 63 xors
+        z = ((z ^ t) + low) ^ t ^ high
         self.state = state = (state + n * _GAMMA) & _MASK64
         self._carry = (state, n, z)
-        z = ((z ^ (z >> 30)) & mask) * _MIX1 & mask
-        z = ((z ^ (z >> 27)) & mask) * _MIX2 & mask
-        z ^= z >> 31  # bits this shifts into a lane's high half are never read
-        return z.to_bytes(16 * n, "little")
+        z ^= (z >> 30) & keep30
+        e = z & even
+        z = (e * _MIX1 & even) | ((z ^ e) * _MIX1 & odd)
+        z ^= (z >> 27) & keep27
+        e = z & even
+        z = (e * _MIX2 & even) | ((z ^ e) * _MIX2 & odd)
+        z ^= (z >> 31) & keep31
+        return z.to_bytes(8 * n, "little")
 
     def draws(self, n: int) -> tuple[int, ...]:
         """The next n outputs of the stream as ints; state moves n gammas."""

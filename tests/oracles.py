@@ -4,11 +4,11 @@ The rasterizer oracles deliberately avoid the incremental error-accumulator
 formulations in the package: segments are computed by direct nearest-cell
 rounding per major-axis column, circles by exact integer square roots per
 octant column. `next_u64` is SplitMix64 one output at a time, with its own
-constants, where the engine mixes a whole block of draws in the 128-bit
-lanes of one int. The step oracle draws each cell through it, where both
-engine kernels (`engine._lane_kernel` and `engine._cell_kernel`) draw up to
-`engine._CHUNK` (2,048) cells in one block, and it returns the engine's own
-report, quake mask included.
+constants, where the engine mixes a whole block of draws in the 64-bit
+lanes of one int, draw k in lane k. The step oracle draws each cell through
+it, where both engine kernels (`engine._lane_kernel` and
+`engine._cell_kernel`) draw up to `engine._CHUNK` (2,048) cells in one
+block, and it returns the engine's own report, quake mask included.
 `strip_ansi` removes the renderer's colour codes, so a coloured frame can be
 checked against a plain one. `format_mean` rounds an exact `Fraction` mean,
 where the CSV writer rounds the two ints of a report in integer arithmetic.

@@ -94,8 +94,19 @@ class TestSplitMix64:
             [("mix", 1), ("mix", 1), ("next", 1), ("mix", 1), ("draws", 1), ("mix", 1), ("mix", 2), ("mix", 2)],
             [("mix", n), ("mix", n), ("rewind", 0), ("mix", n), ("mix", n)],
         )
-        for seed in (0, 1, 2**64 - 1, GAMMA):
-            for calls in sequences:
+        cases = {seed: list(sequences) for seed in (0, 1, 2**64 - 1, GAMMA)}
+        # both lane-wise adds, the rebuilt one (state + (k+1)*gamma) on the first call and the
+        # carried one (+ n*gamma) on the next four, meet lanes below the top one that wrap past
+        # 2**64 and lanes that do not, for even and odd n; a plain + would carry into the next lane
+        for seed, n in ((2**63, 2), (2**63, 3), (3 << 62, _CHUNK), (1 << 62, _CHUNK - 1)):
+            rebuilt = [seed + ((k + 1) * GAMMA & MASK64) > MASK64 for k in range(n)]
+            carried = [((seed + (c * n + k + 1) * GAMMA) & MASK64) + (n * GAMMA & MASK64) > MASK64
+                       for c in range(4) for k in range(n)]
+            for wraps in (rebuilt, carried):
+                assert any(w for k, w in enumerate(wraps) if k % n < n - 1) and not all(wraps), (seed, n)
+            cases.setdefault(seed, []).append([("mix", n)] * 5)
+        for seed, seed_sequences in cases.items():
+            for calls in seed_sequences:
                 block, scalar = SplitMix64(seed), SplitMix64(seed)
                 for kind, k in calls:
                     if kind == "rewind":  # both states set back to the seed from outside
@@ -107,9 +118,28 @@ class TestSplitMix64:
                         got = list(block.draws(k))
                     else:
                         buf = block._mix(k)
-                        got = [int.from_bytes(buf[i:i + 8], "little") for i in range(0, len(buf), 16)]
+                        assert len(buf) == 8 * k, (seed, calls, kind, k)
+                        got = [int.from_bytes(buf[i:i + 8], "little") for i in range(0, len(buf), 8)]
                     assert got == [next_u64(scalar) for _ in range(k)], (seed, calls, kind, k)
                     assert block.state == scalar.state, (seed, calls, kind, k)
+
+    @given(seed=st.integers(0, MASK64),
+           calls=st.lists(st.tuples(st.integers(1, 2 * _CHUNK + 1), st.integers(1, 3),
+                                    st.none() | st.integers(0, MASK64)), max_size=4))
+    @settings(max_examples=25, deadline=None)
+    def test_block_sizes_and_resets_match_scalar_stream(self, seed, calls):
+        # each size is drawn repeat_count times in a row, so the carried inputs are used too;
+        # a reset sets both states from outside before the size's first block
+        block, scalar = SplitMix64(seed), SplitMix64(seed)
+        got, want = [], []
+        for n, repeat_count, reset in calls:
+            if reset is not None:
+                block.state = scalar.state = reset
+            for _ in range(repeat_count):
+                got += block.draws(n)
+                want += [next_u64(scalar) for _ in range(n)]
+                assert block.state == scalar.state, (n, reset)
+        assert got == want
 
     # block lengths step draws, up to the largest (a 1024x1 grid is one block of
     # 1,024), and every span byte lanes hold
