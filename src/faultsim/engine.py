@@ -102,13 +102,19 @@ class SplitMix64:
     Chosen for portability: the recurrence is a handful of 64-bit wrapping
     ops, so any implementation in any language produces the same stream for
     the same seed. Statistical polish beyond that is irrelevant here.
+
+    Output k is a pure function of state + k*gamma, so draws can be mixed
+    before the call that takes them without changing the stream: `residues`
+    mixes and reduces several calls' draws in one block and keeps the rest,
+    and `state` always moves exactly one gamma per draw served.
     """
 
-    __slots__ = ("state", "_carry")
+    __slots__ = ("state", "_carry", "_ahead")
 
     def __init__(self, seed: int) -> None:
         self.state = seed & _MASK64
         self._carry: tuple[int, int, int] | None = None  # see _mix
+        self._ahead: tuple[int, int, tuple[int, ...], list[bytes], int] | None = None  # see residues
 
     def _mix(self, n: int) -> bytes:
         """The next n outputs of the stream, one per 8-byte lane.
@@ -146,6 +152,31 @@ class SplitMix64:
         z = (e * _MIX2 & even) | ((z ^ e) * _MIX2 & odd)
         z ^= (z >> 31) & keep31
         return z.to_bytes(8 * n, "little")
+
+    def residues(self, n: int, spans: tuple[int, ...], ahead: int) -> tuple[bytes, ...]:
+        """The next n outputs mod each span (1 to 128): one bytes per span, one byte per draw.
+
+        A call that finds no block kept for it mixes `ahead` calls' worth of draws, ahead * n,
+        reduces them by every span and serves the first n; the rest is kept, tagged with
+        the state after the draws served, n and spans, with the offset into it. A call that
+        matches the tag (n draws of the same spans straight after n draws) is served from
+        the block without mixing. Any other call (another size or spans, or one after
+        `draws`, `randint` or a state set from outside) mixes a new block from the state,
+        which is right because the block is a pure function of the state. Either way the
+        state moves n gammas, so the ahead * n mix leaves `_carry` tagged with the state
+        the next block starts from, and that block takes the carried path.
+        """
+        state = self.state
+        kept = self._ahead
+        if kept is not None and kept[0] == state and kept[1] == n and kept[2] == spans:
+            block, at = kept[3], kept[4]
+        else:
+            buf = self._mix(ahead * n)
+            block, at = [_residues(buf, span) for span in spans], 0
+        end = at + n
+        self.state = state = (state + n * _GAMMA) & _MASK64
+        self._ahead = (state, n, spans, block, end) if end < len(block[0]) else None
+        return tuple([b[at:end] for b in block])
 
     def draws(self, n: int) -> tuple[int, ...]:
         """The next n outputs of the stream as ints; state moves n gammas."""
@@ -228,7 +259,9 @@ def step(stress: StressMap, faults: FaultMap, cfg: SimConfig, rng: SplitMix64,
          cumulative_quakes: int, step_index: int = 1) -> StepReport:
     """Advance the stress map by one step, mutating it in place.
 
-    Exactly one rng draw per cell, row-major: cell i gets the value rng.randint would give it. The
+    Exactly one rng draw per cell, row-major: cell i gets the value rng.randint would give it, and
+    rng.state moves one gamma per cell. On byte lanes a small grid's draws may come from a block
+    an earlier step mixed ahead and left in rng (see _lane_kernel); the values are the same. The
     kernel is chosen before the first draw: _lane_kernel if the map is in bytes, the config fits
     byte lanes and no cell is within the largest delta of 0x80, else _cell_kernel. A kept cell is
     below the threshold, so only a threshold above 256 turns a map in bytes into a list of ints,
@@ -301,20 +334,28 @@ def _lane_kernel(cells: bytearray, fault_flags: bytearray, mask: bytearray, rng:
     holds each cell in a byte (Lamport's multiple byte processing with full-word
     instructions). A guard-bit test finds a chunk with a cell above the running max; the new
     max is the first byte value, from 0x7F down, found in the chunk's bytes.
+
+    Each chunk's residues come from one rng.residues call with ahead = _CHUNK // area or 1,
+    chosen by the step's area, not by the chunk's size: a step of one chunk of at most
+    _CHUNK // 2 cells has the draws of that many steps mixed and reduced in one block, and
+    the next steps are served from it; a step of two or more chunks (2,049 cells are 1,025 +
+    1,024) reads nothing ahead, so the draws mixed per step equal its area.
     """
     top = 0
     area = len(cells)
     size = -(-area // -(-area // _CHUNK))  # the fewest blocks of at most _CHUNK, as equal as they come
+    spans = (n_span,) if f_span == n_span else (n_span, f_span)
+    ahead = _CHUNK // area or 1  # by the step's area: a grid of two chunks never reads ahead
     for a in range(0, area, size):
         b = min(a + size, area)
         n = b - a
         ones, guards = _byte_lanes(n)
         lanes = int.from_bytes(cells[a:b], "little")
         flags = int.from_bytes(fault_flags[a:b].translate(_TRUTH), "little")  # 1 per fault lane
-        buf = rng._mix(n)
-        r = int.from_bytes(_residues(buf, n_span), "little")
+        got = rng.residues(n, spans, ahead)
+        r = int.from_bytes(got[0], "little")
         if f_span != n_span:  # the same draws reduced by the fault span; fault lanes take it
-            r ^= (r ^ int.from_bytes(_residues(buf, f_span), "little")) & flags * 0xFF
+            r ^= (r ^ int.from_bytes(got[1], "little")) & flags * 0xFF
         # lane: 0x80 + cell + delta, where delta = r + the low end of the cell's range
         x = lanes + r + ones * (0x80 + n_lo) + flags * (f_lo - n_lo)
         g = x & guards  # guard bit set where cell + delta >= 0

@@ -8,7 +8,12 @@ constants, where the engine mixes a whole block of draws in the 64-bit
 lanes of one int, draw k in lane k. The step oracle draws each cell through
 it, where both engine kernels (`engine._lane_kernel` and
 `engine._cell_kernel`) draw up to `engine._CHUNK` (2,048) cells in one
-block, and it returns the engine's own report, quake mask included.
+block, and where byte lanes on a grid of at most 1,024 cells read ahead:
+`SplitMix64.residues` mixes and reduces the draws of `_CHUNK // area` steps
+at once and serves the next steps from them. The oracle keeps nothing from
+step to step but `rng.state`, so the two meet only if the draws read ahead
+are the stream's own. It returns the engine's own report, quake mask
+included.
 `strip_ansi` removes the renderer's colour codes, so a coloured frame can be
 checked against a plain one. `format_mean` rounds an exact `Fraction` mean,
 where the CSV writer rounds the two ints of a report in integer arithmetic.

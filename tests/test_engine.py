@@ -141,6 +141,44 @@ class TestSplitMix64:
                 assert block.state == scalar.state, (n, reset)
         assert got == want
 
+    @given(seed=st.integers(0, MASK64),
+           calls=st.lists(st.one_of(
+               # n draws, read `ahead` calls ahead, reduced by one or two spans (65-128 reduce
+               # after every 2-3 terms), asked for `repeat_count` times in a row
+               st.tuples(st.just("residues"), st.integers(1, 300), st.integers(1, 6),
+                         st.lists(st.integers(1, 128) | st.integers(65, 128), min_size=1, max_size=2,
+                                  unique=True).map(tuple),
+                         st.integers(1, 7)),
+               st.tuples(st.just("draws"), st.integers(1, 9)),
+               st.tuples(st.just("randint"), st.integers(1, 300)),
+               st.tuples(st.just("reset"), st.integers(0, MASK64)),
+               st.tuples(st.just("rewind"), st.integers(0, 3))), max_size=8))
+    @settings(max_examples=40, deadline=None)
+    def test_residues_match_scalar_stream(self, seed, calls):
+        # every call is checked against the scalar stream; a reset sets both states from outside,
+        # a rewind sets both back to the state before the i-th last call (i = 0 keeps it as it is)
+        block, scalar = SplitMix64(seed), SplitMix64(seed)
+        states = [seed]
+        for kind, *args in calls:
+            if kind == "reset":
+                block.state = scalar.state = args[0]
+            elif kind == "rewind":
+                block.state = scalar.state = states[-1 - min(args[0], len(states) - 1)]
+            elif kind == "draws":
+                assert list(block.draws(args[0])) == [next_u64(scalar) for _ in range(args[0])], kind
+            elif kind == "randint":
+                assert block.randint(0, args[0] - 1) == next_u64(scalar) % args[0], kind
+            else:
+                n, ahead, spans, repeat_count = args
+                for _ in range(repeat_count):
+                    got = block.residues(n, spans, ahead)
+                    drawn = [next_u64(scalar) for _ in range(n)]
+                    assert got == tuple(bytes(u % span for u in drawn) for span in spans), (n, ahead, spans)
+                    assert block.state == scalar.state, (n, ahead, spans)
+                    states.append(scalar.state)
+            assert block.state == scalar.state, kind
+            states.append(scalar.state)
+
     # block lengths step draws, up to the largest (a 1024x1 grid is one block of
     # 1,024), and every span byte lanes hold
     @pytest.mark.parametrize("n", sorted({1, 7, 400, 1023, 1024, _CHUNK - 1, _CHUNK}))
@@ -635,6 +673,13 @@ class TestStepOracleOnCellKernel:
     test_wide_and_differing_spans_match_oracle = TestStepOracle.test_wide_and_differing_spans_match_oracle
 
 
+def _faults_every_fourth(dims: GridDims) -> FaultMap:
+    """A fault map of these dims with a fault at every fourth cell, row-major, from the first."""
+    faults = FaultMap.empty(dims)
+    faults.cells[::4] = b"\1" * len(faults.cells[::4])
+    return faults
+
+
 @pytest.fixture
 def kernels_run(monkeypatch):
     """The name of each kernel step calls, in call order; each still steps the map."""
@@ -692,11 +737,107 @@ class TestKernelChoice:
         dims = GridDims(width, height)
         cfg = SimConfig(dims=dims, seed=1, quake_threshold=threshold, target_quakes=dims.area * steps + 1,
                         delay_ms=0, max_steps=steps)
-        faults = FaultMap.empty(dims)
-        faults.cells[::4] = b"\1" * len(faults.cells[::4])
-        reports = list(iter_steps(StressMap.empty(dims), faults, cfg))
+        reports = list(iter_steps(StressMap.empty(dims), _faults_every_fourth(dims), cfg))
         assert len(reports) == steps and sum(len(r.quaked_cells) for r in reports) > 0
         assert kernels_run == [self.LANE] * steps
+
+
+@pytest.fixture
+def mixed(monkeypatch):
+    """The number of draws in each block SplitMix64._mix mixes, in call order."""
+    sizes = []
+    mix = SplitMix64._mix
+
+    def spy(self, n):
+        sizes.append(n)
+        return mix(self, n)
+    monkeypatch.setattr(SplitMix64, "_mix", spy)
+    return sizes
+
+
+class TestReadAhead:
+    """A step of one chunk of at most _CHUNK // 2 cells reads _CHUNK // area steps' draws ahead;
+    a step of more chunks reads none, so it mixes exactly its area."""
+
+    # 400 cells: five steps a block; 1,024: two; 1,025: none; 10,000: five chunks of 2,000;
+    # 2,049 cells are chunks of 1,025 + 1,024, and the 1,024 one must not read ahead
+    @pytest.mark.parametrize("width,height,steps,blocks", [
+        (20, 20, 2_500, [2_000] * 500),
+        (32, 32, 4, [2_048] * 2),
+        (41, 25, 3, [1_025] * 3),
+        (100, 100, 3, [2_000] * 15),
+        (683, 3, 4, [1_025, 1_024] * 4),
+        (1024, 1024, 1, [2_048] * 512),
+    ])
+    def test_draws_mixed(self, mixed, kernels_run, width, height, steps, blocks):
+        dims = GridDims(width, height)
+        cfg = SimConfig(dims=dims, seed=1, target_quakes=dims.area * steps + 1, delay_ms=0, max_steps=steps)
+        reports = list(iter_steps(StressMap.empty(dims), _faults_every_fourth(dims), cfg))
+        assert len(reports) == steps and kernels_run == ["_lane_kernel"] * steps
+        assert mixed == blocks
+        assert sum(mixed) == dims.area * steps
+
+    def test_a_run_stopped_partway_through_a_block(self, monkeypatch):
+        made = []
+
+        class Kept(SplitMix64):
+            __slots__ = ()
+
+            def __init__(self, seed):
+                super().__init__(seed)
+                made.append(self)
+        monkeypatch.setattr(engine, "SplitMix64", Kept)
+        dims = GridDims(20, 20)
+        cfg = SimConfig(dims=dims, seed=11, quake_threshold=30, target_quakes=40, delay_ms=0)
+        faults = _faults_every_fourth(dims)
+        stress, expected = StressMap.empty(dims), StressMap.empty(dims)
+        oracle_rng = SplitMix64(cfg.seed)
+        cumulative = steps = 0
+        for steps, report in enumerate(iter_steps(stress, faults, cfg), 1):
+            assert report == step_oracle(expected, faults, cfg, oracle_rng, cumulative, step_index=steps)
+            assert stress.cells == expected.cells
+            cumulative = report.cumulative_quakes
+        assert cumulative >= cfg.target_quakes and steps < cfg.max_steps
+        assert steps % (_CHUNK // dims.area), steps  # the last block was read ahead and not all served
+        assert made[0].state == (cfg.seed + dims.area * steps * GAMMA) & MASK64 == oracle_rng.state
+
+    # at step 3 of 8, partway through the block of steps 1-5: five draws; the state set to
+    # another seed, set back to where step 2 began, or set to itself; a step of other spans;
+    # a step that goes per cell because one cell is too near the guard bit
+    @pytest.mark.parametrize("move", ["draws", "reset", "rewind", "same", "spans", "per-cell"])
+    def test_a_step_after_an_outside_move(self, kernels_run, move):
+        dims = GridDims(20, 20)
+        cfg = SimConfig(dims=dims, seed=7, quake_threshold=20, delay_ms=0)
+        other = SimConfig(dims=dims, seed=7, quake_threshold=20, fault_delta_max=9, delay_ms=0)
+        faults = _faults_every_fourth(dims)
+        stress, expected = StressMap.empty(dims), StressMap.empty(dims)
+        rng, oracle_rng = SplitMix64(cfg.seed), SplitMix64(cfg.seed)
+        start, drawn, cumulative = cfg.seed, 0, 0
+        for i in range(1, 9):
+            step_cfg = other if move == "spans" and i == 3 else cfg
+            if i == 3:
+                if move == "draws":
+                    assert list(rng.draws(5)) == [next_u64(oracle_rng) for _ in range(5)]
+                    drawn += 5
+                elif move == "reset":
+                    rng.state = oracle_rng.state = start = 12345
+                    drawn = 0
+                elif move == "rewind":
+                    rng.state = oracle_rng.state = cfg.seed + dims.area * GAMMA & MASK64
+                    drawn -= dims.area
+                elif move == "same":
+                    rng.state = rng.state
+                elif move == "per-cell":
+                    stress.cells[0] = expected.cells[0] = 0x80 - 10
+            report = step(stress, faults, step_cfg, rng, cumulative, step_index=i)
+            assert report == step_oracle(expected, faults, step_cfg, oracle_rng, cumulative, step_index=i)
+            assert stress.cells == expected.cells
+            drawn += dims.area
+            assert rng.state == (start + drawn * GAMMA) & MASK64 == oracle_rng.state, i
+            cumulative = report.cumulative_quakes
+        assert cumulative > 0
+        assert kernels_run == ["_lane_kernel"] * 8 if move != "per-cell" else (
+            ["_lane_kernel"] * 2 + ["_cell_kernel"] + ["_lane_kernel"] * 5)
 
 
 class TestTotal:
