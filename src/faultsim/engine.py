@@ -24,7 +24,7 @@ _MIX2 = 0x94D049BB133111EB
 _TRUTH = b"\0" + b"\1" * 255  # a fault byte's truth, 0 or 1, as the per-cell kernel reads it
 _BELOW_GUARD = bytes(range(0x80))  # the byte values below the guard bit, 0x80
 
-# most cells per block draw in a step kernel; each cuts the grid into equal blocks of at most this.
+# draws per block SplitMix64 mixes, and most cells per chunk a step kernel walks.
 # 2,048 beats 1,024 on speed; 4,096 gains nothing more and raises peak memory
 _CHUNK = 2048
 
@@ -32,31 +32,55 @@ _CHUNK = 2048
 MAX_DELAY_MS = 86_400_000
 
 
-@lru_cache(maxsize=4)
-def _lanes(n: int) -> tuple[struct.Struct, int, int, int, int, int, int, int, int, int]:
-    """The layout and constants of n 64-bit lanes, lane k holding the uint64 of draw k.
+@lru_cache(maxsize=1)
+def _lanes() -> tuple[int, int, int, int, int, int, tuple[int, int], tuple[int, int]]:
+    """The constants of a block's _CHUNK 64-bit lanes, lane k holding the uint64 of draw k.
 
-    Returns the packer of that layout and nine lane ints: `top` (bit 63 of
-    every lane), `even` and `odd` (every bit of the even and of the odd lanes,
-    none past lane n-1), `keep30`, `keep27` and `keep31` (the low 64-s bits
-    of every lane, for the mixer's shift by s), `ramp` ((k+1)*gamma mod 2**64
-    in lane k), and `stride` and `stride_top` (the low 63 bits and bit 63 of
-    n*gamma mod 2**64 in every lane, which take one block's mixer inputs to
-    the next block's; `stride_top` is `top` itself or 0).
+    Returns `top` (bit 63 of every lane), `even` and `odd` (every bit of the
+    even and of the odd lanes), `keep30`, `keep27` and `keep31` (the low 64-s
+    bits of every lane, for the mixer's shift by s), and two lane-wise addends,
+    each as its low 63 bits and its bit 63 in every lane: `ramp` ((k+1)*gamma
+    mod 2**64 in lane k) and `stride` (_CHUNK*gamma mod 2**64 in every lane,
+    which takes one block's mixer inputs to the next block's).
     """
-    layout = struct.Struct(f"<{n}Q")
-
     def pack(values: list[int]) -> int:
-        return int.from_bytes(layout.pack(*values), "little")
+        return int.from_bytes(struct.pack(f"<{_CHUNK}Q", *values), "little")
 
-    ones = pack([1] * n)
+    def split(addend: int) -> tuple[int, int]:
+        return addend ^ (high := addend & top), high
+
+    ones = pack([1] * _CHUNK)
     top = ones << 63
-    even = pack([_MASK64, 0] * (n // 2) + [_MASK64] * (n % 2))
-    step = n * _GAMMA & _MASK64
-    return (layout, top, even, even ^ ((1 << 64 * n) - 1),
-            *((_MASK64 >> s) * ones for s in (30, 27, 31)),
-            pack([(k + 1) * _GAMMA & _MASK64 for k in range(n)]),
-            (step & _MASK64 >> 1) * ones, top if step >> 63 else 0)
+    even = pack([_MASK64, 0] * (_CHUNK // 2))
+    return (top, even, even << 64, *((_MASK64 >> s) * ones for s in (30, 27, 31)),
+            split(pack([(k + 1) * _GAMMA & _MASK64 for k in range(_CHUNK)])),
+            split((_CHUNK * _GAMMA & _MASK64) * ones))
+
+
+def _mix(state: int, inputs: int | None) -> tuple[int, bytes]:
+    """The mixer inputs of the _CHUNK draws after state, and their outputs, one per 8-byte lane.
+
+    Output k is mix(state + (k+1)*gamma), mix being the 30/27/31 xor-shift-multiply
+    finaliser. The inputs sit in the 64-bit lanes of one int, so each mixer operation
+    below acts on every lane at once: the add carries only into bit 63 of each lane and
+    xors that bit; a mask after each xor-shift drops the bits shifted in from the next
+    lane; and the even and the odd lanes are multiplied apart, so the high half of a
+    64x64-bit product lands in a lane the mask clears. `inputs`, the last block's when
+    it ended at state, give this block's with one lane-wise add of `stride`; given None,
+    they are built from the state with one of `ramp`.
+    """
+    top, even, odd, keep30, keep27, keep31, ramp, stride = _lanes()
+    z, (low, high) = (state * (top >> 63), ramp) if inputs is None else (inputs, stride)
+    t = z & top  # z + (low | high) mod 2**64 in every lane: the low 63 bits add, bit 63 xors
+    inputs = z = ((z ^ t) + low) ^ t ^ high
+    z ^= (z >> 30) & keep30
+    e = z & even
+    z = (e * _MIX1 & even) | ((z ^ e) * _MIX1 & odd)
+    z ^= (z >> 27) & keep27
+    e = z & even
+    z = (e * _MIX2 & even) | ((z ^ e) * _MIX2 & odd)
+    z ^= (z >> 31) & keep31
+    return inputs, z.to_bytes(8 * _CHUNK, "little")
 
 
 @lru_cache(maxsize=8)
@@ -103,84 +127,53 @@ class SplitMix64:
     ops, so any implementation in any language produces the same stream for
     the same seed. Statistical polish beyond that is irrelevant here.
 
-    Output k is a pure function of state + k*gamma, so draws can be mixed
-    before the call that takes them without changing the stream: `residues`
-    mixes and reduces several calls' draws in one block and keeps the rest,
-    and `state` always moves exactly one gamma per draw served.
+    Output k is a pure function of state + k*gamma, so how draws are grouped
+    for the mixer is the generator's own choice: it mixes the stream in blocks
+    of _CHUNK draws and serves calls of any size from them. It keeps one block,
+    tagged by the state after the last draw served, with the offset of the next
+    draw, the block's outputs, its residues per span (each reduced on first use)
+    and its mixer inputs. A call whose state matches the tag reads on from the
+    offset, and a block it runs past the end of is followed by the next, mixed
+    from the carried inputs; any other call (the first, or one after the state
+    was set from outside) mixes a block from the state. `state` always moves
+    exactly one gamma per draw served.
     """
 
-    __slots__ = ("state", "_carry", "_ahead")
+    __slots__ = ("state", "_block")
 
     def __init__(self, seed: int) -> None:
         self.state = seed & _MASK64
-        self._carry: tuple[int, int, int] | None = None  # see _mix
-        self._ahead: tuple[int, int, tuple[int, ...], list[bytes], int] | None = None  # see residues
+        self._block: tuple[int, int, int | None, bytes, dict[int, bytes]] | None = None  # see _runs
 
-    def _mix(self, n: int) -> bytes:
-        """The next n outputs of the stream, one per 8-byte lane.
-
-        Output k is mix(state + (k+1)*gamma), mix being the 30/27/31
-        xor-shift-multiply finaliser. The n inputs sit in the 64-bit lanes of
-        one int, so each mixer operation below acts on every lane at once:
-        the add carries only into bit 63 of each lane and xors that bit; a
-        mask after each xor-shift drops the bits shifted in from the next
-        lane; and the even and the odd lanes are multiplied apart, so the
-        high half of a 64x64-bit product lands in a lane the mask clears.
-
-        The inputs are kept in `_carry`, tagged with the state and n the next
-        block starts from. A call that matches the tag (n draws straight after
-        n draws) gets its inputs from them with one lane-wise add of `stride`;
-        any other call builds them from the state with one of `ramp`.
-        """
-        _, top, even, odd, keep30, keep27, keep31, ramp, stride, stride_top = _lanes(n)
+    def _runs(self, n: int) -> list[tuple[bytes, dict[int, bytes], int, int]]:
+        """(outputs, residues, a, b) of each block the next n draws cover, in order: they are its
+        draws a to b. The state moves n gammas, and the last block is kept."""
         state = self.state
-        carry = self._carry
-        if carry is not None and carry[0] == state and carry[1] == n:
-            z, low, high = carry[2], stride, stride_top
+        kept = self._block
+        if kept is not None and kept[0] == state:
+            _, at, inputs, buf, reduced = kept
         else:
-            z, high = state * (top >> 63), ramp & top
-            low = ramp ^ high
-        t = z & top  # z + (low | high) mod 2**64 in every lane: the low 63 bits add, bit 63 xors
-        z = ((z ^ t) + low) ^ t ^ high
-        self.state = state = (state + n * _GAMMA) & _MASK64
-        self._carry = (state, n, z)
-        z ^= (z >> 30) & keep30
-        e = z & even
-        z = (e * _MIX1 & even) | ((z ^ e) * _MIX1 & odd)
-        z ^= (z >> 27) & keep27
-        e = z & even
-        z = (e * _MIX2 & even) | ((z ^ e) * _MIX2 & odd)
-        z ^= (z >> 31) & keep31
-        return z.to_bytes(8 * n, "little")
+            at, inputs, buf, reduced = _CHUNK, None, b"", {}
+        self.state = end = (state + n * _GAMMA) & _MASK64
+        runs = []
+        while at + n > _CHUNK:  # the call runs past this block's end
+            if at < _CHUNK:
+                runs.append((buf, reduced, at, _CHUNK))
+                n -= _CHUNK - at
+            (inputs, buf), reduced, at = _mix(state, inputs), {}, 0
+        runs.append((buf, reduced, at, at + n))
+        self._block = (end, at + n, inputs, buf, reduced)
+        return runs
 
-    def residues(self, n: int, spans: tuple[int, ...], ahead: int) -> tuple[bytes, ...]:
-        """The next n outputs mod each span (1 to 128): one bytes per span, one byte per draw.
-
-        A call that finds no block kept for it mixes `ahead` calls' worth of draws, ahead * n,
-        reduces them by every span and serves the first n; the rest is kept, tagged with
-        the state after the draws served, n and spans, with the offset into it. A call that
-        matches the tag (n draws of the same spans straight after n draws) is served from
-        the block without mixing. Any other call (another size or spans, or one after
-        `draws`, `randint` or a state set from outside) mixes a new block from the state,
-        which is right because the block is a pure function of the state. Either way the
-        state moves n gammas, so the ahead * n mix leaves `_carry` tagged with the state
-        the next block starts from, and that block takes the carried path.
-        """
-        state = self.state
-        kept = self._ahead
-        if kept is not None and kept[0] == state and kept[1] == n and kept[2] == spans:
-            block, at = kept[3], kept[4]
-        else:
-            buf = self._mix(ahead * n)
-            block, at = [_residues(buf, span) for span in spans], 0
-        end = at + n
-        self.state = state = (state + n * _GAMMA) & _MASK64
-        self._ahead = (state, n, spans, block, end) if end < len(block[0]) else None
-        return tuple([b[at:end] for b in block])
+    def residues(self, n: int, spans: tuple[int, ...]) -> tuple[bytes, ...]:
+        """The next n outputs mod each span (1 to 128): one bytes per span, one byte per draw."""
+        runs = self._runs(n)  # a block's residues by a span are reduced when a call first asks
+        return tuple([b"".join([(reduced.get(span) or reduced.setdefault(span, _residues(buf, span)))[a:b]
+                                for buf, reduced, a, b in runs]) for span in spans])
 
     def draws(self, n: int) -> tuple[int, ...]:
         """The next n outputs of the stream as ints; state moves n gammas."""
-        return _lanes(n)[0].unpack(self._mix(n))
+        return struct.unpack(f"<{n}Q", b"".join([buf[8 * a:8 * b] for buf, _, a, b in self._runs(n)]))
 
     def randint(self, lo: int, hi: int) -> int:
         """lo + the next output mod (hi - lo + 1): one draw, by modulo; requires lo <= hi."""
@@ -260,13 +253,13 @@ def step(stress: StressMap, faults: FaultMap, cfg: SimConfig, rng: SplitMix64,
     """Advance the stress map by one step, mutating it in place.
 
     Exactly one rng draw per cell, row-major: cell i gets the value rng.randint would give it, and
-    rng.state moves one gamma per cell. On byte lanes a small grid's draws may come from a block
-    an earlier step mixed ahead and left in rng (see _lane_kernel); the values are the same. The
-    kernel is chosen before the first draw: _lane_kernel if the map is in bytes, the config fits
-    byte lanes and no cell is within the largest delta of 0x80, else _cell_kernel. A kept cell is
-    below the threshold, so only a threshold above 256 turns a map in bytes into a list of ints,
-    before the first draw. A negative cell raises ValueError before any draw, the map left as it
-    was. Quakes go into one mask of the map's size, counted once in C; no (x, y) is built here.
+    rng.state moves one gamma per cell. The draws may come from a block that rng mixed in an
+    earlier step (see SplitMix64); the values are the same. The kernel is chosen before the first
+    draw: _lane_kernel if the map is in bytes, the config fits byte lanes and no cell is within
+    the largest delta of 0x80, else _cell_kernel. A kept cell is below the threshold, so only a
+    threshold above 256 turns a map in bytes into a list of ints, before the first draw. A
+    negative cell raises ValueError before any draw, the map left as it was. Quakes go into one
+    mask of the map's size, counted once in C; no (x, y) is built here.
     """
     if not (stress.dims == faults.dims == cfg.dims):
         raise ValueError("stress, faults and config must share one grid")
@@ -299,16 +292,14 @@ def _cell_kernel(cells: bytearray | list[int], fault_flags: bytearray, mask: byt
                  f_lo: int, n_lo: int, f_span: int, n_span: int, threshold: int) -> int:
     """Step each cell on its own; return the largest value before the quake reset.
 
-    Cells go in the fewest chunks of at most _CHUNK, as equal in size as they come, so most
-    chunks of a run draw the same count and the mixer carries its lane counter from one to
-    the next. A cell at or above the threshold gets 0x80 in mask and is reset to 0. Each test
-    uses only the cell's own post-update value, never a neighbour's.
+    Cells go in chunks of _CHUNK, the last one shorter. A cell at or above the threshold gets
+    0x80 in mask and is reset to 0. Each test uses only the cell's own post-update value, never
+    a neighbour's.
     """
     top = 0
     area = len(cells)
-    size = -(-area // -(-area // _CHUNK))  # the fewest blocks of at most _CHUNK, as equal as they come
-    for a in range(0, area, size):
-        b = min(a + size, area)
+    for a in range(0, area, _CHUNK):
+        b = min(a + _CHUNK, area)
         n = b - a
         chunk = [
             v if (v := cell + (f_lo + u % f_span if f else n_lo + u % n_span)) > 0 else 0
@@ -333,26 +324,19 @@ def _lane_kernel(cells: bytearray, fault_flags: bytearray, mask: bytearray, rng:
     mixer's bytes, and the add, the clamp, the quake test and the reset act on one int that
     holds each cell in a byte (Lamport's multiple byte processing with full-word
     instructions). A guard-bit test finds a chunk with a cell above the running max; the new
-    max is the first byte value, from 0x7F down, found in the chunk's bytes.
-
-    Each chunk's residues come from one rng.residues call with ahead = _CHUNK // area or 1,
-    chosen by the step's area, not by the chunk's size: a step of one chunk of at most
-    _CHUNK // 2 cells has the draws of that many steps mixed and reduced in one block, and
-    the next steps are served from it; a step of two or more chunks (2,049 cells are 1,025 +
-    1,024) reads nothing ahead, so the draws mixed per step equal its area.
+    max is the first byte value, from 0x7F down, found in the chunk's bytes. Each chunk's
+    residues come from one rng.residues call, which may start or end inside one of rng's blocks.
     """
     top = 0
     area = len(cells)
-    size = -(-area // -(-area // _CHUNK))  # the fewest blocks of at most _CHUNK, as equal as they come
     spans = (n_span,) if f_span == n_span else (n_span, f_span)
-    ahead = _CHUNK // area or 1  # by the step's area: a grid of two chunks never reads ahead
-    for a in range(0, area, size):
-        b = min(a + size, area)
+    for a in range(0, area, _CHUNK):
+        b = min(a + _CHUNK, area)
         n = b - a
         ones, guards = _byte_lanes(n)
         lanes = int.from_bytes(cells[a:b], "little")
         flags = int.from_bytes(fault_flags[a:b].translate(_TRUTH), "little")  # 1 per fault lane
-        got = rng.residues(n, spans, ahead)
+        got = rng.residues(n, spans)
         r = int.from_bytes(got[0], "little")
         if f_span != n_span:  # the same draws reduced by the fault span; fault lanes take it
             r ^= (r ^ int.from_bytes(got[1], "little")) & flags * 0xFF

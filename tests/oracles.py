@@ -6,14 +6,12 @@ rounding per major-axis column, circles by exact integer square roots per
 octant column. `next_u64` is SplitMix64 one output at a time, with its own
 constants, where the engine mixes a whole block of draws in the 64-bit
 lanes of one int, draw k in lane k. The step oracle draws each cell through
-it, where both engine kernels (`engine._lane_kernel` and
-`engine._cell_kernel`) draw up to `engine._CHUNK` (2,048) cells in one
-block, and where byte lanes on a grid of at most 1,024 cells read ahead:
-`SplitMix64.residues` mixes and reduces the draws of `_CHUNK // area` steps
-at once and serves the next steps from them. The oracle keeps nothing from
-step to step but `rng.state`, so the two meet only if the draws read ahead
-are the stream's own. It returns the engine's own report, quake mask
-included.
+it, where `SplitMix64` mixes blocks of `engine._CHUNK` (2,048) draws and
+serves both engine kernels (`engine._lane_kernel` and `engine._cell_kernel`)
+from them, a chunk of a step at a time, across chunk and step boundaries.
+The oracle keeps nothing from step to step but `rng.state`, so the two meet
+only if the draws a kept block serves are the stream's own. It returns the
+engine's own report, quake mask included.
 `strip_ansi` removes the renderer's colour codes, so a coloured frame can be
 checked against a plain one. `format_mean` rounds an exact `Fraction` mean,
 where the CSV writer rounds the two ints of a report in integer arithmetic.

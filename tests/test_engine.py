@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from faultsim import engine
-from faultsim.engine import (_CHUNK, QuakedCells, SimConfig, SplitMix64, StepReport, _residues, _total,
+from faultsim.engine import (_CHUNK, QuakedCells, SimConfig, SplitMix64, StepReport, _mix, _residues, _total,
                              iter_steps, run, step)
 from faultsim.grid import FaultMap, GridDims, StressMap
 from oracles import copy_grid, next_u64, step_oracle, stress_map
@@ -79,32 +79,36 @@ class TestSplitMix64:
         assert SplitMix64(0).randint(0, 10) == SEED0_FIRST % 11 == 1
 
     def test_draws_match_scalar_stream(self):
-        # block sizes up to the largest block step draws, and past it
+        # call sizes up to a block of _CHUNK draws, and past it
         for seed in (0, 1, 2**64 - 1, GAMMA):
             for n in (1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1):
                 block, scalar = SplitMix64(seed), SplitMix64(seed)
                 assert list(block.draws(n)) == [next_u64(scalar) for _ in range(n)], (seed, n)
                 assert block.state == scalar.state, (seed, n)
-        # a size straight after the same size carries the lane counter; another
-        # size, a single randint or a state set from outside makes the next call rebuild it
-        n, m = _CHUNK, _CHUNK - 1
+        # calls that end at, just before and just past a block's end: a call straight after the
+        # last reads on from the kept block, and one that runs past its end carries its inputs
+        # into the next; a single randint, or a state set from outside, comes between them
+        n, m, p, q = _CHUNK, _CHUNK - 1, _CHUNK + 1, 2 * _CHUNK + 1
         sequences = (
-            [("mix", n), ("mix", n), ("mix", m), ("next", 1), ("draws", 5), ("mix", n), ("mix", n)],
-            [("mix", m), ("mix", m), ("mix", n), ("next", 1), ("next", 1), ("mix", n), ("draws", n), ("mix", n)],
-            [("mix", 1), ("mix", 1), ("next", 1), ("mix", 1), ("draws", 1), ("mix", 1), ("mix", 2), ("mix", 2)],
-            [("mix", n), ("mix", n), ("rewind", 0), ("mix", n), ("mix", n)],
+            [("draws", n), ("residues", n), ("draws", m), ("next", 1), ("draws", 5), ("residues", p), ("draws", q)],
+            [("residues", m), ("residues", m), ("draws", n), ("next", 1), ("next", 1), ("residues", q),
+             ("draws", n), ("residues", n)],
+            [("draws", 1), ("residues", 1), ("next", 1), ("draws", p), ("residues", 1), ("draws", m),
+             ("draws", 2), ("residues", 2)],
+            [("draws", n), ("residues", p), ("rewind", 0), ("residues", n), ("draws", q)],
         )
         cases = {seed: list(sequences) for seed in (0, 1, 2**64 - 1, GAMMA)}
-        # both lane-wise adds, the rebuilt one (state + (k+1)*gamma) on the first call and the
-        # carried one (+ n*gamma) on the next four, meet lanes below the top one that wrap past
-        # 2**64 and lanes that do not, for even and odd n; a plain + would carry into the next lane
+        # both lane-wise adds, the rebuilt one (state + (k+1)*gamma) for the first block and the
+        # carried one (+ _CHUNK*gamma) for the next four, meet lanes below the top one that wrap
+        # past 2**64 and lanes that do not; a plain + would carry into the next lane. Calls of n
+        # draws over five blocks end at, or straddle, each block's end
         for seed, n in ((2**63, 2), (2**63, 3), (3 << 62, _CHUNK), (1 << 62, _CHUNK - 1)):
-            rebuilt = [seed + ((k + 1) * GAMMA & MASK64) > MASK64 for k in range(n)]
-            carried = [((seed + (c * n + k + 1) * GAMMA) & MASK64) + (n * GAMMA & MASK64) > MASK64
-                       for c in range(4) for k in range(n)]
+            rebuilt = [seed + ((k + 1) * GAMMA & MASK64) > MASK64 for k in range(_CHUNK)]
+            carried = [((seed + (c * _CHUNK + k + 1) * GAMMA) & MASK64) + (_CHUNK * GAMMA & MASK64) > MASK64
+                       for c in range(4) for k in range(_CHUNK)]
             for wraps in (rebuilt, carried):
-                assert any(w for k, w in enumerate(wraps) if k % n < n - 1) and not all(wraps), (seed, n)
-            cases.setdefault(seed, []).append([("mix", n)] * 5)
+                assert any(w for k, w in enumerate(wraps) if k % _CHUNK < _CHUNK - 1) and not all(wraps), seed
+            cases.setdefault(seed, []).append([("draws", n)] * -(-5 * _CHUNK // n))
         for seed, seed_sequences in cases.items():
             for calls in seed_sequences:
                 block, scalar = SplitMix64(seed), SplitMix64(seed)
@@ -112,15 +116,14 @@ class TestSplitMix64:
                     if kind == "rewind":  # both states set back to the seed from outside
                         block.state = scalar.state = seed
                         continue
+                    drawn = [next_u64(scalar) for _ in range(k)]
                     if kind == "next":  # randint over all of 64 bits returns the draw itself
-                        got = [block.randint(0, MASK64)]
+                        assert [block.randint(0, MASK64)] == drawn, (seed, calls, kind, k)
                     elif kind == "draws":
-                        got = list(block.draws(k))
-                    else:
-                        buf = block._mix(k)
-                        assert len(buf) == 8 * k, (seed, calls, kind, k)
-                        got = [int.from_bytes(buf[i:i + 8], "little") for i in range(0, len(buf), 8)]
-                    assert got == [next_u64(scalar) for _ in range(k)], (seed, calls, kind, k)
+                        assert list(block.draws(k)) == drawn, (seed, calls, kind, k)
+                    else:  # 128 reads the low 7 bits of each draw, 97 all of it
+                        want = tuple(bytes(u % span for u in drawn) for span in (128, 97))
+                        assert block.residues(k, (128, 97)) == want, (seed, calls, kind, k)
                     assert block.state == scalar.state, (seed, calls, kind, k)
 
     @given(seed=st.integers(0, MASK64),
@@ -143,9 +146,9 @@ class TestSplitMix64:
 
     @given(seed=st.integers(0, MASK64),
            calls=st.lists(st.one_of(
-               # n draws, read `ahead` calls ahead, reduced by one or two spans (65-128 reduce
-               # after every 2-3 terms), asked for `repeat_count` times in a row
-               st.tuples(st.just("residues"), st.integers(1, 300), st.integers(1, 6),
+               # n draws, reduced by one or two spans (65-128 reduce after every 2-3 terms),
+               # asked for `repeat_count` times in a row
+               st.tuples(st.just("residues"), st.integers(1, 2 * _CHUNK + 1),
                          st.lists(st.integers(1, 128) | st.integers(65, 128), min_size=1, max_size=2,
                                   unique=True).map(tuple),
                          st.integers(1, 7)),
@@ -169,26 +172,25 @@ class TestSplitMix64:
             elif kind == "randint":
                 assert block.randint(0, args[0] - 1) == next_u64(scalar) % args[0], kind
             else:
-                n, ahead, spans, repeat_count = args
+                n, spans, repeat_count = args
                 for _ in range(repeat_count):
-                    got = block.residues(n, spans, ahead)
+                    got = block.residues(n, spans)
                     drawn = [next_u64(scalar) for _ in range(n)]
-                    assert got == tuple(bytes(u % span for u in drawn) for span in spans), (n, ahead, spans)
-                    assert block.state == scalar.state, (n, ahead, spans)
+                    assert got == tuple(bytes(u % span for u in drawn) for span in spans), (n, spans)
+                    assert block.state == scalar.state, (n, spans)
                     states.append(scalar.state)
             assert block.state == scalar.state, kind
             states.append(scalar.state)
 
-    # block lengths step draws, up to the largest (a 1024x1 grid is one block of
-    # 1,024), and every span byte lanes hold
+    # chunk lengths the kernels draw, up to a whole block (a 1024x1 grid is one chunk of
+    # 1,024), and every span byte lanes hold; the buffer is the start of one block
     @pytest.mark.parametrize("n", sorted({1, 7, 400, 1023, 1024, _CHUNK - 1, _CHUNK}))
     def test_residues_match_modulo_of_draws(self, n):
         seeds = random.Random(n)
         for span in range(1, 129):
             seed = seeds.getrandbits(64)
-            table, drawn = SplitMix64(seed), SplitMix64(seed)
-            assert _residues(table._mix(n), span) == bytes(map(mod, drawn.draws(n), repeat(span))), (seed, n, span)
-            assert table.state == drawn.state, (seed, n, span)
+            buf = _mix(seed, None)[1][:8 * n]
+            assert _residues(buf, span) == bytes(map(mod, SplitMix64(seed).draws(n), repeat(span))), (seed, n, span)
 
     def test_residues_of_the_largest_byte_sums(self):
         # byte i of u picks the largest of b*256**i mod span, so every partial
@@ -197,8 +199,8 @@ class TestSplitMix64:
             u = sum(max(range(256), key=lambda b: b * pow(256, i, span) % span) << 8 * i for i in range(8))
             seed = seed_for_first_output(u)
             assert next_u64(SplitMix64(seed)) == u
-            table, drawn = SplitMix64(seed), SplitMix64(seed)
-            assert _residues(table._mix(2), span) == bytes(map(mod, drawn.draws(2), repeat(span))), span
+            buf = _mix(seed, None)[1][:16]
+            assert _residues(buf, span) == bytes(map(mod, SplitMix64(seed).draws(2), repeat(span))), span
 
 
 class TestSimConfig:
@@ -432,11 +434,11 @@ def _dims_of(area: int) -> tuple[int, int]:
     return next((w, area // w) for w in range(math.isqrt(area), 0, -1) if area % w == 0 and area // w <= 1024)
 
 
-# each step kernel cuts a grid into the fewest blocks of at most _CHUNK cells, as equal
-# as they come. Areas: one cell; one block a cell short of _CHUNK; one full block;
-# _CHUNK + 1 and 2*_CHUNK + 1, which split into blocks that differ by one cell; three full blocks
+# each step kernel walks a grid in chunks of _CHUNK cells, the last one shorter. Areas: one
+# cell; one chunk a cell short of _CHUNK; one full chunk; _CHUNK + 1 and 2*_CHUNK + 1, whose
+# last chunk is one cell, so a later step's chunks straddle the mixer's blocks; three full chunks
 ORACLE_DIMS = [_dims_of(area) for area in (1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1, 3 * _CHUNK)]
-# an odd area just over one block: two blocks that differ by one cell
+# an odd area just over one chunk: a full chunk and one of 43 cells
 TWO_BLOCKS = GridDims(41, _CHUNK // 41 + 1 | 1)
 # thresholds on both sides of the largest that byte lanes hold, and far beyond it in the per-cell kernel
 LANE_EDGE_THRESHOLDS = [1, 100, *range(112, 131), 255, 256, 32_767, 32_768, 2**31, 2**63, 10**30]
@@ -744,38 +746,34 @@ class TestKernelChoice:
 
 @pytest.fixture
 def mixed(monkeypatch):
-    """The number of draws in each block SplitMix64._mix mixes, in call order."""
-    sizes = []
-    mix = SplitMix64._mix
+    """Each block engine._mix mixes, in call order: its draw count, and whether its inputs were
+    carried from the last block's or built from the state."""
+    blocks = []
+    mix = engine._mix
 
-    def spy(self, n):
-        sizes.append(n)
-        return mix(self, n)
-    monkeypatch.setattr(SplitMix64, "_mix", spy)
-    return sizes
+    def spy(state, inputs):
+        made = mix(state, inputs)
+        blocks.append((len(made[1]) // 8, "state" if inputs is None else "carried"))
+        return made
+    monkeypatch.setattr(engine, "_mix", spy)
+    return blocks
 
 
 class TestReadAhead:
-    """A step of one chunk of at most _CHUNK // 2 cells reads _CHUNK // area steps' draws ahead;
-    a step of more chunks reads none, so it mixes exactly its area."""
+    """SplitMix64 mixes blocks of _CHUNK draws and serves a run's steps from them, across chunk
+    and step boundaries: the first block is built from the seed and every later one carried."""
 
-    # 400 cells: five steps a block; 1,024: two; 1,025: none; 10,000: five chunks of 2,000;
-    # 2,049 cells are chunks of 1,025 + 1,024, and the 1,024 one must not read ahead
-    @pytest.mark.parametrize("width,height,steps,blocks", [
-        (20, 20, 2_500, [2_000] * 500),
-        (32, 32, 4, [2_048] * 2),
-        (41, 25, 3, [1_025] * 3),
-        (100, 100, 3, [2_000] * 15),
-        (683, 3, 4, [1_025, 1_024] * 4),
-        (1024, 1024, 1, [2_048] * 512),
-    ])
-    def test_draws_mixed(self, mixed, kernels_run, width, height, steps, blocks):
+    # 400 cells: 5.12 steps a block; 1,024: two; 1,025 and 2,049 (683x3): chunks that straddle
+    # blocks; 10,000: a step ends 1,808 draws into its fifth block; 1024x1024: 512 whole blocks
+    @pytest.mark.parametrize("width,height,steps", [
+        (20, 20, 2_500), (32, 32, 4), (41, 25, 3), (100, 100, 3), (683, 3, 4), (1024, 1024, 1)])
+    def test_draws_mixed(self, mixed, kernels_run, width, height, steps):
         dims = GridDims(width, height)
         cfg = SimConfig(dims=dims, seed=1, target_quakes=dims.area * steps + 1, delay_ms=0, max_steps=steps)
         reports = list(iter_steps(StressMap.empty(dims), _faults_every_fourth(dims), cfg))
         assert len(reports) == steps and kernels_run == ["_lane_kernel"] * steps
-        assert mixed == blocks
-        assert sum(mixed) == dims.area * steps
+        blocks = -(-dims.area * steps // _CHUNK)
+        assert mixed == [(_CHUNK, "state")] + [(_CHUNK, "carried")] * (blocks - 1)
 
     def test_a_run_stopped_partway_through_a_block(self, monkeypatch):
         made = []
@@ -798,15 +796,19 @@ class TestReadAhead:
             assert stress.cells == expected.cells
             cumulative = report.cumulative_quakes
         assert cumulative >= cfg.target_quakes and steps < cfg.max_steps
-        assert steps % (_CHUNK // dims.area), steps  # the last block was read ahead and not all served
+        assert dims.area * steps % _CHUNK, steps  # the last block was mixed and not all served
         assert made[0].state == (cfg.seed + dims.area * steps * GAMMA) & MASK64 == oracle_rng.state
 
-    # at step 3 of 8, partway through the block of steps 1-5: five draws; the state set to
-    # another seed, set back to where step 2 began, or set to itself; a step of other spans;
-    # a step that goes per cell because one cell is too near the guard bit
-    @pytest.mark.parametrize("move", ["draws", "reset", "rewind", "same", "spans", "per-cell"])
-    def test_a_step_after_an_outside_move(self, kernels_run, move):
-        dims = GridDims(20, 20)
+    # at step 3 of 8, partway through a kept block (20x20: 800 draws into the first; 100x100:
+    # 1,568 into the tenth, and from step 2 on every chunk straddles two blocks, but in the
+    # step right after a reset or a rewind): five draws; the state set to another seed, set
+    # back to where step 2 began, or set to itself; a step of other spans; a step that goes
+    # per cell because one cell is too near the guard bit
+    @pytest.mark.parametrize("side,move", [
+        pytest.param(side, move, id=move if side == 20 else f"{move}-100x100")
+        for side in (20, 100) for move in ("draws", "reset", "rewind", "same", "spans", "per-cell")])
+    def test_a_step_after_an_outside_move(self, kernels_run, side, move):
+        dims = GridDims(side, side)
         cfg = SimConfig(dims=dims, seed=7, quake_threshold=20, delay_ms=0)
         other = SimConfig(dims=dims, seed=7, quake_threshold=20, fault_delta_max=9, delay_ms=0)
         faults = _faults_every_fourth(dims)

@@ -145,8 +145,8 @@ CASES = {
         0,
         "steps=160 quakes=20 seed=2\n",
     ),
-    # 5,000 cells: the engine's blocks differ in size, so the mixer's lane counter
-    # is rebuilt at each size change within a step and across steps
+    # 5,000 cells: two full chunks and one of 904, so from step 2 on the chunks
+    # straddle the mixer's blocks
     "uneven-blocks": (
         ["--width", "1000", "--height", "5", "--seed", "3", "--quakes", "50"],
         "bca7c5d423e17df2136ea1616acbacda0cf7ab2c5c1fa1171787de71259c9a89",
