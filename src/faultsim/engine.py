@@ -131,49 +131,42 @@ class SplitMix64:
     for the mixer is the generator's own choice: it mixes the stream in blocks
     of _CHUNK draws and serves calls of any size from them. It keeps one block,
     tagged by the state after the last draw served, with the offset of the next
-    draw, the block's outputs, its residues per span (each reduced on first use)
-    and its mixer inputs. A call whose state matches the tag reads on from the
-    offset, and a block it runs past the end of is followed by the next, mixed
-    from the carried inputs; any other call (the first, or one after the state
-    was set from outside) mixes a block from the state. `state` always moves
-    exactly one gamma per draw served.
+    draw, the block's mixer inputs and its outputs. A call whose state matches
+    the tag reads on from the offset, and a block it runs past the end of is
+    followed by the next, mixed from the carried inputs; any other call (the
+    first, or one after the state was set from outside) mixes a block from the
+    state. `state` always moves exactly one gamma per draw served.
     """
 
     __slots__ = ("state", "_block")
 
     def __init__(self, seed: int) -> None:
         self.state = seed & _MASK64
-        self._block: tuple[int, int, int | None, bytes, dict[int, bytes]] | None = None  # see _runs
+        self._block: tuple[int, int, int | None, bytes] | None = None  # see _outputs
 
-    def _runs(self, n: int) -> list[tuple[bytes, dict[int, bytes], int, int]]:
-        """(outputs, residues, a, b) of each block the next n draws cover, in order: they are its
-        draws a to b. The state moves n gammas, and the last block is kept."""
+    def _outputs(self, n: int) -> bytes:
+        """The next n outputs as 8*n little-endian bytes; the state moves n gammas, and the last
+        block they reach is kept."""
         state = self.state
         kept = self._block
         if kept is not None and kept[0] == state:
-            _, at, inputs, buf, reduced = kept
+            _, at, inputs, buf = kept
         else:
-            at, inputs, buf, reduced = _CHUNK, None, b"", {}
+            at, inputs, buf = _CHUNK, None, b""
         self.state = end = (state + n * _GAMMA) & _MASK64
-        runs = []
+        parts = []
         while at + n > _CHUNK:  # the call runs past this block's end
             if at < _CHUNK:
-                runs.append((buf, reduced, at, _CHUNK))
+                parts.append(buf[8 * at:])
                 n -= _CHUNK - at
-            (inputs, buf), reduced, at = _mix(state, inputs), {}, 0
-        runs.append((buf, reduced, at, at + n))
-        self._block = (end, at + n, inputs, buf, reduced)
-        return runs
-
-    def residues(self, n: int, spans: tuple[int, ...]) -> tuple[bytes, ...]:
-        """The next n outputs mod each span (1 to 128): one bytes per span, one byte per draw."""
-        runs = self._runs(n)  # a block's residues by a span are reduced when a call first asks
-        return tuple([b"".join([(reduced.get(span) or reduced.setdefault(span, _residues(buf, span)))[a:b]
-                                for buf, reduced, a, b in runs]) for span in spans])
+            (inputs, buf), at = _mix(state, inputs), 0
+        parts.append(buf[8 * at:8 * (at + n)])  # a whole block's slice and join copy nothing
+        self._block = (end, at + n, inputs, buf)
+        return b"".join(parts)
 
     def draws(self, n: int) -> tuple[int, ...]:
         """The next n outputs of the stream as ints; state moves n gammas."""
-        return struct.unpack(f"<{n}Q", b"".join([buf[8 * a:8 * b] for buf, _, a, b in self._runs(n)]))
+        return struct.unpack(f"<{n}Q", self._outputs(n))
 
     def randint(self, lo: int, hi: int) -> int:
         """lo + the next output mod (hi - lo + 1): one draw, by modulo; requires lo <= hi."""
@@ -320,26 +313,26 @@ def _lane_kernel(cells: bytearray, fault_flags: bytearray, mask: bytearray, rng:
                  f_lo: int, n_lo: int, f_span: int, n_span: int, threshold: int) -> int:
     """_cell_kernel's step on byte lanes: the same chunks, mask and result.
 
-    Byte lanes build no Python int per cell: the residues come from table lookups on the
-    mixer's bytes, and the add, the clamp, the quake test and the reset act on one int that
-    holds each cell in a byte (Lamport's multiple byte processing with full-word
-    instructions). A guard-bit test finds a chunk with a cell above the running max; the new
-    max is the first byte value, from 0x7F down, found in the chunk's bytes. Each chunk's
-    residues come from one rng.residues call, which may start or end inside one of rng's blocks.
+    Byte lanes build no Python int per cell: each draw mod its span comes from _residues'
+    table lookups on the mixer's bytes, and the add, the clamp, the quake test and the reset
+    act on one int that holds each cell in a byte (Lamport's multiple byte processing with
+    full-word instructions). A guard-bit test finds a chunk with a cell above the running
+    max; the new max is the first byte value, from 0x7F down, found in the chunk's bytes.
+    Each chunk's draws come from one rng._outputs call, which may start or end inside one of
+    rng's blocks.
     """
     top = 0
     area = len(cells)
-    spans = (n_span,) if f_span == n_span else (n_span, f_span)
     for a in range(0, area, _CHUNK):
         b = min(a + _CHUNK, area)
         n = b - a
         ones, guards = _byte_lanes(n)
         lanes = int.from_bytes(cells[a:b], "little")
         flags = int.from_bytes(fault_flags[a:b].translate(_TRUTH), "little")  # 1 per fault lane
-        got = rng.residues(n, spans)
-        r = int.from_bytes(got[0], "little")
+        out = rng._outputs(n)
+        r = int.from_bytes(_residues(out, n_span), "little")
         if f_span != n_span:  # the same draws reduced by the fault span; fault lanes take it
-            r ^= (r ^ int.from_bytes(got[1], "little")) & flags * 0xFF
+            r ^= (r ^ int.from_bytes(_residues(out, f_span), "little")) & flags * 0xFF
         # lane: 0x80 + cell + delta, where delta = r + the low end of the cell's range
         x = lanes + r + ones * (0x80 + n_lo) + flags * (f_lo - n_lo)
         g = x & guards  # guard bit set where cell + delta >= 0

@@ -7,8 +7,9 @@ octant column. `next_u64` is SplitMix64 one output at a time, with its own
 constants, where the engine mixes a whole block of draws in the 64-bit
 lanes of one int, draw k in lane k. The step oracle draws each cell through
 it, where `SplitMix64` mixes blocks of `engine._CHUNK` (2,048) draws and
-serves both engine kernels (`engine._lane_kernel` and `engine._cell_kernel`)
-from them, a chunk of a step at a time, across chunk and step boundaries.
+serves their bytes through one view, `_outputs`, a chunk of a step at a
+time, across chunk and step boundaries: `engine._cell_kernel` unpacks them
+with `draws`, and `engine._lane_kernel` reduces them itself.
 The oracle keeps nothing from step to step but `rng.state`, so the two meet
 only if the draws a kept block serves are the stream's own. It returns the
 engine's own report, quake mask included.

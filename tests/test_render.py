@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -150,6 +152,15 @@ class TestRenderStressMap:
         assert render_stress_map(smap, BANDS, 1000, style) == frame(RED, RED, BLUE, BLUE, BLUE, BLUE)
         # values past the cap are not kept; only 998 and 999 sit inside a row
         assert [set(table) for table in _stress_glyphs(BANDS, 1200, style.color_enabled)] == [{998, 999}, set()]
+
+    # the engine keeps a map in bytes or in a list of ints; its frames must not show which
+    @pytest.mark.parametrize("threshold", [100, 200])
+    @pytest.mark.parametrize("style", [COLOR, PLAIN], ids=["color", "plain"])
+    def test_bytes_and_list_render_alike(self, style, threshold):
+        values = random.Random(threshold).sample(range(256), 256)  # every byte value once
+        in_bytes, in_list = (render_stress_map(StressMap(GridDims(16, 16), cells), BANDS, threshold, style)
+                             for cells in (bytearray(values), values))
+        assert in_bytes == in_list
 
     def test_does_not_mutate(self):
         smap = stress_map(GridDims(2, 2), [0, 0, 0, 1234])
