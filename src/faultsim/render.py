@@ -3,6 +3,12 @@
 Renderers return complete strings and never touch the terminal; screen
 clearing and pacing belong to the CLI layer. With color disabled the output
 is byte-identical to the colored output with escape sequences stripped.
+
+A stress map held in a list of ints is laid out by `_join_rows`, one glyph
+string per cell. One held in a bytearray gives the same bytes from byte
+columns: every value below 256 has a glyph of one width (13 characters in
+colour, 4 without), so the frame starts as value 0's glyphs and each column
+in which glyphs differ is filled by one `translate` of the whole map.
 """
 
 from __future__ import annotations
@@ -10,7 +16,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable, Sequence
 
-from .grid import FaultMap, StressMap, Value, require_int
+from .grid import FaultMap, GridDims, StressMap, Value, require_int
 
 RED = "\x1b[31m"
 GREEN = "\x1b[32m"
@@ -76,13 +82,16 @@ class _Glyphs(dict):
     """Each stress value's glyph followed by `end`, built on first lookup.
 
     Only values from 0 to the display cap are kept, so the table stays small
-    whatever values a map holds.
+    whatever values a map holds. A byte map reads `blank`, value 0's glyph and
+    end, and `columns`, the varying byte columns of the glyphs of 0 to 255.
     """
 
-    def __init__(self, glyph: Callable[[int], str], end: str) -> None:
+    def __init__(self, glyph: Callable[[int], str], end: str, columns: list[tuple[int, bytes]]) -> None:
         super().__init__()
         self.glyph = glyph
         self.end = end
+        self.blank = (glyph(0) + end).encode("ascii")
+        self.columns = columns
 
     def __missing__(self, value: int) -> str:
         text = self.glyph(value) + self.end
@@ -93,7 +102,12 @@ class _Glyphs(dict):
 
 @lru_cache(maxsize=8)
 def _stress_glyphs(bands: StressBands, threshold: int, color: bool) -> tuple[_Glyphs, _Glyphs]:
-    """The glyph tables of a cell inside a row and of a row's last cell."""
+    """The glyph tables of a cell inside a row and of a row's last cell.
+
+    Both carry the byte columns of the glyphs of 0 to 255, which share one
+    width: (i, column) for each byte i at which they differ, column mapping a
+    value to that byte. One entry serves list and byte maps of any width.
+    """
 
     def glyph(value: int) -> str:
         text = f"{min(value, _STRESS_DISPLAY_CAP):>{STRESS_CELL_WIDTH}d}"
@@ -101,7 +115,21 @@ def _stress_glyphs(bands: StressBands, threshold: int, color: bool) -> tuple[_Gl
             return text
         return f"{stress_color(value, bands, threshold)}{text}{RESET}"
 
-    return _Glyphs(glyph, " "), _Glyphs(glyph, "\n")
+    glyphs = [glyph(value).encode("ascii") for value in range(256)]
+    columns = [(i, column) for i, column in enumerate(map(bytes, zip(*glyphs)))
+               if column.count(column[0]) < 256]
+    return _Glyphs(glyph, " ", columns), _Glyphs(glyph, "\n", columns)
+
+
+def _byte_rows(cells: bytearray, dims: GridDims, cell: _Glyphs, last: _Glyphs) -> str:
+    """Lay a byte map out as `_join_rows` would: each row is `width` blank glyphs,
+    the last ending in a newline, and each varying column i of a k-byte glyph is
+    written into bytes i, i + k, ... by one `translate` of the whole map."""
+    k = len(cell.blank)
+    out = bytearray(cell.blank * (dims.width - 1) + last.blank) * dims.height
+    for i, column in cell.columns:
+        out[i::k] = cells.translate(column)
+    return out.decode("ascii")
 
 
 def render_stress_map(
@@ -109,4 +137,6 @@ def render_stress_map(
 ) -> str:
     """Stress values as colored fixed-width columns, one grid row per line."""
     cell, last = _stress_glyphs(bands, threshold, style.color_enabled)
+    if isinstance(stress.cells, bytearray):
+        return _byte_rows(stress.cells, stress.dims, cell, last)
     return _join_rows(stress.cells, stress.dims.width, cell, last)

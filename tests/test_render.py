@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from faultsim import render
 from faultsim.grid import FaultMap, GridDims, StressMap
 from faultsim.render import (
     BLUE,
@@ -186,3 +187,63 @@ class TestRenderStressMap:
         lines = render_stress_map(smap, BANDS, 100, PLAIN).splitlines()
         assert len(lines) == 2
         assert all(len(line) == 2 * 3 + 1 for line in lines)
+
+
+class TestByteMapFrames:
+    """A byte map's frame is built from byte columns; a list map with the same values,
+    laid out one glyph string per cell, is its oracle."""
+
+    @staticmethod
+    def _maps(dims):
+        """Maps of dims that hold every byte value between them, as bytes and as a list."""
+        values = random.Random(dims.area).sample(range(256), 256)
+        values += values[: -len(values) % dims.area]  # the last map wraps round to the first values
+        for start in range(0, len(values), dims.area):
+            cells = values[start : start + dims.area]
+            yield StressMap(dims, bytearray(cells)), StressMap(dims, cells)
+
+    @pytest.mark.parametrize("width,height", [(1, 1), (1, 256), (256, 1), (17, 3)],
+                             ids=["1x1", "1xN", "Nx1", "17x3"])
+    @pytest.mark.parametrize("threshold", [1, 2, 100, 255, 256, 300])
+    @pytest.mark.parametrize("style", [COLOR, PLAIN], ids=["color", "plain"])
+    def test_every_byte_value_renders_as_on_a_list(self, width, height, threshold, style):
+        for in_bytes, in_list in self._maps(GridDims(width, height)):
+            frame = render_stress_map(in_bytes, BANDS, threshold, style)
+            assert frame == render_stress_map(in_list, BANDS, threshold, style)
+
+    # step 1 widens a map whose threshold is above 256; the frame drawn before it is of bytes
+    @pytest.mark.parametrize("style", [COLOR, PLAIN], ids=["color", "plain"])
+    def test_empty_map_above_a_byte_threshold(self, style):
+        dims = GridDims(5, 4)
+        empty = StressMap.empty(dims)
+        assert isinstance(empty.cells, bytearray)
+        assert render_stress_map(empty, BANDS, 300, style) == render_stress_map(
+            StressMap(dims, [0] * dims.area), BANDS, 300, style)
+
+    # at 300 every value from 0 to 255 is green, so the colour digit's column is the
+    # blank's; at 255 only the last value is blue, and its column must still be written
+    @pytest.mark.parametrize("threshold,columns,blue", [(300, [5, 6, 7], 0), (255, [3, 5, 6, 7], 1)])
+    def test_one_colour_for_every_value_but_at_most_one(self, threshold, columns, blue):
+        bands = StressBands(low_max=255, med_max=256)
+        assert [i for i, _ in _stress_glyphs(bands, threshold, True)[0].columns] == columns
+        frames = []
+        for in_bytes, in_list in self._maps(GridDims(16, 2)):
+            frames.append(render_stress_map(in_bytes, bands, threshold, COLOR))
+            assert frames[-1] == render_stress_map(in_list, bands, threshold, COLOR)
+        assert "".join(frames).count(BLUE) == blue
+
+    # a silent fallback to the per-cell layout must fail: only list maps reach _join_rows
+    def test_byte_map_never_joins_rows(self, monkeypatch):
+        joined, join_rows = [], render._join_rows
+
+        def spy(cells, *args):
+            joined.append(type(cells))
+            return join_rows(cells, *args)
+
+        monkeypatch.setattr(render, "_join_rows", spy)
+        dims = GridDims(3, 2)
+        for style in (COLOR, PLAIN):
+            render_stress_map(StressMap(dims, bytearray(range(6))), BANDS, 100, style)
+            assert joined == []
+        render_stress_map(StressMap(dims, list(range(6))), BANDS, 100, COLOR)
+        assert joined == [list]
