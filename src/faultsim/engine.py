@@ -207,7 +207,7 @@ class SimConfig(Value):
 
 class QuakedCells(Value):
     """One step's quaked cells: a mask with 0x80 in byte i where cell i quaked, the grid width
-    and their count, read from the mask once. Length is the count; iteration decodes each (x, y)
+    and their count, from the step's kernel. Length is the count; iteration decodes each (x, y)
     in row-major order. It compares and prints by its fields; its bytearray mask makes it unhashable."""
 
     __slots__ = _FIELDS = ("mask", "width", "count")
@@ -252,7 +252,7 @@ def step(stress: StressMap, faults: FaultMap, cfg: SimConfig, rng: SplitMix64,
     the largest delta of 0x80, else _cell_kernel. A kept cell is below the threshold, so only a
     threshold above 256 turns a map in bytes into a list of ints, before the first draw. A
     negative cell raises ValueError before any draw, the map left as it was. Quakes go into one
-    mask of the map's size, counted once in C; no (x, y) is built here.
+    mask of the map's size; the kernel counts them and sums the map as it goes. No (x, y) is built.
     """
     if not (stress.dims == faults.dims == cfg.dims):
         raise ValueError("stress, faults and config must share one grid")
@@ -275,21 +275,21 @@ def step(stress: StressMap, faults: FaultMap, cfg: SimConfig, rng: SplitMix64,
     area = len(cells)
     mask = bytearray(area)  # made after fits, whose translate may copy the whole map
     kernel = _lane_kernel if fits else _cell_kernel
-    top = kernel(cells, fault_flags, mask, rng, f_lo, n_lo, f_span, n_span, threshold)
-    count = mask.count(0x80)
+    top, count, total = kernel(cells, fault_flags, mask, rng, f_lo, n_lo, f_span, n_span, threshold)
     return StepReport(step_index, QuakedCells(mask, cfg.dims.width, count),
-                      cumulative_quakes + count, top, _total(cells), area)
+                      cumulative_quakes + count, top, total, area)
 
 
 def _cell_kernel(cells: bytearray | list[int], fault_flags: bytearray, mask: bytearray, rng: SplitMix64,
-                 f_lo: int, n_lo: int, f_span: int, n_span: int, threshold: int) -> int:
-    """Step each cell on its own; return the largest value before the quake reset.
+                 f_lo: int, n_lo: int, f_span: int, n_span: int, threshold: int) -> tuple[int, int, int]:
+    """Step each cell on its own; return the largest value before the quake reset, the number of
+    cells reset and the sum of the cells after it.
 
     Cells go in chunks of _CHUNK, the last one shorter. A cell at or above the threshold gets
     0x80 in mask and is reset to 0. Each test uses only the cell's own post-update value, never
     a neighbour's.
     """
-    top = 0
+    top = count = total = 0
     area = len(cells)
     for a in range(0, area, _CHUNK):
         b = min(a + _CHUNK, area)
@@ -305,23 +305,27 @@ def _cell_kernel(cells: bytearray | list[int], fault_flags: bytearray, mask: byt
                 if v >= threshold:
                     mask[a + i] = 0x80
                     chunk[i] = 0
+                    count += 1
         cells[a:b] = chunk
-    return top
+        total += sum(chunk)
+    return top, count, total
 
 
 def _lane_kernel(cells: bytearray, fault_flags: bytearray, mask: bytearray, rng: SplitMix64,
-                 f_lo: int, n_lo: int, f_span: int, n_span: int, threshold: int) -> int:
-    """_cell_kernel's step on byte lanes: the same chunks, mask and result.
+                 f_lo: int, n_lo: int, f_span: int, n_span: int, threshold: int) -> tuple[int, int, int]:
+    """_cell_kernel's step on byte lanes: the same chunks, mask and (top, count, total).
 
     Byte lanes build no Python int per cell: each draw mod its span comes from _residues'
     table lookups on the mixer's bytes, and the add, the clamp, the quake test and the reset
     act on one int that holds each cell in a byte (Lamport's multiple byte processing with
     full-word instructions). A guard-bit test finds a chunk with a cell above the running
     max; the new max is the first byte value, from 0x7F down, found in the chunk's bytes.
-    Each chunk's draws come from one rng._outputs call, which may start or end inside one of
-    rng's blocks.
+    The count adds the quaked lanes' guard bits, and the total each chunk's 512-byte pieces:
+    adler32's low half from 0 is a piece's sum mod 65,521, above 512 * 0x7F = 65,024. Each
+    chunk's draws come from one rng._outputs call, which may start or end inside one of rng's
+    blocks.
     """
-    top = 0
+    top = count = total = 0
     area = len(cells)
     for a in range(0, area, _CHUNK):
         b = min(a + _CHUNK, area)
@@ -346,16 +350,10 @@ def _lane_kernel(cells: bytearray, fault_flags: bytearray, mask: bytearray, rng:
         if q:
             v ^= v & (q - (q >> 7))
             mask[a:b] = q.to_bytes(n, "little")
-        cells[a:b] = v.to_bytes(n, "little")
-    return top
-
-
-def _total(cells: bytearray | list[int]) -> int:
-    """sum(cells); on bytes, summed in C from 256-byte pieces: with a start value of 0,
-    adler32's low half is a piece's byte sum mod 65,521, and 256 * 255 = 65,280 is less."""
-    if not isinstance(cells, bytearray):
-        return sum(cells)
-    return sum(adler32(cells[i : i + 256], 0) & 0xFFFF for i in range(0, len(cells), 256))
+            count += q.bit_count()
+        cells[a:b] = vb = v.to_bytes(n, "little")
+        total += sum(adler32(vb[i:i + 512], 0) & 0xFFFF for i in range(0, n, 512))
+    return top, count, total
 
 
 def iter_steps(stress: StressMap, faults: FaultMap, cfg: SimConfig) -> Iterator[StepReport]:

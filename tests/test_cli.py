@@ -12,6 +12,7 @@ from unittest import mock
 import pytest
 
 import faultsim.cli as cli
+import faultsim.engine as engine
 from faultsim.cli import (
     CLEAR_SCREEN,
     MENU,
@@ -22,7 +23,7 @@ from faultsim.cli import (
 from faultsim.engine import SimConfig, SplitMix64, iter_steps, run, step
 from faultsim.grid import FaultMap, GridDims, StressMap
 from faultsim.render import RenderStyle, render_stress_map
-from faultsim.scenario import Scenario, format_scenario, format_stats, parse_scenario
+from faultsim.scenario import Scenario, format_scenario, format_stats, load_scenario, parse_scenario
 
 from oracles import fault_cells, strip_ansi
 
@@ -266,6 +267,24 @@ class TestHeadless:
         assert rc == 2
         assert len(captured.out.splitlines()) == 4  # header + 3 steps
         assert captured.err == "steps=3 quakes=0 seed=0\n"
+
+    # an unbounded max_steps, in a scenario file or as --max-steps: 10**30 parses, round-trips
+    # and runs to the quake target with the CSV of the same run capped at 5,000 steps
+    def test_a_max_steps_of_10_to_the_30(self, tmp_path, capsys):
+        huge = 10**30
+        outputs = []
+        for max_steps, flag in ((5000, []), (huge, []), (5000, ["--max-steps", str(huge)])):
+            (tmp_path / str(len(outputs))).mkdir()
+            cfg = SimConfig(dims=GridDims(8, 8), seed=99, target_quakes=2, delay_ms=0, max_steps=max_steps)
+            path = write_scenario(tmp_path / str(len(outputs)), cfg, [(x, 4) for x in range(8)])
+            text = Path(path).read_text()
+            assert f"max_steps {max_steps}\n" in text and format_scenario(parse_scenario(text)) == text
+            assert main(["--headless", "--scenario", path, *flag]) == 0
+            outputs.append(capsys.readouterr())
+        assert parse_args(["--max-steps", str(huge)]).max_steps == huge
+        assert outputs[0] == outputs[1] == outputs[2]
+        steps = int(re.match(r"steps=(\d+) quakes=(\d+) ", outputs[0].err)[1])
+        assert 1 < steps < 5000 and len(outputs[0].out.splitlines()) == steps + 1
 
     def test_missing_scenario_file(self, capsys):
         rc = main(["--headless", "--scenario", "/nonexistent/s.txt"])
@@ -710,6 +729,59 @@ class TestInteractiveSimulation:
         assert "1 1 1 1\n" in out  # the drawn horizontal fault
         assert "EARTHQUAKE at (" in out
         assert "Done: " in out
+
+
+class TestTracedNames:
+    """The names the benchmark's traced run wraps, where it looks them up: faultsim.cli's run,
+    format_stats, render_stress_map, load_scenario and step, and faultsim.engine's step. A
+    change that drops or bypasses one of them fails here, not only in the benchmark's tests."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """(name, args, result) of each call of a wrapped name, in the order the calls return;
+        a map passed to render_stress_map is recorded as a copy of its cells at the call."""
+        assert cli.step is engine.step and cli.load_scenario is load_scenario
+        seen = []
+        for module, name in ((cli, "run"), (cli, "format_stats"), (cli, "load_scenario"),
+                             (engine, "step"), (cli, "render_stress_map")):
+            def spy(*args, original=getattr(module, name), name=name, **kwargs):
+                result = original(*args, **kwargs)
+                seen.append((name, [list(args[0].cells)] if name == "render_stress_map" else args, result))
+                return result
+            monkeypatch.setattr(module, name, spy)
+        return seen
+
+    @staticmethod
+    def _scenario(tmp_path) -> tuple[str, SimConfig, FaultMap]:
+        cfg = SimConfig(dims=GridDims(8, 8), seed=99, target_quakes=2, delay_ms=0)
+        path = write_scenario(tmp_path, cfg, [(x, 4) for x in range(8)])
+        return path, cfg, parse_scenario(Path(path).read_text()).faults
+
+    def test_headless(self, tmp_path, calls, capsys):
+        path, cfg, faults = self._scenario(tmp_path)
+        stress = StressMap.empty(cfg.dims)
+        reports = list(iter_steps(stress, faults, cfg))
+        calls.clear()  # the reference run's steps
+        assert main(["--headless", "--scenario", path]) == 0
+        capsys.readouterr()
+        names = [name for name, _, _ in calls]
+        assert names.count("load_scenario") == names.count("run") == names.count("format_stats") == 1
+        assert names.count("step") == len(reports) > 1 and "render_stress_map" not in names
+        (_, args, _), = [call for call in calls if call[0] == "format_stats"]
+        assert args == ((),)
+        assert calls[-1][0] == "run" and calls[-1][2].final_stress == stress
+
+    def test_scripted_animation(self, tmp_path, calls):
+        path, cfg, faults = self._scenario(tmp_path)
+        stress = StressMap.empty(cfg.dims)
+        frames = [list(stress.cells)] + [list(stress.cells) for _ in iter_steps(stress, faults, cfg)]
+        calls.clear()  # the reference run's steps
+        rc, _ = run_script("5\n", ["--scenario", path, "--no-color"])
+        assert rc == 0
+        names = [name for name, _, _ in calls]
+        assert names.count("load_scenario") == 1 and names.count("step") == len(frames) - 1 > 1
+        assert [args[0] for name, args, _ in calls if name == "render_stress_map"] == frames
+        assert frames[0] == [0] * cfg.dims.area
 
 
 class TestMain:

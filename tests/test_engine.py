@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from faultsim import engine
-from faultsim.engine import (_CHUNK, QuakedCells, SimConfig, SplitMix64, StepReport, _mix, _residues, _total,
+from faultsim.engine import (_CHUNK, QuakedCells, SimConfig, SplitMix64, StepReport, _mix, _residues,
                              iter_steps, run, step)
 from faultsim.grid import FaultMap, GridDims, StressMap
 from oracles import copy_grid, next_u64, step_oracle, stress_map
@@ -686,12 +686,15 @@ def _faults_every_fourth(dims: GridDims) -> FaultMap:
 
 @pytest.fixture
 def kernels_run(monkeypatch):
-    """The name of each kernel step calls, in call order; each still steps the map."""
+    """The name of each kernel step calls, in call order; each still steps the map and returns
+    its (top, count, total), whose count and total the spy checks against the mask and the map."""
     names = []
     for name in ("_lane_kernel", "_cell_kernel"):
-        def spy(*args, kernel=getattr(engine, name), name=name):
+        def spy(cells, fault_flags, mask, *rest, kernel=getattr(engine, name), name=name):
             names.append(name)
-            return kernel(*args)
+            result = kernel(cells, fault_flags, mask, *rest)
+            assert len(result) == 3 and result[1:] == (mask.count(0x80), sum(cells))
+            return result
         monkeypatch.setattr(engine, name, spy)
     return names
 
@@ -844,21 +847,97 @@ class TestReadAhead:
             ["_lane_kernel"] * 2 + ["_cell_kernel"] + ["_lane_kernel"] * 5)
 
 
-class TestTotal:
-    # runs of one byte value, 255 among them, fill whole 256-byte pieces: 256 * 255 is the
-    # most a piece sums to, still below adler32's modulus of 65,521
-    @given(st.one_of(
-        st.binary(max_size=1000).map(bytearray),
-        st.lists(st.tuples(st.sampled_from([0, 1, 254, 255]), st.integers(1, 600)), max_size=4).map(
-            lambda runs: bytearray(b"".join(bytes([v]) * n for v, n in runs)[:1000])),
-        st.lists(st.integers(0, 2**70), max_size=300),
-    ))
-    def test_total_is_the_sum(self, cells):
-        assert _total(cells) == sum(cells)
+# 100x41: chunks of 2,048, 2,048 and 4 cells
+THREE_CHUNKS = GridDims(100, 41)
+KERNELS = [pytest.param(engine._lane_kernel, id="lane"), pytest.param(engine._cell_kernel, id="cell")]
 
-    def test_full_map_of_255(self):
-        cells = bytearray(b"\xff" * (1024 * 1024))
-        assert _total(cells) == 255 * 1024 * 1024
+
+def _kernel_args(cfg: SimConfig) -> tuple[int, int, int, int, int]:
+    """The delta lows and spans and the threshold that step passes its kernel under this config."""
+    f_lo, n_lo = cfg.fault_delta_min, cfg.nonfault_delta_min
+    return f_lo, n_lo, cfg.fault_delta_max - f_lo + 1, cfg.nonfault_delta_max - n_lo + 1, cfg.quake_threshold
+
+
+@st.composite
+def lane_delta_range(draw):
+    """A delta range that byte lanes hold: no delta below -127 or above 100, at most 128 values."""
+    lo = draw(st.integers(-127, 100))
+    return lo, lo + draw(st.integers(1, min(128, 101 - lo))) - 1
+
+
+class TestKernelContract:
+    """Each kernel steps the map and returns the step's (top, count, total): the largest value
+    before the quake reset, the number of cells reset and the map's sum after it. Called as step
+    calls it, each call meets the oracle's report, quake mask, cells and rng.state."""
+
+    @staticmethod
+    def _check(kernel, stress, faults, cfg, steps=3):
+        """Each call's (top, count, total), for steps calls, after checking it against the oracle."""
+        expected = copy_grid(stress)
+        rng, oracle_rng = SplitMix64(cfg.seed), SplitMix64(cfg.seed)
+        results, cumulative = [], 0
+        for i in range(1, steps + 1):
+            mask = bytearray(cfg.dims.area)
+            result = kernel(stress.cells, faults.cells, mask, rng, *_kernel_args(cfg))
+            report = step_oracle(expected, faults, cfg, oracle_rng, cumulative, i)
+            assert result == (report.max_stress, len(report.quaked_cells), report.stress_total)
+            assert mask == report.quaked_cells.mask
+            assert list(stress.cells) == list(expected.cells)
+            assert rng.state == oracle_rng.state
+            results.append(result)
+            cumulative = report.cumulative_quakes
+        return results
+
+    # byte lanes take a map in bytes whose config and cells fit them; the per-cell kernel takes any
+    # config, and a map in bytes under a threshold of 256 or less (above it step makes a list)
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @given(dims=st.sampled_from([*ORACLE_DIMS, (THREE_CHUNKS.width, THREE_CHUNKS.height)]),
+           seed=st.integers(0, 2**64 - 1), fault_every=st.integers(1, 7), data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_each_call_matches_the_oracle(self, kernel, dims, seed, fault_every, data):
+        if kernel is engine._lane_kernel:
+            fault, nonfault = data.draw(lane_delta_range(), "fault"), data.draw(lane_delta_range(), "nonfault")
+            room = max(fault[1], nonfault[1], 0)
+            threshold = data.draw(st.integers(1, 0x80 - room), "threshold")
+            in_bytes, highest = True, 0x7F - room
+        else:
+            fault, nonfault = data.draw(delta_range(), "fault"), data.draw(delta_range(), "nonfault")
+            threshold = data.draw(st.one_of(st.sampled_from(LANE_EDGE_THRESHOLDS), st.integers(1, 10**30)),
+                                  "threshold")
+            in_bytes = threshold <= 0x100 and data.draw(st.booleans(), "in_bytes")
+            highest = 0xFF if in_bytes else 3 * threshold
+        cfg = _cfg(dims=GridDims(*dims), seed=seed, quake_threshold=threshold, fault_delta_min=fault[0],
+                   fault_delta_max=fault[1], nonfault_delta_min=nonfault[0], nonfault_delta_max=nonfault[1])
+        faults = FaultMap.empty(cfg.dims)
+        faults.cells[::fault_every] = b"\1" * len(faults.cells[::fault_every])
+        rnd = random.Random(seed)
+        values = [rnd.randint(0, highest) for _ in range(cfg.dims.area)]
+        stress = StressMap(cfg.dims, bytearray(values) if in_bytes else values)
+        self._check(kernel, stress, faults, cfg)
+
+    # byte lanes' worst case: every lane holds 0x7F and neither moves nor quakes, so each of the
+    # 512-byte pieces the total is summed from holds 512 * 127 = 65,024, below adler32's 65,521
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_a_map_of_0x7f_at_threshold_128(self, kernel):
+        cfg = _cfg(dims=THREE_CHUNKS, quake_threshold=0x80, fault_delta_min=0, fault_delta_max=0)
+        stress = StressMap(cfg.dims, bytearray(b"\x7f" * cfg.dims.area))
+        assert self._check(kernel, stress, _faults_every_fourth(cfg.dims), cfg) == [(0x7F, 0, 127 * 4100)] * 3
+
+    def test_step_runs_byte_lanes_on_a_map_of_0x7f(self, kernels_run):
+        cfg = _cfg(dims=THREE_CHUNKS, quake_threshold=0x80, fault_delta_min=0, fault_delta_max=0)
+        stress = StressMap(cfg.dims, bytearray(b"\x7f" * cfg.dims.area))
+        report = step(stress, _faults_every_fourth(cfg.dims), cfg, SplitMix64(0), 0)
+        assert kernels_run == ["_lane_kernel"]
+        assert (report.max_stress, len(report.quaked_cells), report.stress_total) == (0x7F, 0, 127 * 4100)
+
+    # cells past 2**64 in a list: about half of them quake in step 1, and what stays sums past 2**64
+    def test_a_list_past_64_bits_on_the_cell_kernel(self):
+        cfg = _cfg(dims=TWO_BLOCKS, seed=3, quake_threshold=2**64 + 2**40, fault_delta_min=0,
+                   fault_delta_max=2**63, nonfault_delta_min=-(2**40), nonfault_delta_max=2**40)
+        rnd = random.Random(3)
+        stress = StressMap(cfg.dims, [2**64 + rnd.randrange(2**41) for _ in range(cfg.dims.area)])
+        top, count, total = self._check(engine._cell_kernel, stress, _faults_every_fourth(cfg.dims), cfg)[0]
+        assert top > 2**64 and 0 < count < cfg.dims.area and total > 2**64
 
 
 class TestQuakedCells:
