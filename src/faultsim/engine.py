@@ -21,7 +21,6 @@ _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
-_TRUTH = b"\0" + b"\1" * 255  # a fault byte's truth, 0 or 1, as the per-cell kernel reads it
 _BELOW_GUARD = bytes(range(0x80))  # the byte values below the guard bit, 0x80
 
 # draws per block SplitMix64 mixes, and most cells per chunk a step kernel walks.
@@ -332,7 +331,7 @@ def _lane_kernel(cells: bytearray, fault_flags: bytearray, mask: bytearray, rng:
         n = b - a
         ones, guards = _byte_lanes(n)
         lanes = int.from_bytes(cells[a:b], "little")
-        flags = int.from_bytes(fault_flags[a:b].translate(_TRUTH), "little")  # 1 per fault lane
+        flags = int.from_bytes(fault_flags[a:b].translate(FaultMap.TRUTH), "little")  # 1 per fault lane
         out = rng._outputs(n)
         r = int.from_bytes(_residues(out, n_span), "little")
         if f_span != n_span:  # the same draws reduced by the fault span; fault lanes take it

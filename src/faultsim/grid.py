@@ -120,8 +120,15 @@ class _Grid(Value):
 
 
 class FaultMap(_Grid):
-    """Occupancy grid, one byte per cell: 1 marks a fault cell, 0 a plain one."""
+    """Occupancy grid, one byte per cell: 1 marks a fault cell, 0 a plain one.
 
+    A map is built of 0s and 1s, but what a byte means is its truth: TRUTH maps
+    each byte to 0 or 1, and the step, the fault-map frame and the scenario
+    writer all read fault bytes through it. So any nonzero byte written into
+    `cells` later steps, draws and saves as a fault.
+    """
+
+    TRUTH = b"\0" + b"\1" * 255  # a fault byte's truth, as a translate table
     cells: bytearray
 
     def __init__(self, dims: GridDims, cells: bytearray | list[int]) -> None:

@@ -41,9 +41,10 @@ _MAX_BYTES = 2 << 20
 # canonical decimal integers only: no leading zeros, plus signs or "-0"
 _INT_RE = re.compile(r"-?(0|[1-9][0-9]*)$")
 
-# map glyphs to fault cells and back: "0" is a plain cell, "1" a fault cell
+# map glyphs to fault cells and back: "0" is a plain cell, "1" a fault cell; a cell's
+# glyph is that of its truth, so any nonzero byte saves as "1"
 _GLYPHS_TO_CELLS = bytes.maketrans(b"01", b"\0\1")
-_CELLS_TO_GLYPHS = bytes.maketrans(b"\0\1", b"01")
+_CELLS_TO_GLYPHS = FaultMap.TRUTH.translate(bytes.maketrans(b"\0\1", b"01"))
 
 
 class ScenarioError(ValueError):

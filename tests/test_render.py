@@ -85,6 +85,10 @@ class TestRenderFaultMap:
         fmap = FaultMap.empty(GridDims(2, 1))
         fmap.mark(0, 0)
         assert render_fault_map(fmap, COLOR) == "\x1b[31m1\x1b[0m 0\n"
+        # a row that ends in a fault cell: only the wider glyph's trailing space becomes the newline
+        fmap = FaultMap.empty(GridDims(2, 1))
+        fmap.mark(1, 0)
+        assert render_fault_map(fmap, COLOR) == "0 \x1b[31m1\x1b[0m\n"
 
     def test_plain_fault_cell(self):
         fmap = FaultMap.empty(GridDims(2, 1))
@@ -100,6 +104,16 @@ class TestRenderFaultMap:
         text = render_fault_map(fmap, COLOR)
         assert text.endswith("\n")
         assert len(text.split("\n")) == 7  # 6 rows + empty tail
+
+    # a byte other than 0 or 1 written into a built map draws as a fault, as it steps
+    @pytest.mark.parametrize("flag", [2, 255])
+    @pytest.mark.parametrize("style", [COLOR, PLAIN], ids=["color", "plain"])
+    def test_fault_bytes_are_drawn_by_truth(self, flag, style):
+        ones = FaultMap.empty(GridDims(3, 2))
+        ones.cells[1::2] = b"\1\1\1"
+        others = FaultMap.empty(GridDims(3, 2))
+        others.cells[1::2] = bytes([flag]) * 3
+        assert render_fault_map(others, style) == render_fault_map(ones, style)
 
     @given(
         st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2)), max_size=12)
@@ -151,8 +165,8 @@ class TestRenderStressMap:
         for _ in range(2):  # the second render reads the table the first one filled
             assert render_stress_map(smap, BANDS, 1200, style) == frame(RED, RED, RED, RED, BLUE, BLUE)
         assert render_stress_map(smap, BANDS, 1000, style) == frame(RED, RED, BLUE, BLUE, BLUE, BLUE)
-        # values past the cap are not kept; only 998 and 999 sit inside a row
-        assert [set(table) for table in _stress_glyphs(BANDS, 1200, style.color_enabled)] == [{998, 999}, set()]
+        # values past the cap are not kept: the one table holds exactly 998 and 999
+        assert set(_stress_glyphs(BANDS, 1200, style.color_enabled)) == {998, 999}
 
     # the engine keeps a map in bytes or in a list of ints; its frames must not show which
     @pytest.mark.parametrize("threshold", [100, 200])
@@ -225,7 +239,7 @@ class TestByteMapFrames:
     @pytest.mark.parametrize("threshold,columns,blue", [(300, [5, 6, 7], 0), (255, [3, 5, 6, 7], 1)])
     def test_one_colour_for_every_value_but_at_most_one(self, threshold, columns, blue):
         bands = StressBands(low_max=255, med_max=256)
-        assert [i for i, _ in _stress_glyphs(bands, threshold, True)[0].columns] == columns
+        assert [i for i, _ in _stress_glyphs(bands, threshold, True).columns] == columns
         frames = []
         for in_bytes, in_list in self._maps(GridDims(16, 2)):
             frames.append(render_stress_map(in_bytes, bands, threshold, COLOR))

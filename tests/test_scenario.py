@@ -110,6 +110,13 @@ class TestParse:
         with open(path, "rb") as fp:
             assert load_scenario(fp) == golden_scenario()
 
+    # a byte other than 0 or 1 written into a built map saves as a fault, as it steps
+    @pytest.mark.parametrize("flag", [2, 255])
+    def test_fault_bytes_are_saved_by_truth(self, flag):
+        scenario = golden_scenario()
+        scenario.faults.cells[:] = bytes([flag]) * 4
+        assert parse_scenario(format_scenario(scenario)).faults.cells == b"\1" * 4
+
     @given(scenarios())
     @settings(max_examples=60)
     def test_round_trip_any_scenario(self, scenario):
