@@ -16,8 +16,10 @@ engine's own report, quake mask included.
 `strip_ansi` removes the renderer's colour codes, so a coloured frame can be
 checked against a plain one. `format_mean` rounds an exact `Fraction` mean,
 where the CSV writer rounds the two ints of a report in integer arithmetic.
-`fault_cells`, `fault_count`, `is_fault`, `copy_grid` and `stress_map` read,
-copy and build maps for the tests; the program itself never needs them.
+`KERNELS` names the engine's two step kernels, for tests that run one check
+on each. `fault_cells`, `fault_count`, `is_fault`, `copy_grid` and
+`stress_map` read, copy and build maps for the tests; the program itself
+never needs them.
 """
 
 from __future__ import annotations
@@ -26,12 +28,16 @@ import math
 import re
 from fractions import Fraction
 
-from faultsim.engine import QuakedCells, SimConfig, SplitMix64, StepReport
+from faultsim.engine import QuakedCells, SimConfig, SplitMix64, StepReport, _cell_kernel, _lane_kernel
 from faultsim.grid import Cell, FaultMap, GridDims, StressMap
 
 _ANSI_RE = re.compile(r"\x1b\[[0-9;]*[A-Za-z]")
 
 _MASK64 = (1 << 64) - 1
+
+# the engine's two step kernels by name. A test run with engine._lane_kernel patched to each
+# steps as step finds it, or per cell alone, on the inputs that byte lanes would take too
+KERNELS = {"lane": _lane_kernel, "cell": _cell_kernel}
 
 
 def next_u64(rng: SplitMix64) -> int:

@@ -15,7 +15,7 @@ from faultsim import engine
 from faultsim.engine import (_CHUNK, QuakedCells, SimConfig, SplitMix64, StepReport, _mix, _residues,
                              iter_steps, run, step)
 from faultsim.grid import FaultMap, GridDims, StressMap
-from oracles import copy_grid, next_u64, step_oracle, stress_map
+from oracles import KERNELS, copy_grid, next_u64, step_oracle, stress_map
 
 GAMMA = 0x9E3779B97F4A7C15
 MASK64 = (1 << 64) - 1
@@ -444,9 +444,6 @@ ORACLE_DIMS = [_dims_of(area) for area in (1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 
 TWO_BLOCKS = GridDims(41, _CHUNK // 41 + 1 | 1)
 # thresholds on both sides of the largest that byte lanes hold, and far beyond it in the per-cell kernel
 LANE_EDGE_THRESHOLDS = [1, 100, *range(112, 131), 255, 256, 32_767, 32_768, 2**31, 2**63, 10**30]
-# _lane_kernel as step finds it, or patched to _cell_kernel: then every step goes per cell, and
-# the per-cell kernel meets the oracle on the inputs that byte lanes would take too
-LANE_KERNELS = [engine._lane_kernel, engine._cell_kernel]
 
 
 @st.composite
@@ -467,12 +464,11 @@ class TestStepOracle:
         fault_range=delta_range(),
         threshold=st.one_of(st.sampled_from(LANE_EDGE_THRESHOLDS), st.integers(1, 64), st.integers(1, 10**30)),
         fault_every=st.integers(1, 7),
-        lane_kernel=st.sampled_from(LANE_KERNELS),
+        kernel=st.sampled_from([*KERNELS]),
         data=st.data(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_step_matches_per_cell_oracle(self, dims, seed, fault_range, threshold, fault_every, lane_kernel,
-                                          data):
+    def test_step_matches_per_cell_oracle(self, dims, seed, fault_range, threshold, fault_every, kernel, data):
         fault_span = fault_range[1] - fault_range[0] + 1
         nonfault_range = data.draw(st.one_of(delta_range(), delta_range(span=fault_span)), "nonfault_range")
         cfg = SimConfig(
@@ -499,7 +495,7 @@ class TestStepOracle:
         rng, oracle_rng = SplitMix64(seed), SplitMix64(seed)
         cumulative = 0
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(engine, "_lane_kernel", lane_kernel)
+            patch.setattr(engine, "_lane_kernel", KERNELS[kernel])
             for i in range(1, 4):
                 report = step(stress, faults, cfg, rng, cumulative, step_index=i)
                 assert report == step_oracle(expected, faults, cfg, oracle_rng, cumulative, step_index=i)
@@ -618,9 +614,11 @@ class TestStepOracle:
 
     # a byte other than 0 or 1 written into faults.cells after construction passes
     # FaultMap's check; both kernels read it by truth, as the per-cell oracle does
+    @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("in_bytes", [True, False])
     @pytest.mark.parametrize("flag", [2, 255])
-    def test_fault_bytes_are_read_by_truth(self, flag, in_bytes):
+    def test_fault_bytes_are_read_by_truth(self, flag, in_bytes, kernel, monkeypatch):
+        monkeypatch.setattr(engine, "_lane_kernel", KERNELS[kernel])
         cfg = _cfg(dims=TWO_BLOCKS, seed=5, quake_threshold=20, fault_delta_min=3, fault_delta_max=8,
                    nonfault_delta_min=-5, nonfault_delta_max=5)
         ones = FaultMap.empty(cfg.dims)
@@ -642,12 +640,14 @@ class TestStepOracle:
     # spans above 32 need the residues reduced between byte-lane sums; spans that
     # differ draw once and pick each cell's residue by its fault flag; a span of 129
     # does not fit byte lanes, so every chunk of that config is stepped per cell
+    @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("nonfault,fault,threshold", [
         ((-50, 49), (0, 19), 70),  # spans 100 and 20
         ((-40, 59), (-40, 59), 60),  # span 100 on both
         ((-64, 64), (0, 19), 70),  # spans 129 and 20
     ])
-    def test_wide_and_differing_spans_match_oracle(self, nonfault, fault, threshold):
+    def test_wide_and_differing_spans_match_oracle(self, nonfault, fault, threshold, kernel, monkeypatch):
+        monkeypatch.setattr(engine, "_lane_kernel", KERNELS[kernel])
         cfg = SimConfig(dims=TWO_BLOCKS, seed=11, quake_threshold=threshold, delay_ms=0,
                         nonfault_delta_min=nonfault[0], nonfault_delta_max=nonfault[1],
                         fault_delta_min=fault[0], fault_delta_max=fault[1])
@@ -664,17 +664,6 @@ class TestStepOracle:
             assert rng.state == oracle_rng.state
             cumulative = report.cumulative_quakes
         assert cumulative > 0
-
-
-class TestStepOracleOnCellKernel:
-    """Oracle comparisons of TestStepOracle again, with _lane_kernel patched to _cell_kernel."""
-
-    @pytest.fixture(autouse=True)
-    def _cell_kernel_only(self, monkeypatch):
-        monkeypatch.setattr(engine, "_lane_kernel", engine._cell_kernel)
-
-    test_fault_bytes_are_read_by_truth = TestStepOracle.test_fault_bytes_are_read_by_truth
-    test_wide_and_differing_spans_match_oracle = TestStepOracle.test_wide_and_differing_spans_match_oracle
 
 
 def _faults_every_fourth(dims: GridDims) -> FaultMap:
@@ -849,7 +838,6 @@ class TestReadAhead:
 
 # 100x41: chunks of 2,048, 2,048 and 4 cells
 THREE_CHUNKS = GridDims(100, 41)
-KERNELS = [pytest.param(engine._lane_kernel, id="lane"), pytest.param(engine._cell_kernel, id="cell")]
 
 
 def _kernel_args(cfg: SimConfig) -> tuple[int, int, int, int, int]:
@@ -895,7 +883,7 @@ class TestKernelContract:
            seed=st.integers(0, 2**64 - 1), fault_every=st.integers(1, 7), data=st.data())
     @settings(max_examples=30, deadline=None)
     def test_each_call_matches_the_oracle(self, kernel, dims, seed, fault_every, data):
-        if kernel is engine._lane_kernel:
+        if kernel == "lane":
             fault, nonfault = data.draw(lane_delta_range(), "fault"), data.draw(lane_delta_range(), "nonfault")
             room = max(fault[1], nonfault[1], 0)
             threshold = data.draw(st.integers(1, 0x80 - room), "threshold")
@@ -913,7 +901,7 @@ class TestKernelContract:
         rnd = random.Random(seed)
         values = [rnd.randint(0, highest) for _ in range(cfg.dims.area)]
         stress = StressMap(cfg.dims, bytearray(values) if in_bytes else values)
-        self._check(kernel, stress, faults, cfg)
+        self._check(KERNELS[kernel], stress, faults, cfg)
 
     # byte lanes' worst case: every lane holds 0x7F and neither moves nor quakes, so each of the
     # 512-byte pieces the total is summed from holds 512 * 127 = 65,024, below adler32's 65,521
@@ -921,7 +909,7 @@ class TestKernelContract:
     def test_a_map_of_0x7f_at_threshold_128(self, kernel):
         cfg = _cfg(dims=THREE_CHUNKS, quake_threshold=0x80, fault_delta_min=0, fault_delta_max=0)
         stress = StressMap(cfg.dims, bytearray(b"\x7f" * cfg.dims.area))
-        assert self._check(kernel, stress, _faults_every_fourth(cfg.dims), cfg) == [(0x7F, 0, 127 * 4100)] * 3
+        assert self._check(KERNELS[kernel], stress, _faults_every_fourth(cfg.dims), cfg) == [(0x7F, 0, 127 * 4100)] * 3
 
     def test_step_runs_byte_lanes_on_a_map_of_0x7f(self, kernels_run):
         cfg = _cfg(dims=THREE_CHUNKS, quake_threshold=0x80, fault_delta_min=0, fault_delta_max=0)
@@ -967,9 +955,9 @@ class TestQuakedCells:
     # byte lanes in every chunk (a map in bytes) or per cell in every chunk (a list), or per
     # cell on both with _lane_kernel patched to _cell_kernel
     @given(dims=st.sampled_from(ORACLE_DIMS), seed=st.integers(0, 2**64 - 1), threshold=st.integers(1, 20),
-           in_bytes=st.booleans(), lane_kernel=st.sampled_from(LANE_KERNELS))
+           in_bytes=st.booleans(), kernel=st.sampled_from([*KERNELS]))
     @settings(max_examples=30, deadline=None)
-    def test_match_the_oracle(self, dims, seed, threshold, in_bytes, lane_kernel):
+    def test_match_the_oracle(self, dims, seed, threshold, in_bytes, kernel):
         cfg = _cfg(dims=GridDims(*dims), seed=seed, quake_threshold=threshold, fault_delta_min=0,
                    fault_delta_max=10, nonfault_delta_min=-5, nonfault_delta_max=5)
         faults = FaultMap.empty(cfg.dims)
@@ -979,7 +967,7 @@ class TestQuakedCells:
         expected = copy_grid(stress)
         rng, oracle_rng = SplitMix64(seed), SplitMix64(seed)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(engine, "_lane_kernel", lane_kernel)
+            patch.setattr(engine, "_lane_kernel", KERNELS[kernel])
             for i in (1, 2):
                 self._check(step(stress, faults, cfg, rng, 0, i), step_oracle(expected, faults, cfg, oracle_rng, 0, i))
 

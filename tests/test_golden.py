@@ -20,6 +20,7 @@ import faultsim
 from faultsim import engine
 from faultsim.cli import main
 from faultsim.engine import QuakedCells
+from oracles import KERNELS
 
 SRC_DIR = str(Path(faultsim.__file__).resolve().parents[1])
 
@@ -240,9 +241,14 @@ def test_out_file_matches_pin(tmp_path, name):
     assert proc.stderr.decode() == err
 
 
+# on each kernel: with _lane_kernel patched to _cell_kernel every step of every case goes per
+# cell, and each run must still give its pinned CSV
+@pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_headless_run_never_decodes_quaked_cells(tmp_path, name, monkeypatch, capsys):
+def test_headless_run_never_decodes_quaked_cells(tmp_path, name, kernel, monkeypatch, capsys):
     """The CSV counts each step's quakes; a headless run never builds their (x, y)."""
+    monkeypatch.setattr(engine, "_lane_kernel", KERNELS[kernel])
+
     def refuse(self):
         raise AssertionError("a headless run decoded its quaked cells")
 
@@ -252,11 +258,3 @@ def test_headless_run_never_decodes_quaked_cells(tmp_path, name, monkeypatch, ca
     out, captured_err = capsys.readouterr()
     assert (hashlib.sha256(out.encode()).hexdigest(), len(out)) == (digest, length)
     assert captured_err == err
-
-
-# with _lane_kernel patched to _cell_kernel, every step of every case goes per cell, and each
-# run must still give its pinned CSV
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_headless_run_on_the_cell_kernel_alone(tmp_path, name, monkeypatch, capsys):
-    monkeypatch.setattr(engine, "_lane_kernel", engine._cell_kernel)
-    test_headless_run_never_decodes_quaked_cells(tmp_path, name, monkeypatch, capsys)

@@ -243,7 +243,8 @@ class TestFaultMap:
         assert fmap.cells == b"\0\1\1\0"
         assert fault_cells(fmap) == {(1, 0), (0, 1)}
 
-    # step's byte lanes add a fault byte as a 1: a 2 would double a fault cell's delta
+    # every nonzero byte is read as a fault, so the scenario glyph bytes b"0" and b"1" (0x30 and
+    # 0x31), passed as cells by mistake, would build a map of all faults
     @pytest.mark.parametrize("cells", [bytearray([0, 2]), bytearray([1, 255])])
     def test_fault_bytes_other_than_0_and_1_rejected(self, cells):
         with pytest.raises(ValueError, match="^fault cells must be 0 or 1$"):
