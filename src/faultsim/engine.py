@@ -10,10 +10,13 @@ is what makes scenario files and recorded statistics trustworthy.
 
 from __future__ import annotations
 
+import os
 import struct
 from functools import lru_cache
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, ModuleSpec
+from types import ModuleType
 from typing import Callable, Iterator
-from zlib import adler32
+from zlib import adler32, crc32
 
 from .grid import Cell, FaultMap, GridDims, StressMap, Value, digits, require_int
 
@@ -29,6 +32,61 @@ _CHUNK = 2048
 
 # one day: longer than any useful frame pause, far below where time.sleep overflows
 MAX_DELAY_MS = 86_400_000
+
+
+def _build(source: str, path: str) -> None:
+    """Compile source into the extension module at path, or raise.
+
+    The compiler and its flags are the ones this Python was built with: sysconfig's LDSHARED
+    (None on Windows, which builds nothing here), CCSHARED and include paths. The module goes
+    to a name of this process's own and is renamed into place whole, so builds that race each
+    leave one whole file and a failed one leaves none.
+    """
+    import shlex
+    import subprocess
+    import sysconfig
+
+    ldshared = sysconfig.get_config_var("LDSHARED")
+    if not ldshared:
+        raise OSError("this Python names no command that links an extension module")
+    paths = sysconfig.get_paths()
+    temp = f"{path}.{os.getpid()}.tmp"
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    try:
+        subprocess.run([*shlex.split(ldshared), *shlex.split(sysconfig.get_config_var("CCSHARED") or ""),
+                        "-O2", "-I", paths["include"], "-I", paths["platinclude"], source, "-o", temp],
+                       stdin=subprocess.DEVNULL, capture_output=True, check=True, timeout=120)
+        os.replace(temp, path)
+    finally:
+        if os.path.exists(temp):
+            os.remove(temp)
+
+
+def _load(source: str) -> ModuleType | None:
+    """The C step kernel compiled from source, built on the first call and cached; None where it
+    cannot be built or loaded.
+
+    The build is cached in the __pycache__ beside source, named by the crc32 of the source and
+    the interpreter's extension suffix: an edited source or another Python builds a file of its
+    own, and a stale one is never loaded. Any failure (no compiler, no Python headers, a read-only
+    tree, a platform without LDSHARED) gives None, and step runs its Python kernels.
+    """
+    try:
+        with open(source, "rb") as file:
+            code = file.read()
+        cache = os.path.join(os.path.dirname(source), "__pycache__")
+        path = os.path.join(cache, f"_kernel.{crc32(code):08x}{EXTENSION_SUFFIXES[0]}")
+        if not os.path.exists(path):
+            _build(source, path)
+        loader = ExtensionFileLoader("faultsim._kernel", path)
+        module = loader.create_module(ModuleSpec("faultsim._kernel", loader, origin=path))
+        loader.exec_module(module)
+        return module
+    except Exception:  # quietly: the Python kernels give the same bytes, and stderr is the run's own
+        return None
+
+
+_C = _load(os.path.join(os.path.dirname(__file__), "_kernel.c"))
 
 
 @lru_cache(maxsize=1)
@@ -246,12 +304,14 @@ def step(stress: StressMap, faults: FaultMap, cfg: SimConfig, rng: SplitMix64,
 
     Exactly one rng draw per cell, row-major: cell i gets the value rng.randint would give it, and
     rng.state moves one gamma per cell. The draws may come from a block that rng mixed in an
-    earlier step (see SplitMix64); the values are the same. The kernel is chosen before the first
-    draw: _lane_kernel if the map is in bytes, the config fits byte lanes and no cell is within
-    the largest delta of 0x80, else _cell_kernel. A kept cell is below the threshold, so only a
-    threshold above 256 turns a map in bytes into a list of ints, before the first draw. A
-    negative cell raises ValueError before any draw, the map left as it was. Quakes go into one
-    mask of the map's size; the kernel counts them and sums the map as it goes. No (x, y) is built.
+    earlier step (see SplitMix64); the values are the same. A kept cell is below the threshold,
+    so only a threshold above 256 turns a map in bytes into a list of ints, before the first draw.
+    The kernel is chosen before the first draw: _c_kernel if the C kernel was built (see _load),
+    the map is in bytes and every delta low, high and span is below 2**62 in size; else
+    _lane_kernel if the map is in bytes, the config fits byte lanes and no cell is within the
+    largest delta of 0x80; else _cell_kernel. A negative cell raises ValueError before any draw,
+    the map left as it was. Quakes go into one mask of the map's size; the kernel counts them and
+    sums the map as it goes. No (x, y) is built.
     """
     if not (stress.dims == faults.dims == cfg.dims):
         raise ValueError("stress, faults and config must share one grid")
@@ -266,17 +326,32 @@ def step(stress: StressMap, faults: FaultMap, cfg: SimConfig, rng: SplitMix64,
     room = max(cfg.fault_delta_max, cfg.nonfault_delta_max, 0)  # the most a cell can gain
     if threshold > 0x100 and isinstance(cells, bytearray):  # a cell kept, below it, may pass 255
         stress.cells = cells = list(cells)
+    # C adds in int64: a cell, a low and a draw mod a span, each below 2**62, cannot overflow it
+    native = (_C is not None and isinstance(cells, bytearray)
+              and max(map(abs, (n_lo, f_lo, cfg.nonfault_delta_max, cfg.fault_delta_max, *spans))) < 1 << 62)
     # byte lanes hold -delta_min, r < span and any cell plus room below 0x80; the translate
     # deletes every cell that fits, so it leaves none exactly when all of them fit
-    fits = (isinstance(cells, bytearray)
+    fits = (not native and isinstance(cells, bytearray)
             and max(-min(f_lo, n_lo), max(spans) - 1, threshold - 1 + room) < 0x80
             and not cells.translate(None, _BELOW_GUARD[:0x80 - room]))
     area = len(cells)
     mask = bytearray(area)  # made after fits, whose translate may copy the whole map
-    kernel = _lane_kernel if fits else _cell_kernel
+    kernel = _c_kernel if native else _lane_kernel if fits else _cell_kernel
     top, count, total = kernel(cells, fault_flags, mask, rng, f_lo, n_lo, f_span, n_span, threshold)
     return StepReport(step_index, QuakedCells(mask, cfg.dims.width, count),
                       cumulative_quakes + count, top, total, area)
+
+
+def _c_kernel(cells: bytearray, fault_flags: bytearray, mask: bytearray, rng: SplitMix64,
+              f_lo: int, n_lo: int, f_span: int, n_span: int, threshold: int) -> tuple[int, int, int]:
+    """_cell_kernel's step in one C loop, on a map in bytes: the same mask and (top, count, total).
+
+    It draws straight from rng.state and moves it one gamma per cell. It never reads or sets
+    rng's kept block, whose tag then no longer matches, so rng's next call mixes from the state.
+    """
+    rng.state, top, count, total = _C.step(cells, fault_flags, mask, rng.state, n_lo, n_span, f_lo, f_span,
+                                           threshold)
+    return top, count, total
 
 
 def _cell_kernel(cells: bytearray | list[int], fault_flags: bytearray, mask: bytearray, rng: SplitMix64,

@@ -16,10 +16,10 @@ engine's own report, quake mask included.
 `strip_ansi` removes the renderer's colour codes, so a coloured frame can be
 checked against a plain one. `format_mean` rounds an exact `Fraction` mean,
 where the CSV writer rounds the two ints of a report in integer arithmetic.
-`KERNELS` names the engine's two step kernels, for tests that run one check
-on each. `fault_cells`, `fault_count`, `is_fault`, `copy_grid` and
-`stress_map` read, copy and build maps for the tests; the program itself
-never needs them.
+`KERNELS` names the engine's step kernels, for tests that run one check on
+each, and `use_kernel` makes `step` run the one named. `fault_cells`,
+`fault_count`, `is_fault`, `copy_grid` and `stress_map` read, copy and build
+maps for the tests; the program itself never needs them.
 """
 
 from __future__ import annotations
@@ -28,16 +28,30 @@ import math
 import re
 from fractions import Fraction
 
-from faultsim.engine import QuakedCells, SimConfig, SplitMix64, StepReport, _cell_kernel, _lane_kernel
+import pytest
+
+from faultsim import engine
+from faultsim.engine import QuakedCells, SimConfig, SplitMix64, StepReport, _c_kernel, _cell_kernel, _lane_kernel
 from faultsim.grid import Cell, FaultMap, GridDims, StressMap
 
 _ANSI_RE = re.compile(r"\x1b\[[0-9;]*[A-Za-z]")
 
 _MASK64 = (1 << 64) - 1
 
-# the engine's two step kernels by name. A test run with engine._lane_kernel patched to each
-# steps as step finds it, or per cell alone, on the inputs that byte lanes would take too
-KERNELS = {"lane": _lane_kernel, "cell": _cell_kernel}
+# the engine's step kernels by name; "c" is there only where engine built its C kernel
+KERNELS = {"lane": _lane_kernel, "cell": _cell_kernel, **({"c": _c_kernel} if engine._C else {})}
+# the kernels a parametrized test runs: "c" too, skipped with this reason where it did not build
+NO_C = "the C kernel did not build here: no compiler, no Python headers or a read-only tree"
+KERNEL_CASES = [*KERNELS] if "c" in KERNELS else [*KERNELS, pytest.param("c", marks=pytest.mark.skip(reason=NO_C))]
+
+
+def use_kernel(monkeypatch: pytest.MonkeyPatch, name: str) -> None:
+    """Make step run the kernel named. "c": step as it is, which takes C wherever it can; "lane"
+    or "cell": C hidden and engine._lane_kernel patched to that kernel, so step goes as the
+    Python path finds it, or per cell alone on the inputs byte lanes would take too."""
+    if name != "c":
+        monkeypatch.setattr(engine, "_C", None)
+        monkeypatch.setattr(engine, "_lane_kernel", KERNELS[name])
 
 
 def next_u64(rng: SplitMix64) -> int:

@@ -15,7 +15,7 @@ from faultsim import engine
 from faultsim.engine import (_CHUNK, QuakedCells, SimConfig, SplitMix64, StepReport, _mix, _residues,
                              iter_steps, run, step)
 from faultsim.grid import FaultMap, GridDims, StressMap
-from oracles import KERNELS, copy_grid, next_u64, step_oracle, stress_map
+from oracles import KERNEL_CASES, KERNELS, NO_C, copy_grid, next_u64, step_oracle, stress_map, use_kernel
 
 GAMMA = 0x9E3779B97F4A7C15
 MASK64 = (1 << 64) - 1
@@ -495,7 +495,7 @@ class TestStepOracle:
         rng, oracle_rng = SplitMix64(seed), SplitMix64(seed)
         cumulative = 0
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(engine, "_lane_kernel", KERNELS[kernel])
+            use_kernel(patch, kernel)
             for i in range(1, 4):
                 report = step(stress, faults, cfg, rng, cumulative, step_index=i)
                 assert report == step_oracle(expected, faults, cfg, oracle_rng, cumulative, step_index=i)
@@ -613,12 +613,12 @@ class TestStepOracle:
             assert list(stress.cells) == list(expected.cells) == [0 if quakes else kept] * cfg.dims.area
 
     # a byte other than 0 or 1 written into faults.cells after construction passes
-    # FaultMap's check; both kernels read it by truth, as the per-cell oracle does
-    @pytest.mark.parametrize("kernel", KERNELS)
+    # FaultMap's check; every kernel reads it by truth, as the per-cell oracle does
+    @pytest.mark.parametrize("kernel", KERNEL_CASES)
     @pytest.mark.parametrize("in_bytes", [True, False])
     @pytest.mark.parametrize("flag", [2, 255])
     def test_fault_bytes_are_read_by_truth(self, flag, in_bytes, kernel, monkeypatch):
-        monkeypatch.setattr(engine, "_lane_kernel", KERNELS[kernel])
+        use_kernel(monkeypatch, kernel)
         cfg = _cfg(dims=TWO_BLOCKS, seed=5, quake_threshold=20, fault_delta_min=3, fault_delta_max=8,
                    nonfault_delta_min=-5, nonfault_delta_max=5)
         ones = FaultMap.empty(cfg.dims)
@@ -640,14 +640,14 @@ class TestStepOracle:
     # spans above 32 need the residues reduced between byte-lane sums; spans that
     # differ draw once and pick each cell's residue by its fault flag; a span of 129
     # does not fit byte lanes, so every chunk of that config is stepped per cell
-    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("kernel", KERNEL_CASES)
     @pytest.mark.parametrize("nonfault,fault,threshold", [
         ((-50, 49), (0, 19), 70),  # spans 100 and 20
         ((-40, 59), (-40, 59), 60),  # span 100 on both
         ((-64, 64), (0, 19), 70),  # spans 129 and 20
     ])
     def test_wide_and_differing_spans_match_oracle(self, nonfault, fault, threshold, kernel, monkeypatch):
-        monkeypatch.setattr(engine, "_lane_kernel", KERNELS[kernel])
+        use_kernel(monkeypatch, kernel)
         cfg = SimConfig(dims=TWO_BLOCKS, seed=11, quake_threshold=threshold, delay_ms=0,
                         nonfault_delta_min=nonfault[0], nonfault_delta_max=nonfault[1],
                         fault_delta_min=fault[0], fault_delta_max=fault[1])
@@ -678,7 +678,7 @@ def kernels_run(monkeypatch):
     """The name of each kernel step calls, in call order; each still steps the map and returns
     its (top, count, total), whose count and total the spy checks against the mask and the map."""
     names = []
-    for name in ("_lane_kernel", "_cell_kernel"):
+    for name in ("_c_kernel", "_lane_kernel", "_cell_kernel"):
         def spy(cells, fault_flags, mask, *rest, kernel=getattr(engine, name), name=name):
             names.append(name)
             result = kernel(cells, fault_flags, mask, *rest)
@@ -688,10 +688,39 @@ def kernels_run(monkeypatch):
     return names
 
 
+@pytest.fixture
+def python_kernels(monkeypatch):
+    """step with the C kernel hidden, as where it did not build: it picks a Python kernel."""
+    monkeypatch.setattr(engine, "_C", None)
+
+
+def _needs_c(kernel: str) -> None:
+    """Skip a case that expects the C kernel where it did not build."""
+    if kernel == "_c_kernel" and engine._C is None:
+        pytest.skip(NO_C)
+
+
+def _run_config(width: int, height: int, threshold: int, steps: int) -> list[StepReport]:
+    """The reports of a run of this size and threshold with the stock deltas, a fault at every fourth
+    cell, and a target no run reaches, so it takes every step; some step quakes."""
+    dims = GridDims(width, height)
+    cfg = SimConfig(dims=dims, seed=1, quake_threshold=threshold, target_quakes=dims.area * steps + 1,
+                    delay_ms=0, max_steps=steps)
+    reports = list(iter_steps(StressMap.empty(dims), _faults_every_fourth(dims), cfg))
+    assert len(reports) == steps and sum(len(r.quaked_cells) for r in reports) > 0
+    return reports
+
+
+# the benchmark's configs: small-long (20x20, 2,500 steps) and animate (100x100, 60 steps)
+# at threshold 100, large-grid (1024x1024, 2 steps) at 10, all with the stock deltas
+BENCHMARK_CONFIGS = [(20, 20, 100, 2_500), (1024, 1024, 10, 2), (100, 100, 100, 60)]
+
+
+@pytest.mark.usefixtures("python_kernels")
 class TestKernelChoice:
-    """step picks one kernel per step, before its first draw. With the stock deltas (non-fault
-    -5..5, fault 0..10) a byte lane holds a cell of up to 117 and a threshold of up to 118:
-    117 + 10 is 127, the largest value below the guard bit."""
+    """With the C kernel hidden, step picks one Python kernel per step, before its first draw. With
+    the stock deltas (non-fault -5..5, fault 0..10) a byte lane holds a cell of up to 117 and a
+    threshold of up to 118: 117 + 10 is 127, the largest value below the guard bit."""
 
     LANE, CELL = "_lane_kernel", "_cell_kernel"
 
@@ -725,17 +754,68 @@ class TestKernelChoice:
         assert isinstance(stress.cells, list)
         assert kernels_run == [self.CELL]
 
-    # the benchmark's configs: small-long (20x20, 2,500 steps) and animate (100x100, 60 steps)
-    # at threshold 100, large-grid (1024x1024, 2 steps) at 10, all with the stock deltas
-    @pytest.mark.parametrize("width,height,threshold,steps", [
-        (20, 20, 100, 2_500), (1024, 1024, 10, 2), (100, 100, 100, 60)])
+    @pytest.mark.parametrize("width,height,threshold,steps", BENCHMARK_CONFIGS)
     def test_benchmark_configs_run_on_byte_lanes(self, kernels_run, width, height, threshold, steps):
-        dims = GridDims(width, height)
-        cfg = SimConfig(dims=dims, seed=1, quake_threshold=threshold, target_quakes=dims.area * steps + 1,
-                        delay_ms=0, max_steps=steps)
-        reports = list(iter_steps(StressMap.empty(dims), _faults_every_fourth(dims), cfg))
-        assert len(reports) == steps and sum(len(r.quaked_cells) for r in reports) > 0
+        _run_config(width, height, threshold, steps)
         assert kernels_run == [self.LANE] * steps
+
+
+class TestCKernelChoice:
+    """step takes the C kernel where it was built, the map is in bytes and every delta low, high and
+    span is below 2**62 in size, so that C's int64 sum of a cell, a low and a draw mod a span cannot
+    overflow. Its arguments are parsed unchecked, so these bounds alone stop a value that would
+    wrap. On each side of each bound, the step names the kernel it ran and meets the oracle."""
+
+    @pytest.mark.parametrize("width,height,threshold,steps", BENCHMARK_CONFIGS)
+    def test_benchmark_configs_run_on_c(self, kernels_run, width, height, threshold, steps):
+        _needs_c("_c_kernel")
+        _run_config(width, height, threshold, steps)
+        assert kernels_run == ["_c_kernel"] * steps
+
+    @staticmethod
+    def _steps(kernels_run, cfg: SimConfig, stress: StressMap, kernel: str, storage: type) -> None:
+        """Three steps of stress under cfg, each meeting the oracle on kernel, the map kept in storage."""
+        faults = _faults_every_fourth(cfg.dims)
+        expected = copy_grid(stress)
+        rng, oracle_rng = SplitMix64(cfg.seed), SplitMix64(cfg.seed)
+        cumulative = 0
+        for i in (1, 2, 3):
+            report = step(stress, faults, cfg, rng, cumulative, step_index=i)
+            assert report == step_oracle(expected, faults, cfg, oracle_rng, cumulative, step_index=i)
+            assert list(stress.cells) == list(expected.cells) and isinstance(stress.cells, storage)
+            assert rng.state == oracle_rng.state
+            cumulative = report.cumulative_quakes
+        assert kernels_run == [kernel] * 3
+
+    # the non-fault range one below each bound (C) and at it (per cell), its other two figures
+    # inside: a low alone (span 1), positive or negative; a high above a low of 2**61; a span
+    # from a low of -(2**61)
+    @pytest.mark.parametrize("nonfault,kernel", [
+        pytest.param((lo, hi), kernel, id=f"{bound}-{side}")
+        for bound, below, at in [
+            ("low", (2**62 - 1, 2**62 - 1), (2**62, 2**62)),
+            ("negative-low", (1 - 2**62, 1 - 2**62), (-(2**62), -(2**62))),
+            ("high", (2**61, 2**62 - 1), (2**61, 2**62)),
+            ("span", (-(2**61), 2**61 - 2), (-(2**61), 2**61 - 1)),
+        ]
+        for side, (lo, hi), kernel in [("below", below, "_c_kernel"), ("at", at, "_cell_kernel")]])
+    def test_deltas_below_2_62_run_on_c(self, kernels_run, nonfault, kernel):
+        _needs_c(kernel)
+        cfg = SimConfig(dims=TWO_BLOCKS, seed=5, quake_threshold=100, delay_ms=0,
+                        nonfault_delta_min=nonfault[0], nonfault_delta_max=nonfault[1])
+        assert max(nonfault[1] - nonfault[0] + 1, *map(abs, nonfault)) == (2**62 - 1 if kernel == "_c_kernel" else 2**62)
+        values = random.Random(5).choices(range(100), k=cfg.dims.area)
+        self._steps(kernels_run, cfg, StressMap(cfg.dims, bytearray(values)), kernel, bytearray)
+
+    # a map in bytes keeps it up to threshold 256, and C steps it; at 257 step makes it a list
+    @pytest.mark.parametrize("threshold,kernel,storage", [
+        (256, "_c_kernel", bytearray), (257, "_cell_kernel", list)])
+    def test_a_threshold_up_to_256_runs_on_c(self, kernels_run, threshold, kernel, storage):
+        _needs_c(kernel)
+        cfg = SimConfig(dims=TWO_BLOCKS, seed=5, quake_threshold=threshold, delay_ms=0,
+                        fault_delta_min=0, fault_delta_max=100)
+        values = random.Random(5).choices(range(256), k=cfg.dims.area)
+        self._steps(kernels_run, cfg, StressMap(cfg.dims, bytearray(values)), kernel, storage)
 
 
 @pytest.fixture
@@ -761,7 +841,7 @@ class TestReadAhead:
     # blocks; 10,000: a step ends 1,808 draws into its fifth block; 1024x1024: 512 whole blocks
     @pytest.mark.parametrize("width,height,steps", [
         (20, 20, 2_500), (32, 32, 4), (41, 25, 3), (100, 100, 3), (683, 3, 4), (1024, 1024, 1)])
-    def test_draws_mixed(self, mixed, kernels_run, width, height, steps):
+    def test_draws_mixed(self, python_kernels, mixed, kernels_run, width, height, steps):
         dims = GridDims(width, height)
         cfg = SimConfig(dims=dims, seed=1, target_quakes=dims.area * steps + 1, delay_ms=0, max_steps=steps)
         reports = list(iter_steps(StressMap.empty(dims), _faults_every_fourth(dims), cfg))
@@ -797,11 +877,18 @@ class TestReadAhead:
     # 1,568 into the tenth, and from step 2 on every chunk straddles two blocks, but in the
     # step right after a reset or a rewind): five draws; the state set to another seed, set
     # back to where step 2 began, or set to itself; a step of other spans; a step that goes
-    # per cell because one cell is too near the guard bit
-    @pytest.mark.parametrize("side,move", [
-        pytest.param(side, move, id=move if side == 20 else f"{move}-100x100")
-        for side in (20, 100) for move in ("draws", "reset", "rewind", "same", "spans", "per-cell")])
-    def test_a_step_after_an_outside_move(self, kernels_run, side, move):
+    # per cell because one cell is too near the guard bit. With C hidden, the Python kernels run;
+    # with it built ("-c"), it runs every step: it never touches rng's block, so each step after
+    # a C step mixes its draws from the state
+    @pytest.mark.parametrize("side,move,native", [
+        pytest.param(side, move, native, id=(move if side == 20 else f"{move}-100x100") + ("-c" if native else ""))
+        for native in (False, True) for side in (20, 100)
+        for move in ("draws", "reset", "rewind", "same", "spans", "per-cell")])
+    def test_a_step_after_an_outside_move(self, monkeypatch, kernels_run, side, move, native):
+        if native:
+            _needs_c("_c_kernel")
+        else:
+            monkeypatch.setattr(engine, "_C", None)
         dims = GridDims(side, side)
         cfg = SimConfig(dims=dims, seed=7, quake_threshold=20, delay_ms=0)
         other = SimConfig(dims=dims, seed=7, quake_threshold=20, fault_delta_max=9, delay_ms=0)
@@ -832,8 +919,11 @@ class TestReadAhead:
             assert rng.state == (start + drawn * GAMMA) & MASK64 == oracle_rng.state, i
             cumulative = report.cumulative_quakes
         assert cumulative > 0
-        assert kernels_run == ["_lane_kernel"] * 8 if move != "per-cell" else (
-            ["_lane_kernel"] * 2 + ["_cell_kernel"] + ["_lane_kernel"] * 5)
+        if native:
+            assert kernels_run == ["_c_kernel"] * 8
+        else:
+            assert kernels_run == (["_lane_kernel"] * 8 if move != "per-cell" else
+                                   ["_lane_kernel"] * 2 + ["_cell_kernel"] + ["_lane_kernel"] * 5)
 
 
 # 100x41: chunks of 2,048, 2,048 and 4 cells
@@ -851,6 +941,14 @@ def lane_delta_range(draw):
     """A delta range that byte lanes hold: no delta below -127 or above 100, at most 128 values."""
     lo = draw(st.integers(-127, 100))
     return lo, lo + draw(st.integers(1, min(128, 101 - lo))) - 1
+
+
+@st.composite
+def c_delta_range(draw):
+    """A delta range the C kernel takes: its low, its high and its span each below 2**62 in size."""
+    lo = draw(st.one_of(st.integers(-300, 300), st.integers(1 - 2**62, 2**62 - 1)))
+    top = min(2**62 - 1, lo + 2**62 - 2)  # the highest high whose span is below 2**62
+    return lo, draw(st.one_of(st.integers(lo, min(lo + 600, top)), st.integers(lo, top)))
 
 
 class TestKernelContract:
@@ -876,9 +974,10 @@ class TestKernelContract:
             cumulative = report.cumulative_quakes
         return results
 
-    # byte lanes take a map in bytes whose config and cells fit them; the per-cell kernel takes any
-    # config, and a map in bytes under a threshold of 256 or less (above it step makes a list)
-    @pytest.mark.parametrize("kernel", KERNELS)
+    # byte lanes take a map in bytes whose config and cells fit them; C a map in bytes under a
+    # threshold of 256 or less and deltas below 2**62 in size; the per-cell kernel takes any config,
+    # and a map in bytes under a threshold of 256 or less (above it step makes a list)
+    @pytest.mark.parametrize("kernel", KERNEL_CASES)
     @given(dims=st.sampled_from([*ORACLE_DIMS, (THREE_CHUNKS.width, THREE_CHUNKS.height)]),
            seed=st.integers(0, 2**64 - 1), fault_every=st.integers(1, 7), data=st.data())
     @settings(max_examples=30, deadline=None)
@@ -888,6 +987,11 @@ class TestKernelContract:
             room = max(fault[1], nonfault[1], 0)
             threshold = data.draw(st.integers(1, 0x80 - room), "threshold")
             in_bytes, highest = True, 0x7F - room
+        elif kernel == "c":
+            fault, nonfault = data.draw(c_delta_range(), "fault"), data.draw(c_delta_range(), "nonfault")
+            threshold = data.draw(st.one_of(st.sampled_from([t for t in LANE_EDGE_THRESHOLDS if t <= 0x100]),
+                                            st.integers(1, 0x100)), "threshold")
+            in_bytes, highest = True, 0xFF
         else:
             fault, nonfault = data.draw(delta_range(), "fault"), data.draw(delta_range(), "nonfault")
             threshold = data.draw(st.one_of(st.sampled_from(LANE_EDGE_THRESHOLDS), st.integers(1, 10**30)),
@@ -905,13 +1009,13 @@ class TestKernelContract:
 
     # byte lanes' worst case: every lane holds 0x7F and neither moves nor quakes, so each of the
     # 512-byte pieces the total is summed from holds 512 * 127 = 65,024, below adler32's 65,521
-    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("kernel", KERNEL_CASES)
     def test_a_map_of_0x7f_at_threshold_128(self, kernel):
         cfg = _cfg(dims=THREE_CHUNKS, quake_threshold=0x80, fault_delta_min=0, fault_delta_max=0)
         stress = StressMap(cfg.dims, bytearray(b"\x7f" * cfg.dims.area))
         assert self._check(KERNELS[kernel], stress, _faults_every_fourth(cfg.dims), cfg) == [(0x7F, 0, 127 * 4100)] * 3
 
-    def test_step_runs_byte_lanes_on_a_map_of_0x7f(self, kernels_run):
+    def test_step_runs_byte_lanes_on_a_map_of_0x7f(self, python_kernels, kernels_run):
         cfg = _cfg(dims=THREE_CHUNKS, quake_threshold=0x80, fault_delta_min=0, fault_delta_max=0)
         stress = StressMap(cfg.dims, bytearray(b"\x7f" * cfg.dims.area))
         report = step(stress, _faults_every_fourth(cfg.dims), cfg, SplitMix64(0), 0)
@@ -967,7 +1071,7 @@ class TestQuakedCells:
         expected = copy_grid(stress)
         rng, oracle_rng = SplitMix64(seed), SplitMix64(seed)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(engine, "_lane_kernel", KERNELS[kernel])
+            use_kernel(patch, kernel)
             for i in (1, 2):
                 self._check(step(stress, faults, cfg, rng, 0, i), step_oracle(expected, faults, cfg, oracle_rng, 0, i))
 

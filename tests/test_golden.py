@@ -17,10 +17,9 @@ from pathlib import Path
 import pytest
 
 import faultsim
-from faultsim import engine
 from faultsim.cli import main
 from faultsim.engine import QuakedCells
-from oracles import KERNELS
+from oracles import KERNEL_CASES, use_kernel
 
 SRC_DIR = str(Path(faultsim.__file__).resolve().parents[1])
 
@@ -241,13 +240,13 @@ def test_out_file_matches_pin(tmp_path, name):
     assert proc.stderr.decode() == err
 
 
-# on each kernel: with _lane_kernel patched to _cell_kernel every step of every case goes per
-# cell, and each run must still give its pinned CSV
-@pytest.mark.parametrize("kernel", KERNELS)
+# on each kernel: with C hidden and _lane_kernel patched to _cell_kernel every step of every
+# case goes per cell, and each run must still give its pinned CSV
+@pytest.mark.parametrize("kernel", KERNEL_CASES)
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_headless_run_never_decodes_quaked_cells(tmp_path, name, kernel, monkeypatch, capsys):
     """The CSV counts each step's quakes; a headless run never builds their (x, y)."""
-    monkeypatch.setattr(engine, "_lane_kernel", KERNELS[kernel])
+    use_kernel(monkeypatch, kernel)
 
     def refuse(self):
         raise AssertionError("a headless run decoded its quaked cells")
