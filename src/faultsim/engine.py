@@ -16,7 +16,7 @@ from functools import lru_cache
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, ModuleSpec
 from types import ModuleType
 from typing import Callable, Iterator
-from zlib import adler32, crc32
+from zlib import crc32
 
 from .grid import Cell, FaultMap, GridDims, StressMap, Value, digits, require_int
 
@@ -24,7 +24,6 @@ _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
-_BELOW_GUARD = bytes(range(0x80))  # the byte values below the guard bit, 0x80
 
 # draws per block SplitMix64 mixes, and most cells per chunk a step kernel walks.
 # 2,048 beats 1,024 on speed; 4,096 gains nothing more and raises peak memory
@@ -69,7 +68,7 @@ def _load(source: str) -> ModuleType | None:
     The build is cached in the __pycache__ beside source, named by the crc32 of the source and
     the interpreter's extension suffix: an edited source or another Python builds a file of its
     own, and a stale one is never loaded. Any failure (no compiler, no Python headers, a read-only
-    tree, a platform without LDSHARED) gives None, and step runs its Python kernels.
+    tree, a platform without LDSHARED) gives None, and step runs every step per cell.
     """
     try:
         with open(source, "rb") as file:
@@ -82,7 +81,7 @@ def _load(source: str) -> ModuleType | None:
         module = loader.create_module(ModuleSpec("faultsim._kernel", loader, origin=path))
         loader.exec_module(module)
         return module
-    except Exception:  # quietly: the Python kernels give the same bytes, and stderr is the run's own
+    except Exception:  # quietly: the per-cell kernel gives the same bytes, and stderr is the run's own
         return None
 
 
@@ -140,43 +139,6 @@ def _mix(state: int, inputs: int | None) -> tuple[int, bytes]:
     return inputs, z.to_bytes(8 * _CHUNK, "little")
 
 
-@lru_cache(maxsize=8)
-def _residue_tables(span: int) -> tuple[tuple[bytes, ...], bytes, int]:
-    """Lookup tables that take u mod span from the bytes of u, for 1 <= span <= 128.
-
-    Returns eight tables (table i maps byte b to b*256**i mod span), the
-    table of x mod span, and how many values below span add up in a byte.
-    """
-    tables = tuple(bytes(b * pow(256, i, span) % span for b in range(256)) for i in range(8))
-    return tables, tables[0], 255 // (span - 1) if span > 1 else 8
-
-
-def _residues(buf: bytes, span: int) -> bytes:
-    """u mod span for each 64-bit u in buf's 8-byte lanes, one byte each.
-
-    u = sum of b_i*256**i over its bytes b_i, so u mod span is the sum of
-    table i's entries, mod span. The partial sums add on byte lanes; once
-    `fit` values below span are in a lane, the lanes are reduced mod span
-    before the next one is added, so no byte carries into its neighbour.
-    """
-    tables, reduce, fit = _residue_tables(span)
-    n = len(buf) // 8
-    acc = held = 0
-    for i, table in enumerate(tables):
-        if held == fit:
-            acc = int.from_bytes(acc.to_bytes(n, "little").translate(reduce), "little")
-            held = 1
-        acc += int.from_bytes(buf[i::8].translate(table), "little")
-        held += 1
-    return acc.to_bytes(n, "little").translate(reduce)
-
-
-@lru_cache(maxsize=4)
-def _byte_lanes(n: int) -> tuple[int, int]:
-    """(ones, guards) of n little-endian byte lanes: 1 and the guard bit 0x80 in every byte."""
-    return int.from_bytes(b"\1" * n, "little"), int.from_bytes(b"\x80" * n, "little")
-
-
 class SplitMix64:
     """SplitMix64 generator (Steele, Lea & Flood's mixer).
 
@@ -199,11 +161,11 @@ class SplitMix64:
 
     def __init__(self, seed: int) -> None:
         self.state = seed & _MASK64
-        self._block: tuple[int, int, int | None, bytes] | None = None  # see _outputs
+        self._block: tuple[int, int, int | None, bytes] | None = None  # see draws
 
-    def _outputs(self, n: int) -> bytes:
-        """The next n outputs as 8*n little-endian bytes; the state moves n gammas, and the last
-        block they reach is kept."""
+    def draws(self, n: int) -> tuple[int, ...]:
+        """The next n outputs of the stream as ints; the state moves n gammas, and the last block
+        they reach is kept."""
         state = self.state
         kept = self._block
         if kept is not None and kept[0] == state:
@@ -211,19 +173,15 @@ class SplitMix64:
         else:
             at, inputs, buf = _CHUNK, None, b""
         self.state = end = (state + n * _GAMMA) & _MASK64
-        parts = []
-        while at + n > _CHUNK:  # the call runs past this block's end
+        parts, left = [], n
+        while at + left > _CHUNK:  # the call runs past this block's end
             if at < _CHUNK:
                 parts.append(buf[8 * at:])
-                n -= _CHUNK - at
+                left -= _CHUNK - at
             (inputs, buf), at = _mix(state, inputs), 0
-        parts.append(buf[8 * at:8 * (at + n)])  # a whole block's slice and join copy nothing
-        self._block = (end, at + n, inputs, buf)
-        return b"".join(parts)
-
-    def draws(self, n: int) -> tuple[int, ...]:
-        """The next n outputs of the stream as ints; state moves n gammas."""
-        return struct.unpack(f"<{n}Q", self._outputs(n))
+        parts.append(buf[8 * at:8 * (at + left)])  # a whole block's slice and join copy nothing
+        self._block = (end, at + left, inputs, buf)
+        return struct.unpack(f"<{n}Q", b"".join(parts))
 
     def randint(self, lo: int, hi: int) -> int:
         """lo + the next output mod (hi - lo + 1): one draw, by modulo; requires lo <= hi."""
@@ -308,10 +266,9 @@ def step(stress: StressMap, faults: FaultMap, cfg: SimConfig, rng: SplitMix64,
     so only a threshold above 256 turns a map in bytes into a list of ints, before the first draw.
     The kernel is chosen before the first draw: _c_kernel if the C kernel was built (see _load),
     the map is in bytes and every delta low, high and span is below 2**62 in size; else
-    _lane_kernel if the map is in bytes, the config fits byte lanes and no cell is within the
-    largest delta of 0x80; else _cell_kernel. A negative cell raises ValueError before any draw,
-    the map left as it was. Quakes go into one mask of the map's size; the kernel counts them and
-    sums the map as it goes. No (x, y) is built.
+    _cell_kernel. A negative cell raises ValueError before any draw, the map left as it was.
+    Quakes go into one mask of the map's size; the kernel counts them and sums the map as it goes.
+    No (x, y) is built.
     """
     if not (stress.dims == faults.dims == cfg.dims):
         raise ValueError("stress, faults and config must share one grid")
@@ -323,20 +280,14 @@ def step(stress: StressMap, faults: FaultMap, cfg: SimConfig, rng: SplitMix64,
     f_lo, n_lo = cfg.fault_delta_min, cfg.nonfault_delta_min
     spans = n_span, f_span = (cfg.nonfault_delta_max - n_lo + 1, cfg.fault_delta_max - f_lo + 1)
     threshold = cfg.quake_threshold
-    room = max(cfg.fault_delta_max, cfg.nonfault_delta_max, 0)  # the most a cell can gain
     if threshold > 0x100 and isinstance(cells, bytearray):  # a cell kept, below it, may pass 255
         stress.cells = cells = list(cells)
     # C adds in int64: a cell, a low and a draw mod a span, each below 2**62, cannot overflow it
     native = (_C is not None and isinstance(cells, bytearray)
               and max(map(abs, (n_lo, f_lo, cfg.nonfault_delta_max, cfg.fault_delta_max, *spans))) < 1 << 62)
-    # byte lanes hold -delta_min, r < span and any cell plus room below 0x80; the translate
-    # deletes every cell that fits, so it leaves none exactly when all of them fit
-    fits = (not native and isinstance(cells, bytearray)
-            and max(-min(f_lo, n_lo), max(spans) - 1, threshold - 1 + room) < 0x80
-            and not cells.translate(None, _BELOW_GUARD[:0x80 - room]))
     area = len(cells)
-    mask = bytearray(area)  # made after fits, whose translate may copy the whole map
-    kernel = _c_kernel if native else _lane_kernel if fits else _cell_kernel
+    mask = bytearray(area)
+    kernel = _c_kernel if native else _cell_kernel
     top, count, total = kernel(cells, fault_flags, mask, rng, f_lo, n_lo, f_span, n_span, threshold)
     return StepReport(step_index, QuakedCells(mask, cfg.dims.width, count),
                       cumulative_quakes + count, top, total, area)
@@ -382,51 +333,6 @@ def _cell_kernel(cells: bytearray | list[int], fault_flags: bytearray, mask: byt
                     count += 1
         cells[a:b] = chunk
         total += sum(chunk)
-    return top, count, total
-
-
-def _lane_kernel(cells: bytearray, fault_flags: bytearray, mask: bytearray, rng: SplitMix64,
-                 f_lo: int, n_lo: int, f_span: int, n_span: int, threshold: int) -> tuple[int, int, int]:
-    """_cell_kernel's step on byte lanes: the same chunks, mask and (top, count, total).
-
-    Byte lanes build no Python int per cell: each draw mod its span comes from _residues'
-    table lookups on the mixer's bytes, and the add, the clamp, the quake test and the reset
-    act on one int that holds each cell in a byte (Lamport's multiple byte processing with
-    full-word instructions). A guard-bit test finds a chunk with a cell above the running
-    max; the new max is the first byte value, from 0x7F down, found in the chunk's bytes.
-    The count adds the quaked lanes' guard bits, and the total each chunk's 512-byte pieces:
-    adler32's low half from 0 is a piece's sum mod 65,521, above 512 * 0x7F = 65,024. Each
-    chunk's draws come from one rng._outputs call, which may start or end inside one of rng's
-    blocks.
-    """
-    top = count = total = 0
-    area = len(cells)
-    for a in range(0, area, _CHUNK):
-        b = min(a + _CHUNK, area)
-        n = b - a
-        ones, guards = _byte_lanes(n)
-        lanes = int.from_bytes(cells[a:b], "little")
-        flags = int.from_bytes(fault_flags[a:b].translate(FaultMap.TRUTH), "little")  # 1 per fault lane
-        out = rng._outputs(n)
-        r = int.from_bytes(_residues(out, n_span), "little")
-        if f_span != n_span:  # the same draws reduced by the fault span; fault lanes take it
-            r ^= (r ^ int.from_bytes(_residues(out, f_span), "little")) & flags * 0xFF
-        # lane: 0x80 + cell + delta, where delta = r + the low end of the cell's range
-        x = lanes + r + ones * (0x80 + n_lo) + flags * (f_lo - n_lo)
-        g = x & guards  # guard bit set where cell + delta >= 0
-        v = x & (g - (g >> 7))  # clamped at 0
-        if (v + ones * (0x7F - top)) & guards:  # some lane exceeds top
-            vb = v.to_bytes(n, "little")
-            top = 0x7F  # no lane holds more; search down for the largest byte present
-            while top not in vb:
-                top -= 1
-        q = (v + ones * (0x80 - threshold)) & guards  # guard bit set where v >= threshold
-        if q:
-            v ^= v & (q - (q >> 7))
-            mask[a:b] = q.to_bytes(n, "little")
-            count += q.bit_count()
-        cells[a:b] = vb = v.to_bytes(n, "little")
-        total += sum(adler32(vb[i:i + 512], 0) & 0xFFFF for i in range(0, n, 512))
     return top, count, total
 
 

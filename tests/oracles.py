@@ -7,12 +7,11 @@ octant column. `next_u64` is SplitMix64 one output at a time, with its own
 constants, where the engine mixes a whole block of draws in the 64-bit
 lanes of one int, draw k in lane k. The step oracle draws each cell through
 it, where `SplitMix64` mixes blocks of `engine._CHUNK` (2,048) draws and
-serves their bytes through one view, `_outputs`, a chunk of a step at a
-time, across chunk and step boundaries: `engine._cell_kernel` unpacks them
-with `draws`, and `engine._lane_kernel` reduces them itself.
-The oracle keeps nothing from step to step but `rng.state`, so the two meet
-only if the draws a kept block serves are the stream's own. It returns the
-engine's own report, quake mask included.
+serves them through `draws`, a chunk of a step at a time, across chunk and
+step boundaries, to `engine._cell_kernel`; the C kernel draws from the
+state alone. The oracle keeps nothing from step to step but `rng.state`, so
+the two meet only if the draws a kept block serves are the stream's own. It
+returns the engine's own report, quake mask included.
 `strip_ansi` removes the renderer's colour codes, so a coloured frame can be
 checked against a plain one. `format_mean` rounds an exact `Fraction` mean,
 where the CSV writer rounds the two ints of a report in integer arithmetic.
@@ -31,7 +30,7 @@ from fractions import Fraction
 import pytest
 
 from faultsim import engine
-from faultsim.engine import QuakedCells, SimConfig, SplitMix64, StepReport, _c_kernel, _cell_kernel, _lane_kernel
+from faultsim.engine import QuakedCells, SimConfig, SplitMix64, StepReport, _c_kernel, _cell_kernel
 from faultsim.grid import Cell, FaultMap, GridDims, StressMap
 
 _ANSI_RE = re.compile(r"\x1b\[[0-9;]*[A-Za-z]")
@@ -39,19 +38,17 @@ _ANSI_RE = re.compile(r"\x1b\[[0-9;]*[A-Za-z]")
 _MASK64 = (1 << 64) - 1
 
 # the engine's step kernels by name; "c" is there only where engine built its C kernel
-KERNELS = {"lane": _lane_kernel, "cell": _cell_kernel, **({"c": _c_kernel} if engine._C else {})}
+KERNELS = {"cell": _cell_kernel, **({"c": _c_kernel} if engine._C else {})}
 # the kernels a parametrized test runs: "c" too, skipped with this reason where it did not build
 NO_C = "the C kernel did not build here: no compiler, no Python headers or a read-only tree"
 KERNEL_CASES = [*KERNELS] if "c" in KERNELS else [*KERNELS, pytest.param("c", marks=pytest.mark.skip(reason=NO_C))]
 
 
 def use_kernel(monkeypatch: pytest.MonkeyPatch, name: str) -> None:
-    """Make step run the kernel named. "c": step as it is, which takes C wherever it can; "lane"
-    or "cell": C hidden and engine._lane_kernel patched to that kernel, so step goes as the
-    Python path finds it, or per cell alone on the inputs byte lanes would take too."""
+    """Make step run the kernel named. "c": step as it is, which takes C wherever it can; "cell":
+    C hidden, as where it did not build, so every step goes per cell."""
     if name != "c":
         monkeypatch.setattr(engine, "_C", None)
-        monkeypatch.setattr(engine, "_lane_kernel", KERNELS[name])
 
 
 def next_u64(rng: SplitMix64) -> int:

@@ -4,16 +4,13 @@ import pickle
 import random
 import re
 import tracemalloc
-from itertools import repeat
-from operator import mod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from faultsim import engine
-from faultsim.engine import (_CHUNK, QuakedCells, SimConfig, SplitMix64, StepReport, _mix, _residues,
-                             iter_steps, run, step)
+from faultsim.engine import _CHUNK, QuakedCells, SimConfig, SplitMix64, StepReport, iter_steps, run, step
 from faultsim.grid import FaultMap, GridDims, StressMap
 from oracles import KERNEL_CASES, KERNELS, NO_C, copy_grid, next_u64, step_oracle, stress_map, use_kernel
 
@@ -24,16 +21,6 @@ MASK64 = (1 << 64) - 1
 # constants (gamma 0x9E3779B97F4A7C15 with the 30/27/31 xor-shift mixer).
 SEED0_FIRST = 0xE220A8397B1DCDAF
 SEED0_SECOND = 0x6E789E6AA1B965F4
-
-
-def seed_for_first_output(u: int) -> int:
-    """The seed whose first output is u: the SplitMix64 mixer run backwards."""
-    u ^= u >> 31 ^ u >> 62
-    u = u * pow(0x94D049BB133111EB, -1, 1 << 64) & MASK64
-    u ^= u >> 27 ^ u >> 54
-    u = u * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & MASK64
-    u ^= u >> 30 ^ u >> 60
-    return (u - GAMMA) & MASK64
 
 
 class TestSplitMix64:
@@ -90,12 +77,12 @@ class TestSplitMix64:
         # into the next; a single randint, or a state set from outside, comes between them
         n, m, p, q = _CHUNK, _CHUNK - 1, _CHUNK + 1, 2 * _CHUNK + 1
         sequences = (
-            [("draws", n), ("residues", n), ("draws", m), ("next", 1), ("draws", 5), ("residues", p), ("draws", q)],
-            [("residues", m), ("residues", m), ("draws", n), ("next", 1), ("next", 1), ("residues", q),
-             ("draws", n), ("residues", n)],
-            [("draws", 1), ("residues", 1), ("next", 1), ("draws", p), ("residues", 1), ("draws", m),
-             ("draws", 2), ("residues", 2)],
-            [("draws", n), ("residues", p), ("rewind", 0), ("residues", n), ("draws", q)],
+            [("draws", n), ("draws", n), ("draws", m), ("next", 1), ("draws", 5), ("draws", p), ("draws", q)],
+            [("draws", m), ("draws", m), ("draws", n), ("next", 1), ("next", 1), ("draws", q),
+             ("draws", n), ("draws", n)],
+            [("draws", 1), ("draws", 1), ("next", 1), ("draws", p), ("draws", 1), ("draws", m),
+             ("draws", 2), ("draws", 2)],
+            [("draws", n), ("draws", p), ("rewind", 0), ("draws", n), ("draws", q)],
         )
         cases = {seed: list(sequences) for seed in (0, 1, 2**64 - 1, GAMMA)}
         # both lane-wise adds, the rebuilt one (state + (k+1)*gamma) for the first block and the
@@ -119,12 +106,8 @@ class TestSplitMix64:
                     drawn = [next_u64(scalar) for _ in range(k)]
                     if kind == "next":  # randint over all of 64 bits returns the draw itself
                         assert [block.randint(0, MASK64)] == drawn, (seed, calls, kind, k)
-                    elif kind == "draws":
+                    else:
                         assert list(block.draws(k)) == drawn, (seed, calls, kind, k)
-                    else:  # 128 reads the low 7 bits of each draw, 97 all of it
-                        want = tuple(bytes(u % span for u in drawn) for span in (128, 97))
-                        out = block._outputs(k)
-                        assert tuple(_residues(out, span) for span in (128, 97)) == want, (seed, calls, kind, k)
                     assert block.state == scalar.state, (seed, calls, kind, k)
 
     @given(seed=st.integers(0, MASK64),
@@ -147,18 +130,14 @@ class TestSplitMix64:
 
     @given(seed=st.integers(0, MASK64),
            calls=st.lists(st.one_of(
-               # n draws, reduced by one or two spans (65-128 reduce after every 2-3 terms),
-               # asked for `repeat_count` times in a row
-               st.tuples(st.just("residues"), st.integers(1, 2 * _CHUNK + 1),
-                         st.lists(st.integers(1, 128) | st.integers(65, 128), min_size=1, max_size=2,
-                                  unique=True).map(tuple),
-                         st.integers(1, 7)),
+               # n draws, asked for `repeat_count` times in a row
+               st.tuples(st.just("block"), st.integers(1, 2 * _CHUNK + 1), st.integers(1, 7)),
                st.tuples(st.just("draws"), st.integers(1, 9)),
                st.tuples(st.just("randint"), st.integers(1, 300)),
                st.tuples(st.just("reset"), st.integers(0, MASK64)),
                st.tuples(st.just("rewind"), st.integers(0, 3))), max_size=8))
     @settings(max_examples=40, deadline=None)
-    def test_residues_match_scalar_stream(self, seed, calls):
+    def test_calls_and_state_moves_match_scalar_stream(self, seed, calls):
         # every call is checked against the scalar stream; a reset sets both states from outside,
         # a rewind sets both back to the state before the i-th last call (i = 0 keeps it as it is)
         block, scalar = SplitMix64(seed), SplitMix64(seed)
@@ -173,36 +152,13 @@ class TestSplitMix64:
             elif kind == "randint":
                 assert block.randint(0, args[0] - 1) == next_u64(scalar) % args[0], kind
             else:
-                n, spans, repeat_count = args
+                n, repeat_count = args
                 for _ in range(repeat_count):
-                    out = block._outputs(n)
-                    got = tuple(_residues(out, span) for span in spans)
-                    drawn = [next_u64(scalar) for _ in range(n)]
-                    assert got == tuple(bytes(u % span for u in drawn) for span in spans), (n, spans)
-                    assert block.state == scalar.state, (n, spans)
+                    assert list(block.draws(n)) == [next_u64(scalar) for _ in range(n)], n
+                    assert block.state == scalar.state, n
                     states.append(scalar.state)
             assert block.state == scalar.state, kind
             states.append(scalar.state)
-
-    # chunk lengths the kernels draw, up to a whole block (a 1024x1 grid is one chunk of
-    # 1,024), and every span byte lanes hold; the buffer is the start of one block
-    @pytest.mark.parametrize("n", sorted({1, 7, 400, 1023, 1024, _CHUNK - 1, _CHUNK}))
-    def test_residues_match_modulo_of_draws(self, n):
-        seeds = random.Random(n)
-        for span in range(1, 129):
-            seed = seeds.getrandbits(64)
-            buf = _mix(seed, None)[1][:8 * n]
-            assert _residues(buf, span) == bytes(map(mod, SplitMix64(seed).draws(n), repeat(span))), (seed, n, span)
-
-    def test_residues_of_the_largest_byte_sums(self):
-        # byte i of u picks the largest of b*256**i mod span, so every partial
-        # sum is as large as it can get: a late reduction would carry into lane 1
-        for span in range(1, 129):
-            u = sum(max(range(256), key=lambda b: b * pow(256, i, span) % span) << 8 * i for i in range(8))
-            seed = seed_for_first_output(u)
-            assert next_u64(SplitMix64(seed)) == u
-            buf = _mix(seed, None)[1][:16]
-            assert _residues(buf, span) == bytes(map(mod, SplitMix64(seed).draws(2), repeat(span))), span
 
 
 class TestSimConfig:
@@ -373,7 +329,7 @@ class TestStep:
             next_u64(twin)
         assert rng.state == twin.state == (4 * 15 * GAMMA) & ((1 << 64) - 1)
 
-    # a list-backed map is stepped per cell at every threshold, byte lanes or not
+    # a list-backed map is stepped per cell at every threshold, with C built or not
     @pytest.mark.parametrize("threshold", [10, 1000, 2**40, 10**30, 10**60])
     def test_negative_cell_rejected(self, threshold):
         # a map in bytes cannot hold a negative value; a list-backed map given one
@@ -394,8 +350,7 @@ class TestStep:
         assert stress.cells == values
         assert rng.state == cfg.seed
 
-    # with zero deltas only a cell that starts at the threshold quakes; byte lanes on a
-    # map in bytes hold thresholds up to 128, and from 129 on every chunk is stepped per cell
+    # with zero deltas only a cell that starts at the threshold quakes, on either side of 128
     @pytest.mark.parametrize("threshold", [100, 127, 128, 129, 1000])
     def test_zero_deltas_quake_only_at_threshold(self, threshold):
         cfg = _cfg(dims=GridDims(4, 1), quake_threshold=threshold, fault_delta_min=0, fault_delta_max=0)
@@ -442,13 +397,14 @@ def _dims_of(area: int) -> tuple[int, int]:
 ORACLE_DIMS = [_dims_of(area) for area in (1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1, 3 * _CHUNK)]
 # an odd area just over one chunk: a full chunk and one of 43 cells
 TWO_BLOCKS = GridDims(41, _CHUNK // 41 + 1 | 1)
-# thresholds on both sides of the largest that byte lanes hold, and far beyond it in the per-cell kernel
-LANE_EDGE_THRESHOLDS = [1, 100, *range(112, 131), 255, 256, 32_767, 32_768, 2**31, 2**63, 10**30]
+# thresholds around 128 and 256 (the largest a map in bytes keeps), and far beyond them in the
+# per-cell kernel
+EDGE_THRESHOLDS = [1, 100, *range(112, 131), 255, 256, 32_767, 32_768, 2**31, 2**63, 10**30]
 
 
 @st.composite
 def delta_range(draw, span=None):
-    """A delta range: small (byte lanes or just past them) or up to 64 bits wide; `span` fixes its size."""
+    """A delta range: small (a few hundred values at most) or up to 64 bits wide; `span` fixes its size."""
     small = draw(st.booleans())
     lo = draw(st.integers(-300, 300) if small else st.integers(-(2**63), 2**63))
     if span is None:
@@ -462,7 +418,7 @@ class TestStepOracle:
         dims=st.sampled_from(ORACLE_DIMS),
         seed=st.integers(0, 2**64 - 1),
         fault_range=delta_range(),
-        threshold=st.one_of(st.sampled_from(LANE_EDGE_THRESHOLDS), st.integers(1, 64), st.integers(1, 10**30)),
+        threshold=st.one_of(st.sampled_from(EDGE_THRESHOLDS), st.integers(1, 64), st.integers(1, 10**30)),
         fault_every=st.integers(1, 7),
         kernel=st.sampled_from([*KERNELS]),
         data=st.data(),
@@ -503,9 +459,8 @@ class TestStepOracle:
                 assert rng.state == oracle_rng.state
                 cumulative = report.cumulative_quakes
 
-    # stock deltas and threshold use byte lanes (guard bit 128): a cell that could
-    # reach 128 with the largest delta (10), or one past 255, makes the whole step go
-    # per cell; the cells set here lie in both of TWO_BLOCKS' chunks
+    # the stock deltas and threshold, with cells near 128, past 255 (the map then a list)
+    # and past 2**64; the cells set here lie in both of TWO_BLOCKS' chunks
     @pytest.mark.parametrize("value", [99, 100, 117, 118, 127, 128, 255, 256, 32_757, 32_758, 65_536, 2**63, 10**30, 10**60])
     def test_large_starting_cell_matches_oracle(self, value):
         cfg = SimConfig(dims=TWO_BLOCKS, seed=5, delay_ms=0)
@@ -522,11 +477,10 @@ class TestStepOracle:
             assert step(stress, faults, cfg, rng, 0, i) == step_oracle(expected, faults, cfg, oracle_rng, 0, i)
             assert list(stress.cells) == list(expected.cells)
 
-    # one cell in chunk 1 of TWO_BLOCKS does not fit byte lanes, so every chunk of the
-    # step goes per cell, chunk 0's quaking cells too. With 118 or 250 the map stays in
-    # bytes; a map holding 256 or 10**30 is a list. At threshold 100 four fault cells
-    # start near it, and 118 drifts by at most 5, below their 127, so they set
-    # max_stress; the larger values set it. At threshold 12 every other cell starts below it.
+    # one large cell in chunk 1 of TWO_BLOCKS beside chunk 0's quaking cells. With 118 or
+    # 250 the map stays in bytes; a map holding 256 or 10**30 is a list. At threshold 100
+    # four fault cells start near it, and 118 drifts by at most 5, below their 127, so they
+    # set max_stress; the larger values set it. At threshold 12 every other cell starts below it.
     @pytest.mark.parametrize("threshold,value", [(100, 118), (100, 250), (100, 256), (100, 10**30), (12, 250)])
     def test_large_cell_beside_quaking_cells_matches_oracle(self, threshold, value):
         cfg = SimConfig(dims=TWO_BLOCKS, seed=5, quake_threshold=threshold, delay_ms=0)
@@ -551,15 +505,15 @@ class TestStepOracle:
         quaked = tuple(report.quaked_cells)
         assert quaked[0] == first and quaked[-1] == last and (k % w, k // w) in quaked
         if value > 118:
-            assert report.max_stress > 127  # more than any byte lane holds
+            assert report.max_stress > 127  # more than any cell of chunk 0 reaches
         else:
             assert report.max_stress > value + 5  # more than the chunk 1 cell reaches
         assert list(stress.cells) == list(expected.cells)
         assert rng.state == oracle_rng.state
 
     def test_list_backed_map_that_fits_matches_oracle(self):
-        # stock config and cells that fit byte lanes, but held in a list: every
-        # chunk is stepped per cell, with the same reports, cells and draws
+        # stock config and cells below 100, but held in a list: every chunk is
+        # stepped per cell, with the same reports, cells and draws
         cfg = SimConfig(dims=TWO_BLOCKS, seed=5, delay_ms=0)
         faults = FaultMap.empty(cfg.dims)
         faults.cells[::3] = [1] * len(faults.cells[::3])
@@ -637,9 +591,8 @@ class TestStepOracle:
             cumulative = report.cumulative_quakes
         assert cumulative > 0
 
-    # spans above 32 need the residues reduced between byte-lane sums; spans that
-    # differ draw once and pick each cell's residue by its fault flag; a span of 129
-    # does not fit byte lanes, so every chunk of that config is stepped per cell
+    # wide spans, and spans that differ, so each cell's fault flag picks the span its
+    # draw is reduced by
     @pytest.mark.parametrize("kernel", KERNEL_CASES)
     @pytest.mark.parametrize("nonfault,fault,threshold", [
         ((-50, 49), (0, 19), 70),  # spans 100 and 20
@@ -678,7 +631,7 @@ def kernels_run(monkeypatch):
     """The name of each kernel step calls, in call order; each still steps the map and returns
     its (top, count, total), whose count and total the spy checks against the mask and the map."""
     names = []
-    for name in ("_c_kernel", "_lane_kernel", "_cell_kernel"):
+    for name in ("_c_kernel", "_cell_kernel"):
         def spy(cells, fault_flags, mask, *rest, kernel=getattr(engine, name), name=name):
             names.append(name)
             result = kernel(cells, fault_flags, mask, *rest)
@@ -690,7 +643,7 @@ def kernels_run(monkeypatch):
 
 @pytest.fixture
 def python_kernels(monkeypatch):
-    """step with the C kernel hidden, as where it did not build: it picks a Python kernel."""
+    """step with the C kernel hidden, as where it did not build: every step goes per cell."""
     monkeypatch.setattr(engine, "_C", None)
 
 
@@ -718,26 +671,26 @@ BENCHMARK_CONFIGS = [(20, 20, 100, 2_500), (1024, 1024, 10, 2), (100, 100, 100, 
 
 @pytest.mark.usefixtures("python_kernels")
 class TestKernelChoice:
-    """With the C kernel hidden, step picks one Python kernel per step, before its first draw. With
-    the stock deltas (non-fault -5..5, fault 0..10) a byte lane holds a cell of up to 117 and a
-    threshold of up to 118: 117 + 10 is 127, the largest value below the guard bit."""
+    """With the C kernel hidden, as where it did not build, every step runs _cell_kernel once,
+    before its first draw, whatever the map's storage, cells, deltas and threshold."""
 
-    LANE, CELL = "_lane_kernel", "_cell_kernel"
+    CELL = "_cell_kernel"
 
-    @pytest.mark.parametrize("kwargs,start,in_bytes,kernel", [
-        ({}, 0, True, LANE),  # an empty map in bytes
-        ({}, 0, False, CELL),  # the same cells in a list
-        ({"quake_threshold": 118}, 0, True, LANE),
-        ({"quake_threshold": 119}, 0, True, CELL),
-        ({}, 117, True, LANE),
-        ({}, 118, True, CELL),
-        ({"nonfault_delta_min": -127, "nonfault_delta_max": -1}, 0, True, LANE),  # -delta_min below 0x80
-        ({"nonfault_delta_min": -128, "nonfault_delta_max": -1}, 0, True, CELL),
-        ({"quake_threshold": 10, "nonfault_delta_min": -64, "nonfault_delta_max": 63}, 0, True, LANE),  # span 128
-        ({"quake_threshold": 10, "nonfault_delta_min": -64, "nonfault_delta_max": 64}, 0, True, CELL),  # span 129
+    # a map in bytes and one in a list; thresholds, cells, lows and spans near 128
+    @pytest.mark.parametrize("kwargs,start,in_bytes", [
+        ({}, 0, True),  # an empty map in bytes
+        ({}, 0, False),  # the same cells in a list
+        ({"quake_threshold": 118}, 0, True),
+        ({"quake_threshold": 119}, 0, True),
+        ({}, 117, True),
+        ({}, 118, True),
+        ({"nonfault_delta_min": -127, "nonfault_delta_max": -1}, 0, True),
+        ({"nonfault_delta_min": -128, "nonfault_delta_max": -1}, 0, True),
+        ({"quake_threshold": 10, "nonfault_delta_min": -64, "nonfault_delta_max": 63}, 0, True),  # span 128
+        ({"quake_threshold": 10, "nonfault_delta_min": -64, "nonfault_delta_max": 64}, 0, True),  # span 129
     ], ids=["bytes", "list", "threshold-118", "threshold-119", "cell-117", "cell-118", "low-127", "low-128",
             "span-128", "span-129"])
-    def test_one_kernel_per_step(self, kernels_run, kwargs, start, in_bytes, kernel):
+    def test_one_kernel_per_step(self, kernels_run, kwargs, start, in_bytes):
         cfg = SimConfig(dims=TWO_BLOCKS, seed=5, delay_ms=0, **kwargs)
         faults = FaultMap.empty(cfg.dims)
         faults.cells[::3] = b"\1" * len(faults.cells[::3])
@@ -745,7 +698,7 @@ class TestKernelChoice:
         values[-1] = start  # the last cell, in the second chunk
         stress = StressMap(cfg.dims, bytearray(values) if in_bytes else values)
         step(stress, faults, cfg, SplitMix64(cfg.seed), 0)
-        assert kernels_run == [kernel]
+        assert kernels_run == [self.CELL]
 
     def test_a_threshold_past_256_steps_a_list_per_cell(self, kernels_run):
         cfg = SimConfig(dims=TWO_BLOCKS, seed=5, quake_threshold=257, delay_ms=0)
@@ -753,11 +706,6 @@ class TestKernelChoice:
         step(stress, FaultMap.empty(cfg.dims), cfg, SplitMix64(cfg.seed), 0)
         assert isinstance(stress.cells, list)
         assert kernels_run == [self.CELL]
-
-    @pytest.mark.parametrize("width,height,threshold,steps", BENCHMARK_CONFIGS)
-    def test_benchmark_configs_run_on_byte_lanes(self, kernels_run, width, height, threshold, steps):
-        _run_config(width, height, threshold, steps)
-        assert kernels_run == [self.LANE] * steps
 
 
 class TestCKernelChoice:
@@ -845,7 +793,7 @@ class TestReadAhead:
         dims = GridDims(width, height)
         cfg = SimConfig(dims=dims, seed=1, target_quakes=dims.area * steps + 1, delay_ms=0, max_steps=steps)
         reports = list(iter_steps(StressMap.empty(dims), _faults_every_fourth(dims), cfg))
-        assert len(reports) == steps and kernels_run == ["_lane_kernel"] * steps
+        assert len(reports) == steps and kernels_run == ["_cell_kernel"] * steps
         blocks = -(-dims.area * steps // _CHUNK)
         assert mixed == [(_CHUNK, "state")] + [(_CHUNK, "carried")] * (blocks - 1)
 
@@ -876,10 +824,11 @@ class TestReadAhead:
     # at step 3 of 8, partway through a kept block (20x20: 800 draws into the first; 100x100:
     # 1,568 into the tenth, and from step 2 on every chunk straddles two blocks, but in the
     # step right after a reset or a rewind): five draws; the state set to another seed, set
-    # back to where step 2 began, or set to itself; a step of other spans; a step that goes
-    # per cell because one cell is too near the guard bit. With C hidden, the Python kernels run;
-    # with it built ("-c"), it runs every step: it never touches rng's block, so each step after
-    # a C step mixes its draws from the state
+    # back to where step 2 began, or set to itself; a step of other spans; a step of a config
+    # past a C bound (a non-fault low of -(2**62)). With C hidden, every step goes per cell; with
+    # it built ("-c"), C runs every step but that step 3, which goes per cell. C never touches
+    # rng's block, so a step after a C step mixes its draws from the state, and the C steps after
+    # the per-cell one leave the block it kept with a tag that no longer matches
     @pytest.mark.parametrize("side,move,native", [
         pytest.param(side, move, native, id=(move if side == 20 else f"{move}-100x100") + ("-c" if native else ""))
         for native in (False, True) for side in (20, 100)
@@ -892,12 +841,13 @@ class TestReadAhead:
         dims = GridDims(side, side)
         cfg = SimConfig(dims=dims, seed=7, quake_threshold=20, delay_ms=0)
         other = SimConfig(dims=dims, seed=7, quake_threshold=20, fault_delta_max=9, delay_ms=0)
+        wide = SimConfig(dims=dims, seed=7, quake_threshold=20, nonfault_delta_min=-(2**62), delay_ms=0)
         faults = _faults_every_fourth(dims)
         stress, expected = StressMap.empty(dims), StressMap.empty(dims)
         rng, oracle_rng = SplitMix64(cfg.seed), SplitMix64(cfg.seed)
         start, drawn, cumulative = cfg.seed, 0, 0
         for i in range(1, 9):
-            step_cfg = other if move == "spans" and i == 3 else cfg
+            step_cfg = {"spans": other, "per-cell": wide}.get(move, cfg) if i == 3 else cfg
             if i == 3:
                 if move == "draws":
                     assert list(rng.draws(5)) == [next_u64(oracle_rng) for _ in range(5)]
@@ -910,8 +860,6 @@ class TestReadAhead:
                     drawn -= dims.area
                 elif move == "same":
                     rng.state = rng.state
-                elif move == "per-cell":
-                    stress.cells[0] = expected.cells[0] = 0x80 - 10
             report = step(stress, faults, step_cfg, rng, cumulative, step_index=i)
             assert report == step_oracle(expected, faults, step_cfg, oracle_rng, cumulative, step_index=i)
             assert stress.cells == expected.cells
@@ -919,11 +867,11 @@ class TestReadAhead:
             assert rng.state == (start + drawn * GAMMA) & MASK64 == oracle_rng.state, i
             cumulative = report.cumulative_quakes
         assert cumulative > 0
-        if native:
-            assert kernels_run == ["_c_kernel"] * 8
+        if not native:
+            assert kernels_run == ["_cell_kernel"] * 8
         else:
-            assert kernels_run == (["_lane_kernel"] * 8 if move != "per-cell" else
-                                   ["_lane_kernel"] * 2 + ["_cell_kernel"] + ["_lane_kernel"] * 5)
+            assert kernels_run == (["_c_kernel"] * 8 if move != "per-cell" else
+                                   ["_c_kernel"] * 2 + ["_cell_kernel"] + ["_c_kernel"] * 5)
 
 
 # 100x41: chunks of 2,048, 2,048 and 4 cells
@@ -934,13 +882,6 @@ def _kernel_args(cfg: SimConfig) -> tuple[int, int, int, int, int]:
     """The delta lows and spans and the threshold that step passes its kernel under this config."""
     f_lo, n_lo = cfg.fault_delta_min, cfg.nonfault_delta_min
     return f_lo, n_lo, cfg.fault_delta_max - f_lo + 1, cfg.nonfault_delta_max - n_lo + 1, cfg.quake_threshold
-
-
-@st.composite
-def lane_delta_range(draw):
-    """A delta range that byte lanes hold: no delta below -127 or above 100, at most 128 values."""
-    lo = draw(st.integers(-127, 100))
-    return lo, lo + draw(st.integers(1, min(128, 101 - lo))) - 1
 
 
 @st.composite
@@ -974,27 +915,22 @@ class TestKernelContract:
             cumulative = report.cumulative_quakes
         return results
 
-    # byte lanes take a map in bytes whose config and cells fit them; C a map in bytes under a
-    # threshold of 256 or less and deltas below 2**62 in size; the per-cell kernel takes any config,
-    # and a map in bytes under a threshold of 256 or less (above it step makes a list)
+    # C takes a map in bytes under a threshold of 256 or less and deltas below 2**62 in size; the
+    # per-cell kernel takes any config, and a map in bytes under a threshold of 256 or less (above
+    # it step makes a list)
     @pytest.mark.parametrize("kernel", KERNEL_CASES)
     @given(dims=st.sampled_from([*ORACLE_DIMS, (THREE_CHUNKS.width, THREE_CHUNKS.height)]),
            seed=st.integers(0, 2**64 - 1), fault_every=st.integers(1, 7), data=st.data())
     @settings(max_examples=30, deadline=None)
     def test_each_call_matches_the_oracle(self, kernel, dims, seed, fault_every, data):
-        if kernel == "lane":
-            fault, nonfault = data.draw(lane_delta_range(), "fault"), data.draw(lane_delta_range(), "nonfault")
-            room = max(fault[1], nonfault[1], 0)
-            threshold = data.draw(st.integers(1, 0x80 - room), "threshold")
-            in_bytes, highest = True, 0x7F - room
-        elif kernel == "c":
+        if kernel == "c":
             fault, nonfault = data.draw(c_delta_range(), "fault"), data.draw(c_delta_range(), "nonfault")
-            threshold = data.draw(st.one_of(st.sampled_from([t for t in LANE_EDGE_THRESHOLDS if t <= 0x100]),
+            threshold = data.draw(st.one_of(st.sampled_from([t for t in EDGE_THRESHOLDS if t <= 0x100]),
                                             st.integers(1, 0x100)), "threshold")
             in_bytes, highest = True, 0xFF
         else:
             fault, nonfault = data.draw(delta_range(), "fault"), data.draw(delta_range(), "nonfault")
-            threshold = data.draw(st.one_of(st.sampled_from(LANE_EDGE_THRESHOLDS), st.integers(1, 10**30)),
+            threshold = data.draw(st.one_of(st.sampled_from(EDGE_THRESHOLDS), st.integers(1, 10**30)),
                                   "threshold")
             in_bytes = threshold <= 0x100 and data.draw(st.booleans(), "in_bytes")
             highest = 0xFF if in_bytes else 3 * threshold
@@ -1007,20 +943,13 @@ class TestKernelContract:
         stress = StressMap(cfg.dims, bytearray(values) if in_bytes else values)
         self._check(KERNELS[kernel], stress, faults, cfg)
 
-    # byte lanes' worst case: every lane holds 0x7F and neither moves nor quakes, so each of the
-    # 512-byte pieces the total is summed from holds 512 * 127 = 65,024, below adler32's 65,521
+    # every cell holds 0x7F, one below the threshold, and neither moves nor quakes: each step's
+    # top is 0x7F, no cell quakes and the total is 127 per cell
     @pytest.mark.parametrize("kernel", KERNEL_CASES)
     def test_a_map_of_0x7f_at_threshold_128(self, kernel):
         cfg = _cfg(dims=THREE_CHUNKS, quake_threshold=0x80, fault_delta_min=0, fault_delta_max=0)
         stress = StressMap(cfg.dims, bytearray(b"\x7f" * cfg.dims.area))
         assert self._check(KERNELS[kernel], stress, _faults_every_fourth(cfg.dims), cfg) == [(0x7F, 0, 127 * 4100)] * 3
-
-    def test_step_runs_byte_lanes_on_a_map_of_0x7f(self, python_kernels, kernels_run):
-        cfg = _cfg(dims=THREE_CHUNKS, quake_threshold=0x80, fault_delta_min=0, fault_delta_max=0)
-        stress = StressMap(cfg.dims, bytearray(b"\x7f" * cfg.dims.area))
-        report = step(stress, _faults_every_fourth(cfg.dims), cfg, SplitMix64(0), 0)
-        assert kernels_run == ["_lane_kernel"]
-        assert (report.max_stress, len(report.quaked_cells), report.stress_total) == (0x7F, 0, 127 * 4100)
 
     # cells past 2**64 in a list: about half of them quake in step 1, and what stays sums past 2**64
     def test_a_list_past_64_bits_on_the_cell_kernel(self):
@@ -1056,8 +985,7 @@ class TestQuakedCells:
             assert clone == report == expected
             assert clone.quaked_cells == quaked and list(clone.quaked_cells) == decoded
 
-    # byte lanes in every chunk (a map in bytes) or per cell in every chunk (a list), or per
-    # cell on both with _lane_kernel patched to _cell_kernel
+    # C on a map in bytes and per cell on a list, or per cell on both with C hidden
     @given(dims=st.sampled_from(ORACLE_DIMS), seed=st.integers(0, 2**64 - 1), threshold=st.integers(1, 20),
            in_bytes=st.booleans(), kernel=st.sampled_from([*KERNELS]))
     @settings(max_examples=30, deadline=None)

@@ -47,8 +47,8 @@ map
 end
 """
 
-# stock deltas under threshold 200: the config does not fit byte lanes, so every step
-# goes per cell, while the map stays in bytes (the cells a step keeps are below 200)
+# stock deltas under threshold 200: the map stays in bytes (the cells a step keeps are
+# below 200)
 THRESHOLD_200_SCENARIO = """\
 FAULTSIM 1
 width 9
@@ -240,8 +240,8 @@ def test_out_file_matches_pin(tmp_path, name):
     assert proc.stderr.decode() == err
 
 
-# on each kernel: with C hidden and _lane_kernel patched to _cell_kernel every step of every
-# case goes per cell, and each run must still give its pinned CSV
+# on each kernel: with C hidden every step of every case goes per cell, and each run must
+# still give its pinned CSV
 @pytest.mark.parametrize("kernel", KERNEL_CASES)
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_headless_run_never_decodes_quaked_cells(tmp_path, name, kernel, monkeypatch, capsys):

@@ -1,5 +1,5 @@
 """The C step kernel's build: engine._load compiles _kernel.c once into the __pycache__ beside it,
-names the file by the source's crc32, and gives None, so that step runs its Python kernels,
+names the file by the source's crc32, and gives None, so that step runs per cell,
 wherever it cannot build. Each test loads a copy of the source under tmp_path."""
 
 import hashlib
